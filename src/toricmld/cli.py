@@ -63,12 +63,17 @@ def load_instance(path: str) -> ToricLogPair:
     structural problems; geometric problems raise the validator's usual
     error types.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise InvalidParameters(f"not UTF-8 text: {err}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InvalidParameters(f"not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise InvalidParameters("not valid JSON: nested too deeply") from err
     if not isinstance(doc, dict):
         raise InvalidParameters("document: must be a JSON object")
     for key in doc:
@@ -169,7 +174,7 @@ def cmd_prove(args) -> int:
         return 2
     try:
         trace = prove(pair, strict=False)
-    except NotLogQGorenstein as err:
+    except (NotLogQGorenstein, CheckFailed) as err:
         print(f"error: {err}")
         return 1
     except (NotKlt, DimensionTooSmall) as err:

@@ -307,6 +307,8 @@ def _run_instance(key: str, pair: ToricLogPair) -> SweepRow:
             trace = prove(pair, strict=False, report=report)
         except (NotKlt, DimensionTooSmall):
             pass  # outside the pipeline's scope (a coefficient equal to 1)
+        except ToricMldError as err:
+            return SweepRow(key, pair, report, None, None, type(err).__name__)
     if trace is not None:
         bound = trace.bound
     else:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -344,52 +343,21 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
 # --- lattice points --------------------------------------------------------------
 
 
-def _project_constraints(
-    cons: list[tuple[IntVector, int]], d: int
-) -> list[list[tuple[IntVector, int]]] | None:
-    """Eliminate variables from the last to the first, keeping for each depth
-    the integer constraints that bound that coordinate once the earlier ones
-    are fixed.  Constraint vectors are stored trimmed to their last nonzero
-    entry.  Returns ``None`` when the system is infeasible over the reals."""
+def _projection_levels(P: RatPolytope) -> list[list[Facet]]:
+    """Per depth ``k``, the facets of the projection of ``P`` onto its first
+    ``k + 1`` coordinates that involve coordinate ``k``.
 
-    def reduce(w: tuple, c: int) -> tuple[IntVector, int] | None:
-        top = len(w)
-        while top and w[top - 1] == 0:
-            top -= 1
-        w = w[:top]
-        if not w:
-            return None if c < 0 else (w, c)
-        g = gcd(*w)
-        return (tuple(x // g for x in w), c // g)
-
-    buckets: list[dict[IntVector, int]] = [dict() for _ in range(d)]
-
-    def add(w: tuple, c: int) -> bool:
-        entry = reduce(w, c)
-        if entry is None:
-            return False
-        w, c = entry
-        if w:
-            bucket = buckets[len(w) - 1]
-            if c < bucket.get(w, c + 1):
-                bucket[w] = c
-        return True
-
-    for w, c in cons:
-        if not add(w, c):
-            return None
-    for k in range(d - 1, 0, -1):
-        pos = [(w, c) for w, c in buckets[k].items() if w[k] > 0]
-        neg = [(w, c) for w, c in buckets[k].items() if w[k] < 0]
-        for wp, cp in pos:
-            a = wp[k]
-            for wn, cn in neg:
-                b = -wn[k]
-                wn_pad = wn + (0,) * (k - len(wn) + 1)
-                combined = tuple(b * wp[i] + a * wn_pad[i] for i in range(k))
-                if not add(combined, b * cp + a * cn):
-                    return None
-    return [sorted(bucket.items()) for bucket in buckets]
+    The projection is the hull of the vertices cut to ``k + 1`` coordinates,
+    so each level comes from hulling the level above; the last depth is
+    ``P.facets`` itself.  Facets with a zero entry ``k`` are the preimages of
+    the next level down and are left out."""
+    levels = [[f for f in P.facets if f[0][-1] != 0]]
+    verts = P.vertices
+    for k in range(P.dim - 2, -1, -1):
+        proj = convex_hull([v[: k + 1] for v in verts])
+        levels.append([f for f in proj.facets if f[0][k] != 0])
+        verts = proj.vertices
+    return levels[::-1]
 
 
 def _iter_points(P: RatPolytope, scale: int, strict: bool):
@@ -401,13 +369,15 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool):
         return
     if not P.facets:
         raise UnboundedRegion("polytope carries no facet description")
-    cons = []
-    for u, b in P.facets:
-        w = tuple(x * b.denominator for x in u)
-        cons.append((w, b.numerator * scale - (1 if strict else 0)))
-    levels = _project_constraints(cons, d)
-    if levels is None:
-        return
+    # The interior of a projection is the projection of the interior, so
+    # strict membership rounds every level's bound down past equality.
+    levels = [
+        [
+            (u, math.ceil(scale * b) - 1 if strict else math.floor(scale * b))
+            for u, b in level
+        ]
+        for level in _projection_levels(P)
+    ]
     y = [0] * d
 
     def walk(k: int):
@@ -442,7 +412,10 @@ def enumerate_points(
 
     With ``strict`` the membership is in the interior.  Equivalently this
     lists the lattice points of the dilate ``scale·P``; callers wanting
-    points of ``P ∩ (1/scale)ℤ^d`` divide the results by ``scale``.
+    points of ``P ∩ (1/scale)ℤ^d`` divide the results by ``scale``.  The
+    walk fixes one coordinate at a time within the exact projections of
+    ``scale·P`` onto its leading coordinates, each taken as the convex hull
+    of the vertices cut to those coordinates.
     """
     return tuple(_iter_points(P, scale, strict))
 

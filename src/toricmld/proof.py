@@ -552,7 +552,10 @@ def prove(
     unique (1/q)-point, assembles the symmetric certificate and the
     inequality chain, and evaluates the final index bound.  With ``strict``
     the first failed verification raises :class:`CheckFailed`; otherwise
-    failures are collected in the returned trace.  Raises :class:`NotKlt`
+    failures are collected in the returned trace, except for the checks
+    the pipeline cannot continue past (the cross-section's consistency,
+    threshold integrality and shrink uniqueness), which raise
+    :class:`CheckFailed` either way.  Raises :class:`NotKlt`
     (vanishing discrepancy functional or a coefficient equal to 1) or
     :class:`DimensionTooSmall` for pairs outside the construction's scope.
     A caller that already holds the pair's :class:`LogCanonicalReport` may

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from toricmld import proof
 from toricmld.cli import load_instance, main
-from toricmld.errors import InvalidParameters
+from toricmld.errors import CheckFailed, InvalidParameters
 
 THIRD_DOC = {
     "dim": 2,
@@ -93,6 +94,24 @@ def test_load_instance_rejects_garbage(tmp_path):
         load_instance(str(path))
 
 
+def test_load_instance_rejects_non_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "rays": "\xff"}')
+    with pytest.raises(InvalidParameters, match="UTF-8"):
+        load_instance(str(path))
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error: not UTF-8")
+
+
+def test_load_instance_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(InvalidParameters, match="nested too deeply"):
+        load_instance(str(path))
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error: not valid JSON")
+
+
 def test_coefficient_one_parses(tmp_path):
     doc = dict(
         THIRD_DOC,
@@ -130,6 +149,15 @@ def test_prove_exit_two_outside_scope(tmp_path, capsys):
     assert main(["prove", write(tmp_path, with_one)]) == 2
     assert main(["prove", write(tmp_path, NON_Q_GORENSTEIN_DOC)]) == 1
     capsys.readouterr()
+
+
+def test_prove_exit_one_when_a_check_raises(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise CheckFailed("shrink-uniqueness", "forced")
+
+    monkeypatch.setattr(proof, "shrink_to_unique", fail)
+    assert main(["prove", write(tmp_path, THIRD_DOC)]) == 1
+    assert "shrink-uniqueness" in capsys.readouterr().out
 
 
 def test_sweep_cyclic_summary_and_csv(tmp_path, capsys):

@@ -6,13 +6,15 @@ byte-for-byte; generators are also run under hypothesis to confirm every
 draw validates.
 """
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricmld.errors import ExhaustedResampling, InvalidParameters
+from toricmld import proof
+from toricmld.errors import CheckFailed, ExhaustedResampling, InvalidParameters
 from toricmld.families import (
     CSV_COLUMNS,
     FamilySpec,
@@ -28,6 +30,7 @@ from toricmld.families import (
 from toricmld.pairs import (
     ToricLogPair,
     compute_mld,
+    mld_oracle,
     standard_coefficients,
     validate_pair,
 )
@@ -151,6 +154,23 @@ def test_sweep_captures_errors_per_row():
     assert "error:NotLogQGorenstein" in csv and "error:NonPrimitiveRay" in csv
 
 
+def test_sweep_records_failed_proof_check_as_error_row(monkeypatch):
+    def fail(*args, **kwargs):
+        raise CheckFailed("shrink-uniqueness", "forced")
+
+    monkeypatch.setattr(proof, "shrink_to_unique", fail)
+    third = cyclic_quotient_cone(3, 1)
+    report = sweep(FamilySpec(kind="explicit_list", pairs=(third, third)))
+    assert len(report.rows) == 2
+    for row in report.rows:
+        assert row.error == "CheckFailed" and row.passed is None
+        assert row.report == compute_mld(third) and row.trace is None
+    assert report.counterexamples == ()
+    assert report.to_csv().splitlines()[1] == (
+        "x0,2,0 1;3 -1,0;0,3,2/3,3,,,1/3,error:CheckFailed"
+    )
+
+
 def test_empty_explicit_list_gives_empty_report():
     report = sweep(FamilySpec(kind="explicit_list"))
     assert report.rows == ()
@@ -184,6 +204,25 @@ def test_random_sweep_deterministic_and_shaped():
     assert len(first.rows) == 10
     assert [r.key for r in first.rows][:5] == [f"d2i{i}" for i in range(5)]
     assert first.counterexamples == ()
+
+
+def test_random_4d_sweep_matches_oracle_and_pinned_digest():
+    """4D rows agree with the zonotope oracle, pass the strict pipeline, and
+    reproduce pinned CSV and trace-v1 bytes, so that a change of lattice-point
+    enumeration algorithm cannot alter them."""
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(4,), count=6, max_entry=2, L=3, seed=1)
+    )
+    for row in report.rows:
+        assert row.report.mld == mld_oracle(row.pair)[0], row.key
+        strict = proof.prove(row.pair, strict=True)
+        assert proof.serialize_trace(strict) == proof.serialize_trace(row.trace)
+    text = report.to_csv() + "".join(
+        proof.serialize_trace(r.trace) for r in report.rows
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c03c8b025bdb2871ac3bd8bef1ca10b55b2055356fb4948b0e90ced6c8332a33"
+    )
 
 
 def test_sweep_json_carries_aggregates():

@@ -1,5 +1,7 @@
 """Convex hulls, volumes, transforms, and lattice-point enumeration."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -291,19 +293,37 @@ def test_enumerate_points_zero_dim():
     assert geo.enumerate_points(Z, strict=True) == ((),)
 
 
-@given(points_2d(), st.sampled_from([1, 2, 3]), st.booleans())
-@settings(deadline=None, max_examples=60)
-def test_enumerate_points_matches_box_scan(pts, scale, strict):
-    assume(matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == 2)
-    P = geo.convex_hull(pts)
+@st.composite
+def rational_polytopes(draw):
+    """Hulls of a few points of a small box in dimension 2, 3 or 4, divided
+    by 1, 2 or 3 so that vertices and facet offsets are rational."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    c = coords if d == 2 else st.integers(min_value=-2, max_value=2)
+    pts = draw(
+        st.lists(st.tuples(*[c] * d), min_size=d + 1, max_size=d + 4, unique=True)
+    )
+    assume(matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == d)
+    den = draw(st.sampled_from([1, 2, 3]))
+    return geo.convex_hull([tuple(Fraction(x, den) for x in p) for p in pts])
+
+
+@given(rational_polytopes(), st.sampled_from([1, 2, 3]), st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_enumerate_points_matches_box_scan(P, scale, strict):
     got = geo.enumerate_points(P, scale=scale, strict=strict)
-    lo = min(x for p in pts for x in p) * scale
-    hi = max(x for p in pts for x in p) * scale
+    ranges = [
+        range(
+            math.floor(min(v[i] for v in P.vertices) * scale),
+            math.ceil(max(v[i] for v in P.vertices) * scale) + 1,
+        )
+        for i in range(P.dim)
+    ]
+    bounds = [(u, scale * b) for u, b in P.facets]
     expected = [
-        (x, y)
-        for x in range(lo, hi + 1)
-        for y in range(lo, hi + 1)
-        if P.contains((Fraction(x, scale), Fraction(y, scale)), strict=strict)
+        y
+        for y in itertools.product(*ranges)
+        if all(dot(u, y) < c if strict else dot(u, y) <= c for u, c in bounds)
     ]
     assert list(got) == expected
     assert list(got) == sorted(got)
+    assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(got)
