@@ -4,7 +4,7 @@ The package computes minimal log discrepancies and Gorenstein indices of
 affine toric pairs with standard boundary coefficients, and builds fully
 checked convex-geometry certificates for the index bound ``n ≤ c_d · q^d``.
 
-Everything runs over :class:`fractions.Fraction`; no floats anywhere.
+Everything is exact ``int``/``Fraction`` arithmetic; no floats anywhere.
 """
 
 from .errors import CheckFailed, NotKlt, NotLogQGorenstein, ToricMldError

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -42,18 +41,13 @@ from .pairs import (
     compute_mld,
     validate_pair,
 )
-from .proof import lemma_lv_check, lemma_vo_check, prove, serialize_trace
+from .proof import fmt_rat, lemma_lv_check, lemma_vo_check, prove, serialize_trace
 
 __all__ = ["main", "load_instance"]
 
 
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_vec(v) -> str:
-    return " ".join(_fmt(x) for x in v)
+    return " ".join(fmt_rat(x) for x in v)
 
 
 def load_instance(path: str) -> ToricLogPair:
@@ -70,7 +64,7 @@ def load_instance(path: str) -> ToricLogPair:
         raise InvalidParameters(f"not UTF-8 text: {err}") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise InvalidParameters(f"not valid JSON: {err}") from err
     except RecursionError as err:
         raise InvalidParameters("not valid JSON: nested too deeply") from err
@@ -124,9 +118,9 @@ def load_instance(path: str) -> ToricLogPair:
 def _report_json(report: LogCanonicalReport) -> str:
     doc = {
         "dim": report.dim,
-        "psi": [_fmt(x) for x in report.psi],
+        "psi": [fmt_rat(x) for x in report.psi],
         "n": report.index,
-        "a": _fmt(report.mld),
+        "a": fmt_rat(report.mld),
         "q": report.mld_denominator,
         "witness": list(report.witness),
         "klt": report.klt,
@@ -140,7 +134,7 @@ def _report_text(report: LogCanonicalReport) -> str:
             f"dim: {report.dim}",
             "psi: " + _fmt_vec(report.psi),
             f"n: {report.index}",
-            "a: " + _fmt(report.mld),
+            "a: " + fmt_rat(report.mld),
             f"q: {report.mld_denominator}",
             "witness: " + _fmt_vec(report.witness),
             f"klt: {'yes' if report.klt else 'no'}",
@@ -238,9 +232,9 @@ def cmd_sweep(args) -> int:
     errors = sum(1 for row in report.rows if row.error)
     print(f"rows: {len(report.rows)} (errors: {errors})")
     if report.max_ratio is not None:
-        print("max n/q^d: " + _fmt(report.max_ratio))
+        print("max n/q^d: " + fmt_rat(report.max_ratio))
     if report.min_gamma is not None:
-        print("min gamma: " + _fmt(report.min_gamma))
+        print("min gamma: " + fmt_rat(report.min_gamma))
     print(f"counterexamples: {len(report.counterexamples)}")
     for key in report.counterexamples:
         print(f"counterexample: {key}")
@@ -252,7 +246,7 @@ def _run_lemma_vo(dim: int, samples: int, seed: int) -> int:
     pinned = lemma_vo_check(2, square)
     print(
         "pinned: unit square at height 2 -> pyramid volume "
-        + _fmt(normalized_volume(convex_hull([(0, 0, 0)] + [(2,) + v for v in square.vertices])))
+        + fmt_rat(normalized_volume(convex_hull([(0, 0, 0)] + [(2,) + v for v in square.vertices])))
         + (" ok" if pinned.passed else " FAIL")
     )
     if not pinned.passed:
@@ -296,7 +290,7 @@ def _run_lemma_minkowski(dim: int, samples: int, seed: int) -> int:
     )
     trace = prove(quadrant)
     volume = normalized_volume(trace.certificate)
-    print(f"pinned: smooth quadrant certificate volume {_fmt(volume)} = 4"
+    print(f"pinned: smooth quadrant certificate volume {fmt_rat(volume)} = 4"
           + (" ok" if volume == 4 else " FAIL"))
     if volume != 4:
         return 1

@@ -13,10 +13,6 @@ class ToricMldError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InputError(ToricMldError):
-    """Malformed user-supplied data (files, CLI arguments)."""
-
-
 class InvalidParameters(ToricMldError, ValueError):
     """Arguments outside a function's documented domain."""
 

@@ -39,7 +39,7 @@ from .pairs import (
     standard_coefficients,
     validate_pair,
 )
-from .proof import ProofTrace, prove
+from .proof import ProofTrace, fmt_rat, prove
 
 __all__ = [
     "FamilySpec",
@@ -127,19 +127,12 @@ class SweepReport:
             "columns": list(CSV_COLUMNS),
             "rows": [dict(zip(CSV_COLUMNS, _csv_fields(row))) for row in self.rows],
             "aggregates": {
-                "max_n_over_qd": _fmt(self.max_ratio),
-                "min_gamma": _fmt(self.min_gamma),
+                "max_n_over_qd": fmt_rat(self.max_ratio),
+                "min_gamma": fmt_rat(self.min_gamma),
                 "counterexamples": list(self.counterexamples),
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _fmt_rays(rays) -> str:
@@ -156,13 +149,13 @@ def _csv_fields(row: SweepRow) -> tuple[str, ...]:
         row.key,
         str(row.pair.dim),
         _fmt_rays(row.pair.rays),
-        ";".join(_fmt(c.value) for c in row.pair.coefficients),
+        ";".join(fmt_rat(c.value) for c in row.pair.coefficients),
         str(rep.index) if rep else "",
-        _fmt(rep.mld) if rep else "",
+        fmt_rat(rep.mld) if rep else "",
         str(rep.mld_denominator) if rep else "",
         str(trace.threshold) if trace else "",
-        _fmt(trace.gamma) if trace else "",
-        _fmt(Fraction(rep.index, rep.mld_denominator**rep.dim)) if rep else "",
+        fmt_rat(trace.gamma) if trace else "",
+        fmt_rat(Fraction(rep.index, rep.mld_denominator**rep.dim)) if rep else "",
         verdict,
     )
 

@@ -1,13 +1,14 @@
 """Exact convex geometry over ℚ: hulls, volumes, lattice-point enumeration.
 
-The central type is :class:`RatPolytope`, a bounded rational polytope carrying
-both descriptions at once: lex-sorted vertices and facet inequalities with
-primitive integer normals.  Hulls are computed by an exact incremental
-double-description pass on homogenized points, so no floating point enters at
-any stage.  Polytopes of dimension ≥ 1 produced by :func:`convex_hull` are
-full-dimensional in their ambient space; lower-dimensional data should be
-re-coordinatized (e.g. with :class:`~toricmld.lattice.SublatticeBasis`)
-before building hulls.
+The central type is :class:`RatPolytope`, a bounded rational polytope kept
+as integer vertex rows and integer facets over one common denominator, so
+hulls, transforms, volumes and enumeration run in ``int``; ``Fraction``
+appears only at the API boundary.  Hulls are a monotone chain in 2D and an
+exact incremental double-description pass on homogenized points above, so
+no floating point enters at any stage.  Polytopes of dimension ≥ 1 produced
+by :func:`convex_hull` are full-dimensional in their ambient space;
+lower-dimensional data should be re-coordinatized (e.g. with
+:class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -28,53 +31,80 @@ from .lattice import (
     IntVector,
     RatVector,
     SublatticeBasis,
-    clear_denominators,
-    content,
     det,
     dot,
-    mat_inverse,
+    int_inverse,
     matrix_rank,
     primitive_vector,
     rat_vector,
-    vec_add,
     vec_sub,
 )
 
 Facet = tuple[IntVector, Fraction]
+IntFacet = tuple[IntVector, int]
 
 
 @dataclass(frozen=True)
 class RatPolytope:
-    """A bounded rational polytope with vertex and facet descriptions.
+    """A bounded rational polytope in canonical fraction-free form.
 
-    ``vertices`` are lex-sorted tuples of :class:`~fractions.Fraction`;
-    ``facets`` are sorted pairs ``(u, b)`` of a primitive integer outer
-    normal and a rational offset, encoding the inequality ``⟨u, x⟩ ≤ b``.
-    A zero-dimensional polytope is the single empty-tuple point with no
-    facets.
+    ``den`` is the least common denominator of the vertex coordinates and
+    ``rows`` the lex-sorted integer rows ``den·vertex``; ``int_facets`` are
+    sorted pairs ``(u, c)`` of a primitive integer outer normal and an
+    integer offset, encoding ``⟨u, row⟩ ≤ c``.  ``vertices`` and ``facets``
+    are read-only :class:`~fractions.Fraction` views of the same data in
+    the same order, with offsets ``c/den``.  A zero-dimensional polytope is
+    the single empty row with no facets.
     """
 
     dim: int
-    vertices: tuple[RatVector, ...]
-    facets: tuple[Facet, ...]
+    den: int
+    rows: tuple[IntVector, ...]
+    int_facets: tuple[IntFacet, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[RatVector, ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.rows)
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        return tuple((u, Fraction(c, self.den)) for u, c in self.int_facets)
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[IntFacet, ...], ...]:
+        return _projection_levels(self)
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         if len(point) != self.dim:
             raise DimensionMismatch("point has the wrong length")
-        for u, b in self.facets:
-            val = dot(u, point)
-            if val > b or (strict and val == b):
+        (p,), m = _clear_rows([point])
+        for u, c in self.int_facets:
+            val, bound = self.den * dot(u, p), c * m
+            if val > bound or (strict and val == bound):
                 return False
         return True
 
-    def support(self, u: Sequence) -> Fraction:
-        """Support function: the maximum of ``⟨u, ·⟩`` over the polytope."""
-        return max(Fraction(dot(u, v)) for v in self.vertices)
+
+def _clear_rows(points) -> tuple[list[IntVector], int]:
+    """The points as integer rows over the least common denominator of all
+    their coordinates."""
+    pts = [tuple(p) for p in points]
+    if all(type(x) is int for p in pts for x in p):
+        return pts, 1
+    fracs = [rat_vector(p) for p in pts]
+    den = math.lcm(*(x.denominator for p in fracs for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in fracs], den
 
 
-def _homogenize(p: RatVector) -> IntVector:
-    w, _ = clear_denominators((1,) + p)
-    return primitive_vector(w)
+def _canonical(dim: int, den: int, rows, facets) -> RatPolytope:
+    """``(rows, facets)`` over ``den`` with the common factor of ``den`` and
+    the rows divided out (it divides each offset: facets are tight)."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den //= g
+        rows = tuple(tuple(x // g for x in r) for r in rows)
+        facets = tuple((u, c // g) for u, c in facets)
+    return RatPolytope(dim, den, tuple(rows), tuple(facets))
 
 
 def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
@@ -93,13 +123,13 @@ def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
     if len(seed) < n:
         raise NotFullDimensional("points do not affinely span the ambient space")
     ordered = [cons[i] for i in seed] + [c for i, c in enumerate(cons) if i not in set(seed)]
-    ginv = mat_inverse(ordered[:n])
+    adj, D = int_inverse(ordered[:n])
+    sign = 1 if D > 0 else -1
     rays: list[IntVector] = []
     zeros: list[int] = []
     full = (1 << n) - 1
     for j in range(n):
-        col, _ = clear_denominators(tuple(ginv[i][j] for i in range(n)))
-        rays.append(primitive_vector(col))
+        rays.append(primitive_vector([sign * adj[i][j] for i in range(n)]))
         zeros.append(full ^ (1 << j))
     for idx in range(n, len(ordered)):
         c = ordered[idx]
@@ -133,18 +163,18 @@ def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
     return rays
 
 
-def _hull_2d(pts: list[RatVector]) -> RatPolytope:
+def _hull_2d(pts: list[IntVector]) -> tuple[list[IntVector], list[IntFacet]]:
     """Monotone-chain hull of lexicographically sorted distinct points."""
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[RatVector] = []
+    lower: list[IntVector] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[RatVector] = []
+    upper: list[IntVector] = []
     for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -152,12 +182,12 @@ def _hull_2d(pts: list[RatVector]) -> RatPolytope:
     ring = lower[:-1] + upper[:-1]
     if len(ring) < 3:
         raise NotFullDimensional("points do not affinely span the ambient space")
-    facets = set()
+    facets = []
     for a, b in zip(ring, ring[1:] + ring[:1]):
-        w, _ = clear_denominators((b[1] - a[1], a[0] - b[0]))
-        u = primitive_vector(w)
-        facets.add((u, Fraction(dot(u, a))))
-    return RatPolytope(2, tuple(sorted(ring)), tuple(sorted(facets)))
+        x, y = b[1] - a[1], a[0] - b[0]
+        g = math.gcd(x, y)
+        facets.append(((x // g, y // g), (x * a[0] + y * a[1]) // g))
+    return sorted(ring), facets
 
 
 def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
@@ -166,65 +196,61 @@ def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
     The points must affinely span their ambient space (otherwise
     :class:`NotFullDimensional`), so that a facet inequality description
     exists; dimensions 0–2 are handled directly, higher dimensions by
-    double description on the homogenization.
+    double description on the homogenization, all on the points' integer
+    rows over one common denominator.
     """
-    pts = sorted({rat_vector(p) for p in points})
-    if not pts:
+    rows, den = _clear_rows(points)
+    if not rows:
         raise InvalidParameters("hull of an empty point set")
-    d = len(pts[0])
-    for p in pts:
-        if len(p) != d:
+    d = len(rows[0])
+    for r in rows:
+        if len(r) != d:
             raise DimensionMismatch("points of mixed dimensions")
     if d == 0:
-        return RatPolytope(0, ((),), ())
+        return RatPolytope(0, 1, ((),), ())
+    pts = sorted(set(rows))
     if d == 1:
         lo, hi = pts[0][0], pts[-1][0]
         if lo == hi:
             raise NotFullDimensional("points do not affinely span the ambient space")
-        return RatPolytope(1, ((lo,), (hi,)), (((-1,), -lo), ((1,), hi)))
-    if d == 2:
-        return _hull_2d(pts)
-    dual = _double_description([_homogenize(p) for p in pts], d + 1)
-    facets = set()
-    for y in dual:
-        c = content(y[1:])
-        u = tuple(-x // c for x in y[1:])
-        facets.add((u, Fraction(y[0], c)))
-    facet_tuple = tuple(sorted(facets))
-    verts = []
-    for p in pts:
-        tight = [u for u, b in facet_tuple if dot(u, p) == b]
-        if len(tight) >= d and matrix_rank(tight) == d:
-            verts.append(p)
-    return RatPolytope(d, tuple(verts), facet_tuple)
+        verts, facets = [pts[0], pts[-1]], [((-1,), -lo), ((1,), hi)]
+    elif d == 2:
+        verts, facets = _hull_2d(pts)
+    else:
+        facets = []
+        for y in _double_description([(1,) + p for p in pts], d + 1):
+            c = math.gcd(*y[1:])
+            facets.append((tuple(-x // c for x in y[1:]), y[0] // c))
+        verts = []
+        for p in pts:
+            tight = [u for u, c in facets if dot(u, p) == c]
+            if len(tight) >= d and matrix_rank(tight) == d:
+                verts.append(p)
+    return _canonical(d, den, verts, sorted(set(facets)))
 
 
 # --- volume -------------------------------------------------------------------
 
 
-def _affine_rank(points: Sequence[RatVector]) -> int:
-    base = points[0]
-    return matrix_rank([vec_sub(p, base) for p in points[1:]])
-
-
-def _triangulate(P: RatPolytope) -> list[tuple[RatVector, ...]]:
-    """Partition into simplices by coning the lex-least vertex over the
-    far facets (each facet triangulated recursively in projected coordinates)."""
-    k = P.dim
-    verts = P.vertices
-    if k <= 1 or len(verts) == k + 1:
-        return [verts]
-    v0 = verts[0]
+def _triangulate(rows, facets, k: int) -> list[tuple[IntVector, ...]]:
+    """Partition into simplices by coning the lex-least vertex over the far
+    facets; a facet with ``k`` vertices is a simplex already, any other is
+    triangulated recursively in projected coordinates."""
+    if k <= 1 or len(rows) == k + 1:
+        return [tuple(rows)]
+    v0 = rows[0]
     out = []
-    for u, b in P.facets:
-        if dot(u, v0) == b:
+    for u, c in facets:
+        if dot(u, v0) == c:
+            continue
+        face = [v for v in rows if dot(u, v) == c]
+        if len(face) == k:
+            out.append((v0, *face))
             continue
         drop = next(i for i, x in enumerate(u) if x != 0)
-        proj = {}
-        for v in verts:
-            if dot(u, v) == b:
-                proj[v[:drop] + v[drop + 1 :]] = v
-        for s in _triangulate(convex_hull(list(proj))):
+        proj = {v[:drop] + v[drop + 1 :]: v for v in face}
+        H = convex_hull(list(proj))
+        for s in _triangulate(H.rows, H.int_facets, k - 1):
             out.append((v0,) + tuple(proj[w] for w in s))
     return out
 
@@ -236,7 +262,8 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
     With ``sub`` omitted the lattice is ℤ^dim; otherwise ``sub`` must be a
     finite-index sublattice of ℤ^dim and the result is divided by its index
     (= the covolume of the sublattice).  Zero-dimensional polytopes have
-    volume 1 by convention.
+    volume 1 by convention.  Integer simplex determinants on the rows are
+    summed and divided once by ``den^dim·dim!``.
     """
     k = P.dim
     if sub is not None:
@@ -247,48 +274,38 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
         return normalized_volume(P) / abs(det(sub.rows))
     if k == 0:
         return Fraction(1)
-    if _affine_rank(P.vertices) < k:
+    base = P.rows[0]
+    if matrix_rank([vec_sub(r, base) for r in P.rows[1:]]) < k:
         return Fraction(0)
-    total = Fraction(0)
-    for s in _triangulate(P):
+    total = 0
+    for s in _triangulate(P.rows, P.int_facets, k):
         total += abs(det([vec_sub(v, s[0]) for v in s[1:]]))
-    return total / math.factorial(k)
+    return Fraction(total, P.den**k * math.factorial(k))
 
 
 # --- polytope arithmetic --------------------------------------------------------
 
 
-def minkowski_sum(P: RatPolytope, Q: RatPolytope) -> RatPolytope:
-    if P.dim != Q.dim:
-        raise DimensionMismatch("summands live in different dimensions")
-    return convex_hull([vec_add(v, w) for v in P.vertices for w in Q.vertices])
-
-
 def difference_body(P: RatPolytope) -> RatPolytope:
     """The centrally symmetric body ``P + (−P)``."""
-    return convex_hull([vec_sub(v, w) for v in P.vertices for w in P.vertices])
+    H = convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows])
+    return _canonical(H.dim, P.den, H.rows, H.int_facets)
+
+
+def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
+    """``row ↦ a·row + b·w`` over the new denominator ``den``; with
+    ``a > 0`` the vertex and facet orders are unchanged."""
+    rows = tuple(tuple(a * x + b * y for x, y in zip(r, w)) for r in P.rows)
+    facets = tuple((u, a * c + b * dot(u, w)) for u, c in P.int_facets)
+    return _canonical(P.dim, den, rows, facets)
 
 
 def translate(P: RatPolytope, w: Sequence) -> RatPolytope:
     if len(w) != P.dim:
         raise DimensionMismatch("translation vector has the wrong length")
-    verts = tuple(sorted(rat_vector(vec_add(v, w)) for v in P.vertices))
-    facets = tuple(sorted((u, Fraction(b + dot(u, w))) for u, b in P.facets))
-    return RatPolytope(P.dim, verts, facets)
-
-
-def reflect_about(P: RatPolytope, z: Sequence) -> RatPolytope:
-    """Point reflection ``x ↦ 2z − x``."""
-    if len(z) != P.dim:
-        raise DimensionMismatch("center has the wrong length")
-    double = tuple(2 * Fraction(x) for x in z)
-    verts = tuple(sorted(rat_vector(vec_sub(double, v)) for v in P.vertices))
-    facets = tuple(
-        sorted(
-            (tuple(-x for x in u), Fraction(b - 2 * dot(u, z))) for u, b in P.facets
-        )
-    )
-    return RatPolytope(P.dim, verts, facets)
+    (wr,), m = _clear_rows([w])
+    den = math.lcm(P.den, m)
+    return _affine_image(P, den // P.den, den // m, wr, den)
 
 
 def scale_about(P: RatPolytope, t, z: Sequence) -> RatPolytope:
@@ -298,14 +315,10 @@ def scale_about(P: RatPolytope, t, z: Sequence) -> RatPolytope:
         raise InvalidParameters("scale factor must be positive")
     if len(z) != P.dim:
         raise DimensionMismatch("center has the wrong length")
-    zf = rat_vector(z)
-    verts = tuple(
-        sorted(tuple(a + t * (x - a) for a, x in zip(zf, v)) for v in P.vertices)
-    )
-    facets = tuple(
-        sorted((u, Fraction(t * b + (1 - t) * dot(u, z))) for u, b in P.facets)
-    )
-    return RatPolytope(P.dim, verts, facets)
+    (zr,), m = _clear_rows([z])
+    p, q = t.numerator, t.denominator
+    den = math.lcm(P.den, m)
+    return _affine_image(P, p * (den // P.den), (q - p) * (den // m), zr, q * den)
 
 
 def max_gamma(S: RatPolytope, z: Sequence) -> Fraction:
@@ -317,18 +330,20 @@ def max_gamma(S: RatPolytope, z: Sequence) -> Fraction:
     """
     if len(z) != S.dim:
         raise DimensionMismatch("center has the wrong length")
-    if not S.facets:
+    if not S.int_facets:
         raise InvalidParameters("the polytope has no facets")
+    (zr,), m = _clear_rows([z])
     best = None
-    for u, b in S.facets:
-        slack = b - dot(u, z)
+    for u, c in S.int_facets:
+        # both scaled by den·m
+        slack = c * m - S.den * dot(u, zr)
         if slack <= 0:
             raise PointNotInterior(f"center violates or touches facet {u}")
-        width = S.support(u) + S.support(tuple(-x for x in u))
-        g = Fraction(slack) / width
-        if best is None or g < best:
-            best = g
-    return best
+        vals = [dot(u, r) for r in S.rows]
+        width = (max(vals) - min(vals)) * m
+        if best is None or slack * best[1] < best[0] * width:
+            best = (slack, width)
+    return Fraction(*best)
 
 
 def cone_over(height, Q: RatPolytope) -> RatPolytope:
@@ -336,28 +351,31 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     h = Fraction(height)
     if h <= 0:
         raise InvalidParameters("cone height must be positive")
-    apex = (Fraction(0),) * (Q.dim + 1)
-    return convex_hull([apex] + [(h,) + v for v in Q.vertices])
+    top = h.numerator * Q.den
+    rows = [(0,) * (Q.dim + 1)]
+    rows += [(top,) + tuple(h.denominator * x for x in r) for r in Q.rows]
+    H = convex_hull(rows)
+    return _canonical(H.dim, h.denominator * Q.den, H.rows, H.int_facets)
 
 
 # --- lattice points --------------------------------------------------------------
 
 
-def _projection_levels(P: RatPolytope) -> list[list[Facet]]:
-    """Per depth ``k``, the facets of the projection of ``P`` onto its first
-    ``k + 1`` coordinates that involve coordinate ``k``.
+def _projection_levels(P: RatPolytope) -> tuple[tuple[IntFacet, ...], ...]:
+    """Per depth ``k``, the facets of the projection of ``P``'s rows onto
+    their first ``k + 1`` coordinates that involve coordinate ``k``.
 
-    The projection is the hull of the vertices cut to ``k + 1`` coordinates,
-    so each level comes from hulling the level above; the last depth is
-    ``P.facets`` itself.  Facets with a zero entry ``k`` are the preimages of
-    the next level down and are left out."""
-    levels = [[f for f in P.facets if f[0][-1] != 0]]
-    verts = P.vertices
+    The projection is the hull of the rows cut to ``k + 1`` coordinates, so
+    each level comes from hulling the level above; the last depth is
+    ``P.int_facets`` itself.  Facets with a zero entry ``k`` are the
+    preimages of the next level down and are left out."""
+    levels = [tuple(f for f in P.int_facets if f[0][-1] != 0)]
+    rows = P.rows
     for k in range(P.dim - 2, -1, -1):
-        proj = convex_hull([v[: k + 1] for v in verts])
-        levels.append([f for f in proj.facets if f[0][k] != 0])
-        verts = proj.vertices
-    return levels[::-1]
+        proj = convex_hull([r[: k + 1] for r in rows])
+        levels.append(tuple(f for f in proj.int_facets if f[0][k] != 0))
+        rows = proj.rows
+    return tuple(levels[::-1])
 
 
 def _iter_points(P: RatPolytope, scale: int, strict: bool):
@@ -367,16 +385,17 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool):
     if d == 0:
         yield ()
         return
-    if not P.facets:
+    if not P.int_facets:
         raise UnboundedRegion("polytope carries no facet description")
-    # The interior of a projection is the projection of the interior, so
-    # strict membership rounds every level's bound down past equality.
+    # ⟨u, y⟩ ≤ scale·c/den; the interior of a projection is the projection of
+    # the interior, so strict membership rounds every bound down past equality.
+    den = P.den
     levels = [
         [
-            (u, math.ceil(scale * b) - 1 if strict else math.floor(scale * b))
-            for u, b in level
+            (u, -((-scale * c) // den) - 1 if strict else (scale * c) // den)
+            for u, c in level
         ]
-        for level in _projection_levels(P)
+        for level in P._levels
     ]
     y = [0] * d
 
@@ -414,8 +433,8 @@ def enumerate_points(
     lists the lattice points of the dilate ``scale·P``; callers wanting
     points of ``P ∩ (1/scale)ℤ^d`` divide the results by ``scale``.  The
     walk fixes one coordinate at a time within the exact projections of
-    ``scale·P`` onto its leading coordinates, each taken as the convex hull
-    of the vertices cut to those coordinates.
+    ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
+    coordinates, taken once per polytope, with offsets rescaled per dilate.
     """
     return tuple(_iter_points(P, scale, strict))
 

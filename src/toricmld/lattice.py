@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -29,8 +29,6 @@ from .errors import (
     ZeroFunctional,
 )
 
-Rat = Fraction
-Scalar = "int | Fraction"
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -130,106 +128,94 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _cleared(M: Sequence[Sequence]) -> tuple[list[list[int]], list[int] | None]:
+    """Each row times the lcm of its denominators, with those multipliers
+    (``None`` for an integer matrix).  Row scaling keeps the rank."""
+    if all(type(x) is int for row in M for x in row):
+        return [list(row) for row in M], None
+    cleared = [clear_denominators(row) for row in M]
+    return [list(w) for w, _ in cleared], [m for _, m in cleared]
+
+
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free forward elimination in place (Bareiss 1968): every
+    entry stays an integer minor of the input, so each division by the
+    previous pivot is exact.  Returns the pivot columns and the sign of the
+    row permutation; a square nonsingular matrix ends with ±det last."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, top = a[r][c], a[r]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
 def det(M: Sequence[Sequence]):
-    """Exact determinant.  Integer matrices use fraction-free (Bareiss)
-    elimination and return ``int``; rational ones return ``Fraction``."""
+    """Exact determinant by fraction-free elimination: ``int`` for integer
+    matrices, ``Fraction`` for rational ones."""
     m, n = _check_rect(M)
     if m != n:
         raise InvalidParameters(f"determinant of a {m}x{n} matrix")
     if n == 0:
         return 1
-    fracs = [[Fraction(x) for x in row] for row in M]
-    if all(f.denominator == 1 for row in fracs for f in row):
-        return _det_bareiss([[f.numerator for f in row] for row in fracs])
-    return _det_gauss(fracs)
-
-
-def _det_bareiss(a: list[list[int]]) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _det_gauss(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    result = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            result = -result
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return result
-
-
-def _row_echelon(M: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Forward elimination over ℚ; returns the echelon rows and pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    m, n = _check_rect(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        for i in range(r + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    a, scales = _cleared(M)
+    pivots, sign = _bareiss(a)
+    value = sign * a[n - 1][n - 1] if len(pivots) == n else 0
+    return value if scales is None else Fraction(value, prod(scales))
 
 
 def matrix_rank(M: Sequence[Sequence]) -> int:
     if not len(M):
         return 0
-    return len(_row_echelon(M)[1])
+    _check_rect(M)
+    return len(_bareiss(_cleared(M)[0])[0])
 
 
-def mat_inverse(M: Sequence[Sequence]) -> RatMatrix:
-    """Exact inverse of a square matrix (Gauss–Jordan over ℚ)."""
+def int_inverse(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """Fraction-free Gauss–Jordan: ``(B, D)`` with ``M·B = D·I`` and
+    ``|D| = |det M|`` for a nonsingular integer matrix, by the update of
+    :func:`_bareiss` applied above the pivot too."""
     m, n = _check_rect(M)
     if m != n:
         raise InvalidParameters(f"inverse of a {m}x{n} matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise InvalidParameters("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
+        a[k], a[piv] = a[piv], a[k]
+        p, top = a[k][k], a[k]
         for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
+def mat_inverse(M: Sequence[Sequence]) -> RatMatrix:
+    """Exact inverse of a square matrix: with ``M = diag(1/s)·A`` for the
+    integer rows ``A``, ``M⁻¹ = A⁻¹·diag(s)``."""
+    a, scales = _cleared(M)
+    B, D = int_inverse(a)
+    scales = scales or [1] * len(B)
+    return tuple(tuple(Fraction(x * s, D) for x, s in zip(row, scales)) for row in B)
 
 
 def as_int_matrix(M: Sequence[Sequence]) -> IntMatrix:
@@ -430,8 +416,8 @@ class SublatticeBasis:
     def _solver(self) -> tuple[tuple[int, ...], RatMatrix]:
         if not self.rows:
             return (), ()
-        _, pivots = _row_echelon(self.rows)
-        sub = [[Fraction(row[c]) for c in pivots] for row in self.rows]
+        pivots, _ = _bareiss([list(row) for row in self.rows])
+        sub = [[row[c] for c in pivots] for row in self.rows]
         return tuple(pivots), mat_inverse(sub)
 
     def to_coords(self, point: Sequence) -> RatVector:

@@ -140,36 +140,35 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
         raise NotFullDimensional("rays do not span the ambient space")
     if len(set(pair.rays)) != len(pair.rays):
         raise RedundantRay("a ray is listed twice")
-    _validate_cone(pair.rays, d)
+    normals = cone_facets(pair)
+    for e in pair.rays:
+        tight = [u for u in normals if dot(u, e) == 0]
+        if matrix_rank(tight) != d - 1:
+            raise RedundantRay(f"ray {e} is not an extreme ray of the cone")
     return pair
 
 
 @lru_cache(maxsize=4096)
-def _validate_cone(rays: tuple[IntVector, ...], d: int) -> None:
-    """Strong convexity and extremality of every listed ray.  Cached:
-    sweeps revalidate the same cone once per coefficient choice."""
-    hull = convex_hull([(0,) * d, *rays])
-    if (0,) * d not in hull.vertices:
-        raise NotStronglyConvex("the cone contains a line")
-    normals = tuple(u for u, b in hull.facets if b == 0)
-    for e in rays:
-        tight = [u for u in normals if dot(u, e) == 0]
-        if matrix_rank(tight) != d - 1:
-            raise RedundantRay(f"ray {e} is not an extreme ray of the cone")
-
-
-@lru_cache(maxsize=4096)
-def _cone_facet_normals(generators: Sequence[Sequence[int]], dim: int) -> tuple[IntVector, ...]:
-    """Outer facet normals of the pointed full-dimensional cone spanned by
-    the generators: the zero-offset facets of ``conv({0} ∪ generators)``.
-    Cached: sweeps revisit the same cone once per coefficient choice."""
+def _cone_facet_normals(
+    generators: Sequence[Sequence[int]], dim: int
+) -> tuple[IntVector, ...] | None:
+    """Outer facet normals of the full-dimensional cone spanned by the
+    generators: the zero-offset facets of ``conv({0} ∪ generators)``, or
+    ``None`` when the origin is not a vertex of that hull (the cone
+    contains a line).  Cached: sweeps validate and solve the same cone once
+    per coefficient choice, and this is its only hull."""
     hull = convex_hull([(0,) * dim, *generators])
-    return tuple(u for u, b in hull.facets if b == 0)
+    if (0,) * dim not in hull.rows:
+        return None
+    return tuple(u for u, c in hull.int_facets if c == 0)
 
 
 def cone_facets(pair: ToricLogPair) -> tuple[IntVector, ...]:
     """Facet normals ``u`` of the pair's cone, as ``⟨u, x⟩ ≤ 0`` inequalities."""
-    return _cone_facet_normals(pair.rays, pair.dim)
+    normals = _cone_facet_normals(pair.rays, pair.dim)
+    if normals is None:
+        raise NotStronglyConvex("the cone contains a line")
+    return normals
 
 
 def solve_psi(pair: ToricLogPair) -> RatVector:
@@ -256,10 +255,11 @@ def _minimize_interior(
     value is attained, deeper branches are clipped at that value, so ties
     resolve to the first (lex-least) attaining point.
     """
-    d = slab.dim
+    d, den = slab.dim, slab.den
     cons: list[tuple[IntVector, int]] = []
-    for u, b in slab.facets:
-        cons.append((tuple(x * b.denominator for x in u), b.numerator))
+    for u, c in slab.int_facets:
+        g = math.gcd(c, den)
+        cons.append((tuple(x * (den // g) for x in u), c // g))
     for u in normals:
         cons.append((tuple(u), -1))
     by_depth: list[list[tuple[IntVector, int]]] = [[] for _ in range(d)]
@@ -267,9 +267,9 @@ def _minimize_interior(
         by_depth[max(i for i, x in enumerate(w) if x != 0)].append((w, c))
     los, his = [], []
     for i in range(d):
-        vals = [v[i] for v in slab.vertices]
-        los.append(math.ceil(min(vals)))
-        his.append(math.floor(max(vals)))
+        vals = [r[i] for r in slab.rows]
+        los.append(-(-min(vals) // den))
+        his.append(max(vals) // den)
     wpsi, mden = clear_denominators(psi)
     psi_depth = max(i for i, x in enumerate(wpsi) if x != 0)
     best: Fraction | None = None

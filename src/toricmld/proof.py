@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd
 from typing import Sequence
 
 from .errors import (
@@ -56,7 +56,6 @@ from .lattice import (
     SublatticeBasis,
     as_int_vector,
     base_point,
-    clear_denominators,
     content,
     det,
     dot,
@@ -88,6 +87,7 @@ __all__ = [
     "lemma_lv_check",
     "prove",
     "serialize_trace",
+    "fmt_rat",
 ]
 
 
@@ -190,22 +190,23 @@ def _cross_check_halfspaces(
     span through ``base``: every cone facet transforms to a halfspace in
     kernel coordinates, the box must satisfy all of them, and every facet of
     the box must appear among them."""
+    den = box.den
     transformed = set()
     for u in cone_facets(pair):
-        w = tuple(Fraction(dot(u, row)) for row in kernel.rows)
-        c = -Fraction(dot(u, base))
-        scaled, _ = clear_denominators(w + (c,))
-        normal, offset = scaled[:-1], scaled[-1]
-        m = content(normal)
+        w = tuple(dot(u, row) for row in kernel.rows)
+        c = -dot(u, base)
+        m = content(w)
         if m == 0:
             continue
-        transformed.add((tuple(x // m for x in normal), Fraction(offset, m)))
-        for v in box.vertices:
-            if dot(w, v) > c:
+        # ⟨w, x⟩ ≤ c in row units: ⟨w/m, row⟩ ≤ c·den/m
+        if c * den % m == 0:
+            transformed.add((tuple(x // m for x in w), c * den // m))
+        for i, r in enumerate(box.rows):
+            if dot(w, r) > c * den:
                 raise CheckFailed(
-                    "box-halfspaces", f"vertex {v} violates a cone facet"
+                    "box-halfspaces", f"vertex {box.vertices[i]} violates a cone facet"
                 )
-    for facet in box.facets:
+    for facet in box.int_facets:
         if facet not in transformed:
             raise CheckFailed(
                 "box-halfspaces", "box facet is not a transformed cone facet"
@@ -225,7 +226,7 @@ def verify_bullets(
     * ``vertex-denominators``: the ``n``-fold dilate has integer vertices
       and the ``j``-fold dilate has vertices in the (1/q)-lattice.
     """
-    if len(levels) != len(box.vertices):
+    if len(levels) != len(box.rows):
         raise InvalidParameters("one level per vertex is required")
     early = None
     for i in range(1, j):
@@ -245,19 +246,18 @@ def verify_bullets(
             if attained
             else f"no interior lattice point at dilate {j}",
         )
+    den = box.den
     bad_orders = []
-    for v, m in zip(box.vertices, levels):
-        order = lcm(*(x.denominator for x in v)) if v else 1
+    for i, (r, m) in enumerate(zip(box.rows, levels)):
+        order = den // gcd(den, *r)
         if order != m:
-            bad_orders.append(f"vertex {v} has order {order}, level {m}")
+            bad_orders.append(f"vertex {box.vertices[i]} has order {order}, level {m}")
     orders = CheckResult(
         "vertex-orders",
         not bad_orders,
         "; ".join(bad_orders) if bad_orders else f"orders match levels {tuple(levels)}",
     )
-    integral = all(
-        (n * x).denominator == 1 for v in box.vertices for x in v
-    ) and all((q * j * x).denominator == 1 for v in box.vertices for x in v)
+    integral = all(n * x % den == 0 and q * j * x % den == 0 for r in box.rows for x in r)
     denominators = CheckResult(
         "vertex-denominators",
         integral,
@@ -269,12 +269,14 @@ def verify_bullets(
 
 
 def _gauge_table(S: RatPolytope, z: Sequence[int]):
+    """Per facet ``(u, c)`` of ``S``, ``(u, ⟨u, z⟩, slack)`` in row units."""
     slacks = []
-    for u, b in S.facets:
-        s = b - Fraction(dot(u, z))
+    for u, c in S.int_facets:
+        uz = dot(u, z)
+        s = c - S.den * uz
         if s <= 0:
             raise PointNotInterior("center is not interior to the body")
-        slacks.append((u, s))
+        slacks.append((u, uz, s))
     return slacks
 
 
@@ -304,14 +306,16 @@ def shrink_to_unique(
     slacks = _gauge_table(S, z)
 
     def gauge(w: IntVector) -> Fraction:
-        vec = tuple(Fraction(x, q) - zi for x, zi in zip(w, z))
-        return max(Fraction(dot(u, vec)) / s for u, s in slacks)
+        # ⟨u, w/q − z⟩ over the slack c/den − ⟨u, z⟩
+        return max(
+            Fraction(S.den * (dot(u, w) - q * uz), q * s) for u, uz, s in slacks
+        )
 
     qz = tuple(q * x for x in z)
     span = 1
     for i in range(S.dim):
-        vals = [v[i] for v in S.vertices]
-        span = max(span, int(max(vals) - min(vals)) + 1)
+        vals = [r[i] for r in S.rows]
+        span = max(span, (max(vals) - min(vals)) // S.den + 1)
     tau = Fraction(1, 1 << (q * span).bit_length())
     while True:
         region = scale_about(S, tau, z)
@@ -352,30 +356,29 @@ def minkowski_certificate(
         raise InvalidParameters("inscription factor must lie in (0, 1/2]")
     k = shrunk.dim
     z = as_int_vector(z)
-    origin = (Fraction(0),) * k
-    core = translate(scale_about(difference_body(shrunk), gamma, origin), z)
+    core = translate(scale_about(difference_body(shrunk), gamma, (0,) * k), z)
     half = cone_over(j, core)
-    center = (Fraction(j),) + rat_vector(z)
+    center = (j,) + z
     apex = tuple(2 * c for c in center)
     body = convex_hull(
         [(0,) * (k + 1), apex] + [(Fraction(j),) + tuple(v) for v in core.vertices]
     )
     D = k + 1
-    vset = set(body.vertices)
-    asym = [
-        v for v in vset if tuple(2 * c - x for c, x in zip(center, v)) not in vset
-    ]
+    # the mirror of a row r is 2·den·center − r
+    mirror = tuple(body.den * c for c in apex)
+    rset = set(body.rows)
+    asym = [r for r in rset if tuple(m - x for m, x in zip(mirror, r)) not in rset]
     checks = [
         CheckResult(
             "certificate-symmetry",
             not asym,
-            f"vertex {_fmt_vec(asym[0])} has no mirror"
+            f"vertex {_fmt_vec(Fraction(x, body.den) for x in asym[0])} has no mirror"
             if asym
             else f"center {_fmt_vec(center)}",
         )
     ]
     interior = enumerate_points(body, strict=True)
-    expected = (tuple(int(c) for c in center),)
+    expected = (center,)
     checks.append(
         CheckResult(
             "certificate-unique-interior",
@@ -488,13 +491,13 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
     crosspolytope inside Q − Q of volume 2^k·|det|/k! with |det| ≥ 1.
     """
     k = Q.dim
-    for v in Q.vertices:
-        if any(x.denominator != 1 for x in v):
-            raise NotLatticePolytope(f"vertex {v} is not a lattice point")
-    origin = Q.vertices[0]
+    if Q.den != 1:
+        v = next(v for v in Q.vertices if any(x.denominator != 1 for x in v))
+        raise NotLatticePolytope(f"vertex {v} is not a lattice point")
+    origin = Q.rows[0]
     spanning: list[IntVector] = []
-    for w in Q.vertices[1:]:
-        candidate = spanning + [as_int_vector(vec_sub(w, origin))]
+    for w in Q.rows[1:]:
+        candidate = spanning + [vec_sub(w, origin)]
         if matrix_rank(candidate) == len(candidate):
             spanning = candidate
         if len(spanning) == k:
@@ -504,7 +507,7 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
     index = abs(det(spanning))
     cross = convex_hull([vec_scale(s, v) for v in spanning for s in (1, -1)])
     diff = difference_body(Q)
-    inscribed = all(diff.contains(v) for v in cross.vertices)
+    inscribed = all(diff.contains(v) for v in cross.rows)
     vol_cross = normalized_volume(cross)
     vol_diff = normalized_volume(diff)
     floor = Fraction(2**k, factorial(k))
@@ -516,10 +519,10 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
         and vol_diff >= floor
     )
     detail = f"vol {vol_diff} vs floor {floor} via crosspolytope {vol_cross}"
-    if ok and len(Q.vertices) == k + 1:
+    if ok and len(Q.rows) == k + 1:
         # for a simplex, additionally account for the crosspolytope as the
         # exact union of its 2^k orthant simplices, each of volume >= 1/k!
-        zero = (Fraction(0),) * k
+        zero = (0,) * k
         total = Fraction(0)
         for signs in product((1, -1), repeat=k):
             piece = convex_hull(
@@ -587,11 +590,11 @@ def prove(
     j = int(threshold)
     q = report.mld_denominator
     checks = list(verify_bullets(section, levels, n, j, q))
-    dilated = scale_about(section, j, (Fraction(0),) * (d - 1))
+    dilated = scale_about(section, j, (0,) * (d - 1))
     t, shrunk, center = shrink_to_unique(dilated, q)
     checks.append(
         CheckResult(
-            "shrink-uniqueness", True, f"factor {_fmt_rat(t)} about {_fmt_vec(center)}"
+            "shrink-uniqueness", True, f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
         )
     )
     gamma = max_gamma(shrunk, center)
@@ -635,13 +638,17 @@ def prove(
     return trace
 
 
-def _fmt_rat(x) -> str:
+def fmt_rat(x) -> str:
+    """Exact text of a rational: ``p/q``, or ``p`` for an integer; ``None``
+    (a missing value) gives the empty string."""
+    if x is None:
+        return ""
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _fmt_vec(v: Sequence) -> str:
-    return "(" + ",".join(_fmt_rat(x) for x in v) + ")"
+    return "(" + ",".join(fmt_rat(x) for x in v) + ")"
 
 
 def _fmt_vecs(vs: Sequence[Sequence]) -> str:
@@ -655,10 +662,10 @@ def serialize_trace(trace: ProofTrace) -> str:
         "trace-v1",
         f"dim: {pair.dim}",
         "rays: " + _fmt_vecs(pair.rays),
-        "coefficients: " + ";".join(_fmt_rat(c.value) for c in pair.coefficients),
+        "coefficients: " + ";".join(fmt_rat(c.value) for c in pair.coefficients),
         "psi: " + _fmt_vec(report.psi),
         f"index: {report.index}",
-        "mld: " + _fmt_rat(report.mld),
+        "mld: " + fmt_rat(report.mld),
         f"mld-denominator: {report.mld_denominator}",
         "witness: " + _fmt_vec(report.witness),
         "base-point: " + _fmt_vec(trace.base),
@@ -668,17 +675,17 @@ def serialize_trace(trace: ProofTrace) -> str:
         "vertex-levels: " + ";".join(str(m) for m in trace.vertex_levels),
         f"threshold: {trace.threshold}",
         "center: " + _fmt_vec(trace.center),
-        "shrink-factor: " + _fmt_rat(trace.shrink_factor),
-        "gamma: " + _fmt_rat(trace.gamma),
+        "shrink-factor: " + fmt_rat(trace.shrink_factor),
+        "gamma: " + fmt_rat(trace.gamma),
         "certificate-vertices: " + _fmt_vecs(trace.certificate.vertices),
-        "certificate-volume: " + _fmt_rat(normalized_volume(trace.certificate)),
+        "certificate-volume: " + fmt_rat(normalized_volume(trace.certificate)),
     ]
     for c in trace.checks:
         status = "pass" if c.passed else "FAIL"
         lines.append(f"check {c.name}: {status}" + (f" ({c.detail})" if c.detail else ""))
     b = trace.bound
     lines.append(
-        f"bound: {b.index} <= {_fmt_rat(b.limit)} (constant {_fmt_rat(b.constant)},"
+        f"bound: {b.index} <= {fmt_rat(b.limit)} (constant {fmt_rat(b.constant)},"
         f" denominator {b.mld_denominator})"
     )
     lines.append("result: " + ("pass" if trace.all_passed else "FAIL"))

@@ -112,6 +112,15 @@ def test_load_instance_rejects_deep_nesting(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: not valid JSON")
 
 
+def test_load_instance_rejects_integer_too_long_to_convert(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1' + "0" * 5000 + ', "rays": [[1]], "coefficients": []}')
+    with pytest.raises(InvalidParameters, match="not valid JSON"):
+        load_instance(str(path))
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error: not valid JSON")
+
+
 def test_coefficient_one_parses(tmp_path):
     doc = dict(
         THIRD_DOC,

@@ -225,6 +225,19 @@ def test_random_4d_sweep_matches_oracle_and_pinned_digest():
     )
 
 
+def test_cyclic_2d_sweep_pinned_digest():
+    """2D rows, with and without a coefficient equal to 1, reproduce pinned
+    CSV and trace-v1 bytes, so that a change of polytope arithmetic cannot
+    alter them."""
+    report = sweep(FamilySpec(kind="cyclic2d", max_r=12, L=3, include_one=True))
+    traces = [r.trace for r in report.rows if r.trace is not None]
+    assert (len(report.rows), len(traces)) == (736, 414)
+    text = report.to_csv() + "".join(proof.serialize_trace(t) for t in traces)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "11103663b67e223e81ade44ccae930c3316ae059f6669ab853c0f7165ae99602"
+    )
+
+
 def test_sweep_json_carries_aggregates():
     import json
 

@@ -168,12 +168,6 @@ def test_volume_with_sublattice_normalization():
 # --- Minkowski arithmetic -------------------------------------------------------
 
 
-def test_minkowski_sum_of_squares():
-    assert geo.minkowski_sum(UNIT_SQUARE, UNIT_SQUARE) == geo.convex_hull(
-        [(0, 0), (2, 0), (0, 2), (2, 2)]
-    )
-
-
 def test_difference_body_of_triangle_is_hexagon():
     D = geo.difference_body(UNIT_TRIANGLE)
     assert set(D.vertices) == {
@@ -182,27 +176,15 @@ def test_difference_body_of_triangle_is_hexagon():
     assert geo.normalized_volume(D) == 3
 
 
-@given(points_2d(), points_2d())
-@settings(deadline=None, max_examples=40)
-def test_minkowski_sum_support_is_additive(a, b):
-    assume(matrix_rank([vec_sub(p, a[0]) for p in a[1:]]) == 2)
-    assume(matrix_rank([vec_sub(p, b[0]) for p in b[1:]]) == 2)
-    P, Q = geo.convex_hull(a), geo.convex_hull(b)
-    S = geo.minkowski_sum(P, Q)
-    for u in [(1, 0), (0, 1), (-1, 2), (3, -1), (-2, -5)]:
-        assert S.support(u) == P.support(u) + Q.support(u)
-
-
 # --- rigid transforms -----------------------------------------------------------
 
 
-def test_translate_reflect_scale_known_values():
+def test_translate_scale_known_values():
     seg = geo.convex_hull([(0,), (3,)])
     assert geo.scale_about(seg, Fraction(1, 2), (1,)) == geo.convex_hull(
         [(Fraction(1, 2),), (2,)]
     )
     assert geo.translate(seg, (2,)) == geo.convex_hull([(2,), (5,)])
-    assert geo.reflect_about(seg, (0,)) == geo.convex_hull([(-3,), (0,)])
     with pytest.raises(InvalidParameters):
         geo.scale_about(seg, 0, (1,))
 
@@ -214,14 +196,46 @@ def test_transforms_commute_with_rehulling(pts, w):
     P = geo.convex_hull(pts)
     for Q in (
         geo.translate(P, w),
-        geo.reflect_about(P, w),
         geo.scale_about(P, Fraction(2, 3), w),
     ):
         assert geo.convex_hull(Q.vertices) == Q
-    assert geo.reflect_about(geo.reflect_about(P, w), w) == P
     assert geo.normalized_volume(
         geo.scale_about(P, Fraction(3, 2), w)
     ) == Fraction(9, 4) * geo.normalized_volume(P)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_integer_transforms_match_fraction_reference(data):
+    """Each transform of the integer form equals the hull of the same map
+    applied to the Fraction vertices, in dimensions 2 to 4."""
+    P = data.draw(rational_polytopes())
+    d = P.dim
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    z = data.draw(st.tuples(*[small] * d))
+    t = data.draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+    V = P.vertices
+    assert P.den == math.lcm(*(x.denominator for v in V for x in v))
+    assert V == tuple(tuple(Fraction(x, P.den) for x in r) for r in P.rows)
+    for u, b in P.facets:
+        assert math.gcd(*u) == 1 and b == max(dot(u, v) for v in V)
+
+    def rehull(points):
+        return geo.convex_hull(list(points))
+
+    assert geo.translate(P, z) == rehull(tuple(x + c for x, c in zip(v, z)) for v in V)
+    scaled = geo.scale_about(P, t, z)
+    assert scaled == rehull(tuple(c + t * (x - c) for x, c in zip(v, z)) for v in V)
+    cone = geo.cone_over(t, P)
+    assert cone == rehull([(Fraction(0),) * (d + 1)] + [(t,) + v for v in V])
+    assert geo.difference_body(P) == rehull(
+        tuple(a - b for a, b in zip(v, w)) for v in V for w in V
+    )
+    vol = geo.normalized_volume(P)
+    assert vol > 0
+    assert geo.normalized_volume(scaled) == t**d * vol
+    assert geo.normalized_volume(geo.translate(P, z)) == vol
+    assert geo.normalized_volume(cone) == t * vol / (d + 1)
 
 
 # --- max_gamma -------------------------------------------------------------------
@@ -280,7 +294,7 @@ def test_enumerate_points_triangle():
 
 
 def test_enumerate_points_requires_facets():
-    bare = geo.RatPolytope(1, ((Fraction(0),),), ())
+    bare = geo.RatPolytope(1, 1, ((0,),), ())
     with pytest.raises(UnboundedRegion):
         geo.enumerate_points(bare)
     with pytest.raises(InvalidParameters):

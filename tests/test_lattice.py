@@ -1,6 +1,7 @@
 """Exact lattice linear algebra: normal forms, kernels, value groups."""
 
 from fractions import Fraction
+from importlib.util import find_spec
 from math import gcd, lcm
 
 import pytest
@@ -122,6 +123,26 @@ def test_matrix_rank():
     assert lat.matrix_rank([[1, 0], [0, 1]]) == 2
     assert lat.matrix_rank([[0, 0]]) == 0
     assert lat.matrix_rank([]) == 0
+
+
+@pytest.mark.skipif(find_spec("sympy") is None, reason="sympy is not installed")
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@settings(deadline=None)
+def test_matrix_rank_matches_sympy(M):
+    """Fraction-free elimination against an independent rank (test-only)."""
+    import sympy
+
+    assert lat.matrix_rank(M) == sympy.Matrix(M).rank()
+    scaled = [[Fraction(x, 2 + i) for x in row] for i, row in enumerate(M)]
+    assert lat.matrix_rank(scaled) == sympy.Matrix(M).rank()
 
 
 @given(int_matrix(3, 3))
