@@ -58,7 +58,7 @@ __all__ = [
 CSV_COLUMNS = ("key", "d", "rays", "coeffs", "n", "a", "q", "j", "gamma", "n_over_qd", "pass")
 
 _RANDOM_KINDS = frozenset({"random_cone"})
-_KINDS = frozenset({"cyclic2d", "random_cone", "lemma_polytopes", "explicit_list"})
+_KINDS = frozenset({"cyclic2d", "random_cone", "explicit_list"})
 
 _RESAMPLE_BUDGET = 1000
 
@@ -231,11 +231,6 @@ def one_dim_standard_pairs(max_l: int) -> FamilySpec:
 def _check_spec(spec: FamilySpec) -> None:
     if spec.kind not in _KINDS:
         raise InvalidParameters(f"unknown family kind {spec.kind!r}")
-    if spec.kind == "lemma_polytopes":
-        raise InvalidParameters(
-            "lemma_polytopes generates polytope corpora, not pairs; "
-            "use lemma_vo_suite / lemma_lv_suite"
-        )
     if spec.kind in _RANDOM_KINDS and spec.seed is None:
         raise InvalidParameters(f"kind {spec.kind!r} needs a seed")
     if spec.kind == "cyclic2d":

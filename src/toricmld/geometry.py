@@ -378,7 +378,9 @@ def _projection_levels(P: RatPolytope) -> tuple[tuple[IntFacet, ...], ...]:
     return tuple(levels[::-1])
 
 
-def _iter_points(P: RatPolytope, scale: int, strict: bool):
+def _iter_points(
+    P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None
+):
     if not isinstance(scale, int) or scale < 1:
         raise InvalidParameters("scale must be a positive integer")
     d = P.dim
@@ -387,39 +389,71 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool):
         return
     if not P.int_facets:
         raise UnboundedRegion("polytope carries no facet description")
-    # ⟨u, y⟩ ≤ scale·c/den; the interior of a projection is the projection of
-    # the interior, so strict membership rounds every bound down past equality.
     den = P.den
-    levels = [
-        [
-            (u, -((-scale * c) // den) - 1 if strict else (scale * c) // den)
-            for u, c in level
-        ]
-        for level in P._levels
-    ]
+
+    def offset(c: int) -> int:
+        # ⟨u, y⟩ ≤ scale·c/den; the interior of a projection is the projection
+        # of the interior, so strict membership rounds down past equality.
+        return -((-scale * c) // den) - 1 if strict else (scale * c) // den
+
+    levels = [[(u, offset(c)) for u, c in level] for level in P._levels]
+    # Objective cuts (u, c, m): ⟨u, y[:k+1]⟩ ≤ c + m·(record − 1).  Below the
+    # last nonzero entry of w they are the facets of the lifted projection
+    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from there on, w itself.
+    cuts: list[list] = [[] for _ in range(d)]
+    if w is not None:
+        kw = max((i for i, x in enumerate(w) if x), default=0)
+        for k in range(kw):
+            lifted = convex_hull([r[: k + 1] + (dot(w, r),) for r in P.rows])
+            cuts[k] = [
+                (u[:-1], offset(c), -u[-1]) for u, c in lifted.int_facets if u[-1] < 0
+            ]
+        for k in range(kw, d):
+            cuts[k] = [(w[: k + 1], 0, 1)]
+    record = None
     y = [0] * d
 
-    def walk(k: int):
+    def clip(k: int) -> tuple[int, int]:
+        cons = levels[k]
+        if record is not None:
+            cons = chain(cons, ((u, c + m * (record - 1)) for u, c, m in cuts[k]))
         lo, hi = None, None
-        for w, c in levels[k]:
-            rest = c - sum(w[i] * y[i] for i in range(k))
-            a = w[k]
+        for u, c in cons:
+            rest = c - sum(u[i] * y[i] for i in range(k))
+            a = u[k]
             if a > 0:
                 bound = rest // a
                 hi = bound if hi is None else min(hi, bound)
-            else:
+            elif a < 0:
                 bound = -(rest // (-a))
                 lo = bound if lo is None else max(lo, bound)
+            elif rest < 0:
+                return 1, 0
         if lo is None or hi is None:
             raise UnboundedRegion("facets do not bound the region")
-        if k == d - 1:
-            for t in range(lo, hi + 1):
-                y[k] = t
+        return lo, hi
+
+    def walk(k: int):
+        # Returns whether a record was set below; the range is then clipped
+        # again under the new record.
+        nonlocal record
+        lo, hi = clip(k)
+        found = False
+        while lo <= hi:
+            y[k] = lo
+            if k == d - 1:
+                hit = w is not None
+                if hit:
+                    record = dot(w, y)
                 yield tuple(y)
-        else:
-            for t in range(lo, hi + 1):
-                y[k] = t
-                yield from walk(k + 1)
+            else:
+                hit = yield from walk(k + 1)
+            lo += 1
+            if hit:
+                found = True
+                new_lo, hi = clip(k)
+                lo = max(lo, new_lo)
+        return found
 
     yield from walk(0)
 
@@ -435,8 +469,33 @@ def enumerate_points(
     walk fixes one coordinate at a time within the exact projections of
     ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
     coordinates, taken once per polytope, with offsets rescaled per dilate.
+    :func:`minimize` is the same walk with an objective cut.
     """
     return tuple(_iter_points(P, scale, strict))
+
+
+def minimize(
+    P: RatPolytope, w: Sequence[int], strict: bool = False
+) -> tuple[int, IntVector] | None:
+    """The least value of ``⟨w, y⟩`` over the lattice points ``y`` of ``P``
+    (of its interior with ``strict``) and the lex-least point attaining it,
+    or ``None`` when there is no such point; ``w`` is an integer vector.
+
+    The :func:`enumerate_points` walk in objective mode (branch and bound):
+    it yields only points that strictly beat every earlier one, in
+    lexicographic order, so the last one is the answer.  At a depth ``k``
+    before the last nonzero entry of ``w`` the range of ``y[k]`` is also cut
+    by the lower bounds on ``⟨w, ·⟩`` from the hull of ``(row[:k+1],
+    ⟨w, row⟩)``, taken once per call; from that entry on, by ``w`` itself.
+    Each depth is clipped again under every new record found below it.
+    """
+    if len(w) != P.dim:
+        raise DimensionMismatch("objective has the wrong length")
+    w = tuple(w)
+    best = None
+    for best in _iter_points(P, 1, strict, w):
+        pass
+    return None if best is None else (dot(w, best), best)
 
 
 def any_lattice_point(P: RatPolytope, scale: int = 1, strict: bool = False) -> bool:

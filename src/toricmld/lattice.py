@@ -2,7 +2,7 @@
 
 Everything here works with arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point is used anywhere in the package.
-The module provides the usual normal forms (Hermite, Smith), integer kernels
+The module provides the Smith normal form, integer kernels
 and saturations, and three small abstractions built on top of them:
 
 * :class:`SublatticeBasis` — a sublattice of ℤ^d given by independent rows,
@@ -230,7 +230,7 @@ def solve(M: Sequence[Sequence], b: Sequence) -> RatVector:
     return tuple(dot(row, b) for row in inv)
 
 
-# --- normal forms -----------------------------------------------------------
+# --- normal form ------------------------------------------------------------
 
 
 def _row_comb(A: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int):
@@ -258,43 +258,6 @@ def _col_comb(A: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int
         x, y = row[i], row[j]
         row[i] = a * x + b * y
         row[j] = c * x + d * y
-
-
-def hermite_normal_form(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns ``(H, U)`` with ``U`` unimodular and ``U @ M == H``, where ``H``
-    is in row echelon shape with positive pivots and the entries above each
-    pivot reduced into ``[0, pivot)``.  Zero rows sink to the bottom.
-    """
-    m, n = _check_rect(M)
-    A = [[int(x) for x in row] for row in M]
-    U = _identity(m)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, m):
-            if A[i][c] != 0:
-                x, y, u, v = _elim_transform(A[r][c], A[i][c])
-                _row_comb(A, r, i, x, y, u, v)
-                _row_comb(U, r, i, x, y, u, v)
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
-        for i in range(r):
-            q = A[i][c] // A[r][c]
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in A), tuple(tuple(row) for row in U)
 
 
 def smith_normal_form(
@@ -456,12 +419,6 @@ class SublatticeBasis:
         except InvalidParameters:
             return False
         return all(c.denominator == 1 for c in coords)
-
-    def is_saturated(self) -> bool:
-        if self.rank == 0:
-            return True
-        D, _, _ = smith_normal_form(self.rows)
-        return all(D[i][i] == 1 for i in range(self.rank))
 
 
 def kernel_sublattice(psi: Sequence, dim: int) -> SublatticeBasis:

@@ -30,9 +30,8 @@ from .errors import (
     NotLogQGorenstein,
     NotStronglyConvex,
     RedundantRay,
-    ValueGroupMismatch,
 )
-from .geometry import RatPolytope, convex_hull, enumerate_points
+from .geometry import convex_hull, enumerate_points, minimize
 from .lattice import (
     IntMatrix,
     IntVector,
@@ -196,22 +195,6 @@ def solve_psi(pair: ToricLogPair) -> RatVector:
     return psi
 
 
-def compute_index(pair: ToricLogPair) -> int:
-    """The Gorenstein index: the positive integer n with value group (1/n)ℤ.
-
-    For the all-ones boundary the functional is zero and the index is 1.
-    """
-    psi = solve_psi(pair)
-    if not any(psi):
-        return 1
-    vg = value_group(psi)
-    if not vg.unit_generator and any(c.value != 1 for c in pair.coefficients):
-        # cannot happen for standard coefficients: any value 1/l forces the
-        # generator to be a unit fraction; kept as a consistency guard
-        raise ValueGroupMismatch("value group generator is not 1/index")
-    return vg.index
-
-
 @dataclass(frozen=True)
 class LogCanonicalReport:
     """Invariants of a pair: the discrepancy functional, Gorenstein index,
@@ -234,83 +217,6 @@ def _interior_sum(rays: Sequence[IntVector], dim: int) -> IntVector:
     return tuple(sum(col) for col in zip(*rays))
 
 
-def _level_slab(
-    generators: Sequence[IntVector], psi: RatVector, level: Fraction, dim: int
-) -> RatPolytope:
-    """The bounded region ``cone ∩ {psi ≤ level}`` when ``psi`` is positive
-    on every generator: the hull of 0 and the scaled generators."""
-    pts: list = [(0,) * dim]
-    for g in generators:
-        pts.append(vec_scale(level / dot(psi, g), g))
-    return convex_hull(pts)
-
-
-def _minimize_interior(
-    slab: RatPolytope, normals: Sequence[IntVector], psi: RatVector
-) -> tuple[Fraction, IntVector]:
-    """Exact minimum of ``psi`` over the interior lattice points of the cone
-    that lie in the slab, with the lexicographically least minimizer.
-
-    Depth-first scan in lexicographic order with an adaptive cap: once a
-    value is attained, deeper branches are clipped at that value, so ties
-    resolve to the first (lex-least) attaining point.
-    """
-    d, den = slab.dim, slab.den
-    cons: list[tuple[IntVector, int]] = []
-    for u, c in slab.int_facets:
-        g = math.gcd(c, den)
-        cons.append((tuple(x * (den // g) for x in u), c // g))
-    for u in normals:
-        cons.append((tuple(u), -1))
-    by_depth: list[list[tuple[IntVector, int]]] = [[] for _ in range(d)]
-    for w, c in cons:
-        by_depth[max(i for i, x in enumerate(w) if x != 0)].append((w, c))
-    los, his = [], []
-    for i in range(d):
-        vals = [r[i] for r in slab.rows]
-        los.append(-(-min(vals) // den))
-        his.append(max(vals) // den)
-    wpsi, mden = clear_denominators(psi)
-    psi_depth = max(i for i, x in enumerate(wpsi) if x != 0)
-    best: Fraction | None = None
-    best_scaled: int | None = None
-    witness: IntVector | None = None
-    y = [0] * d
-
-    def walk(k: int):
-        nonlocal best, best_scaled, witness
-        lo, hi = los[k], his[k]
-        for w, c in by_depth[k]:
-            rest = c - sum(w[i] * y[i] for i in range(k))
-            a = w[k]
-            if a > 0:
-                hi = min(hi, rest // a)
-            else:
-                lo = max(lo, -(rest // (-a)))
-        if best_scaled is not None and k == psi_depth:
-            rest = best_scaled - sum(wpsi[i] * y[i] for i in range(k))
-            a = wpsi[k]
-            if a > 0:
-                hi = min(hi, rest // a)
-            elif a < 0:
-                lo = max(lo, -(rest // (-a)))
-        for t in range(lo, hi + 1):
-            y[k] = t
-            if k == d - 1:
-                scaled = dot(wpsi, y)
-                if best_scaled is None or scaled < best_scaled:
-                    best_scaled = scaled
-                    best = Fraction(scaled, mden)
-                    witness = tuple(y)
-            else:
-                walk(k + 1)
-
-    walk(0)
-    if witness is None:
-        raise NoInteriorPoint("no interior lattice point found in the level slab")
-    return best, witness
-
-
 def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     """Minimal log discrepancy data of the pair.
 
@@ -320,6 +226,13 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     span a face; minimizing happens in the torsion-free quotient by that
     face's span, where the functional is positive on the cone, and the
     minimizer is lifted back to an interior point of the original cone.
+
+    In the quotient, with ``psi = w/m`` over the least common denominator, the
+    sum of the rays is an interior lattice point of value ``level``.  The
+    slab ``conv(0, rays scaled to psi = level + 1/m)`` has as its interior
+    lattice points exactly the cone's interior lattice points with
+    ``psi ≤ level``, and :func:`~toricmld.geometry.minimize` finds the least
+    ``⟨w, y⟩`` over them with the lex-least minimizer.
     """
     psi = solve_psi(pair)
     d = pair.dim
@@ -332,12 +245,14 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     pos_rays = [e for e in pair.rays if dot(psi, e) != 0]
     qmap = quotient_lattice(d, SublatticeBasis(d, saturate(zero_rays, d)))
     proj = tuple(qmap.apply(e) for e in pos_rays)
-    psi_bar = tuple(Fraction(dot(psi, row)) for row in qmap.lift_rows)
-    level = Fraction(dot(psi_bar, _interior_sum(proj, qmap.target_dim)))
-    slab = _level_slab(proj, psi_bar, level, qmap.target_dim)
-    mld, w_bar = _minimize_interior(
-        slab, _cone_facet_normals(proj, qmap.target_dim), psi_bar
+    w, m = clear_denominators([dot(psi, row) for row in qmap.lift_rows])
+    level = dot(w, _interior_sum(proj, qmap.target_dim))
+    slab = convex_hull(
+        [(0,) * qmap.target_dim]
+        + [vec_scale(Fraction(level + 1, dot(w, g)), g) for g in proj]
     )
+    value, w_bar = minimize(slab, w, strict=True)
+    mld = Fraction(value, m)
     base = qmap.lift(w_bar)
     shift = _interior_sum(zero_rays, d)
     normals = cone_facets(pair)

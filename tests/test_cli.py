@@ -149,6 +149,12 @@ def test_prove_stdout_when_no_trace_flag(tmp_path, capsys):
     assert "certificate-volume: 4" in out
 
 
+def test_prove_cyclic_quotient_of_huge_order(tmp_path, capsys):
+    doc = dict(THIRD_DOC, rays=[[0, 1], [1000000007, -3]])
+    assert main(["prove", write(tmp_path, doc)]) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
 def test_prove_exit_two_outside_scope(tmp_path, capsys):
     one_dim = {"dim": 1, "rays": [[1]], "coefficients": [{"type": "standard", "l": 5}]}
     assert main(["prove", write(tmp_path, one_dim)]) == 2

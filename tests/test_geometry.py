@@ -308,10 +308,10 @@ def test_enumerate_points_zero_dim():
 
 
 @st.composite
-def rational_polytopes(draw):
-    """Hulls of a few points of a small box in dimension 2, 3 or 4, divided
-    by 1, 2 or 3 so that vertices and facet offsets are rational."""
-    d = draw(st.sampled_from([2, 3, 4]))
+def rational_polytopes(draw, dims=(2, 3, 4)):
+    """Hulls of a few points of a small box in one of ``dims``, divided by
+    1, 2 or 3 so that vertices and facet offsets are rational."""
+    d = draw(st.sampled_from(dims))
     c = coords if d == 2 else st.integers(min_value=-2, max_value=2)
     pts = draw(
         st.lists(st.tuples(*[c] * d), min_size=d + 1, max_size=d + 4, unique=True)
@@ -341,3 +341,38 @@ def test_enumerate_points_matches_box_scan(P, scale, strict):
     assert list(got) == expected
     assert list(got) == sorted(got)
     assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(got)
+
+
+@st.composite
+def objectives(draw, d):
+    """Integer objectives whose trailing entries are often zero, so that
+    every point under a fixed prefix ties."""
+    w = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d))
+    zeros = draw(st.integers(min_value=0, max_value=d))
+    return tuple(w[: d - zeros]) + (0,) * zeros
+
+
+@given(st.data(), st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_minimize_matches_enumeration(data, strict):
+    P = data.draw(rational_polytopes(dims=(1, 2, 3, 4)))
+    w = data.draw(objectives(P.dim))
+    pts = geo.enumerate_points(P, strict=strict)
+    expected = None
+    if pts:
+        best = min(pts, key=lambda y: (dot(w, y), y))
+        expected = (dot(w, best), best)
+    assert geo.minimize(P, w, strict=strict) == expected
+
+
+def test_minimize_known_values():
+    T = geo.convex_hull([(0, 0), (4, 0), (0, 4)])
+    assert geo.minimize(T, (1, 1)) == (0, (0, 0))
+    assert geo.minimize(T, (1, 1), strict=True) == (2, (1, 1))
+    assert geo.minimize(T, (-1, 0), strict=True) == (-2, (2, 1))
+    assert geo.minimize(T, (0, 0), strict=True) == (0, (1, 1))
+    unit = geo.convex_hull([(0, 0), (1, 0), (0, 1)])
+    assert geo.minimize(unit, (1, 2), strict=True) is None
+    assert geo.minimize(geo.convex_hull([()]), ()) == (0, ())
+    with pytest.raises(DimensionMismatch):
+        geo.minimize(T, (1,))

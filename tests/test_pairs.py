@@ -1,5 +1,7 @@
 """Pair validation, discrepancy functionals, indices, and minimal values."""
 
+import hashlib
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricmld import pairs as tp
+from toricmld.families import cyclic_quotient_cone
 from toricmld.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -22,6 +25,7 @@ from toricmld.errors import (
     RedundantRay,
 )
 from toricmld.lattice import dot
+from toricmld.proof import fmt_rat
 
 
 def make_pair(dim, rays, values):
@@ -110,7 +114,7 @@ def test_cone_facets_of_quadrant():
     assert tp.cone_facets(QUADRANT_PLAIN) == ((-1, 0), (0, -1))
 
 
-# --- solve_psi / compute_index ---------------------------------------------------
+# --- solve_psi / the index -------------------------------------------------------
 
 
 def test_solve_psi_known_values():
@@ -140,11 +144,11 @@ def test_solve_psi_detects_inconsistent_systems():
 
 
 def test_compute_index_known_values():
-    assert tp.compute_index(QUADRANT_PLAIN) == 1
-    assert tp.compute_index(QUADRANT_HALF) == 2
-    assert tp.compute_index(THIRD_THIRD) == 3
-    assert tp.compute_index(LINE_FIFTH) == 5
-    assert tp.compute_index(ALL_ONES) == 1
+    assert tp.compute_mld(QUADRANT_PLAIN).index == 1
+    assert tp.compute_mld(QUADRANT_HALF).index == 2
+    assert tp.compute_mld(THIRD_THIRD).index == 3
+    assert tp.compute_mld(LINE_FIFTH).index == 5
+    assert tp.compute_mld(ALL_ONES).index == 1
 
 
 # --- compute_mld -------------------------------------------------------------------
@@ -194,6 +198,63 @@ def test_du_val_type_a_cones():
     for k in range(1, 6):
         rep = tp.compute_mld(make_pair(2, [(0, 1), (k + 1, -k)], [0, 0]))
         assert (rep.index, rep.mld, rep.mld_denominator) == (1, 1, 1)
+
+
+def test_mld_of_a_cyclic_quotient_of_huge_order():
+    rep = tp.compute_mld(make_pair(2, [(0, 1), (1000000007, -3)], [0, 0]))
+    assert (rep.index, rep.mld, rep.witness) == (
+        1000000007, Fraction(4, 1000000007), (1, 0)
+    )
+
+
+def _seeded_cyclic(seed, lo, hi, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.randrange(lo, hi)
+        s = rng.randrange(1, r)
+        if gcd(r, s) == 1:
+            out.append((r, s))
+    return out
+
+
+def test_large_cyclic_quotients_pinned_digest():
+    """Index, mld and the lex-least witness of 16 seeded 1/r(1,s) with
+    10^4 <= r < 10^5, pinned as bytes."""
+    text = ""
+    for r, s in _seeded_cyclic(20261018, 10**4, 10**5, 16):
+        rep = tp.compute_mld(cyclic_quotient_cone(r, s))
+        text += f"{rep.index}|{fmt_rat(rep.mld)}|{rep.witness}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8cf7cfa490623b0cbf843fe3a9eb55a46d605374d8c5a08dc70d743352ba6355"
+    )
+
+
+def _sail_mld(r, s):
+    """Oracle: the least psi = ((1+s)/r, 1) over the interior vertices
+    v_1..v_k of the sail of cone((0,1),(r,-s)) (Fulton 1993, section 2.6).
+    With v_0 = (0,1), v_1 = (1,0) and the Hirzebruch-Jung expansion
+    r/s = [b_1, ..., b_k], v_{i+1} = b_i v_i - v_{i-1} and v_{k+1} = (r,-s).
+    Every interior lattice point lies in conv(v_1..v_k) + cone, because
+    adjacent sail vertices form a lattice basis."""
+    bs = []
+    a, b = r, s
+    while b:
+        bs.append(-(-a // b))
+        a, b = b, bs[-1] * b - a
+    psi = (Fraction(1 + s, r), 1)
+    prev, v = (0, 1), (1, 0)
+    best = dot(psi, v)
+    for b in bs[:-1]:
+        prev, v = v, (b * v[0] - prev[0], b * v[1] - prev[1])
+        best = min(best, dot(psi, v))
+    assert (bs[-1] * v[0] - prev[0], bs[-1] * v[1] - prev[1]) == (r, -s)
+    return best
+
+
+def test_mld_matches_the_sail_of_large_cyclic_quotients():
+    for r, s in _seeded_cyclic(5, 10**5, 10**6, 40) + [(3, 1), (7, 3), (10**5 + 3, 2)]:
+        assert tp.compute_mld(cyclic_quotient_cone(r, s)).mld == _sail_mld(r, s), (r, s)
 
 
 # --- the oracle --------------------------------------------------------------------
