@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -28,9 +29,11 @@ from .errors import (
     UnboundedRegion,
 )
 from .lattice import (
+    IntMatrix,
     IntVector,
     RatVector,
     SublatticeBasis,
+    _identity,
     det,
     dot,
     int_inverse,
@@ -73,6 +76,10 @@ class RatPolytope:
     @cached_property
     def _levels(self) -> tuple[tuple[IntFacet, ...], ...]:
         return _projection_levels(self)
+
+    @cached_property
+    def _frame(self) -> tuple[IntMatrix, IntMatrix, RatPolytope] | None:
+        return _reduced_frame(self)
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         if len(point) != self.dim:
@@ -294,10 +301,21 @@ def difference_body(P: RatPolytope) -> RatPolytope:
 
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
-    ``a > 0`` the vertex and facet orders are unchanged."""
+    ``a > 0`` the vertex and facet orders are unchanged, and the projection
+    levels and walk frame that ``P`` has built carry over (same ``U``)."""
+
+    def image(facets, g=1):
+        return tuple((u, (a * c + b * sum(map(mul, u, w))) // g) for u, c in facets)
+
     rows = tuple(tuple(a * x + b * y for x, y in zip(r, w)) for r in P.rows)
-    facets = tuple((u, a * c + b * dot(u, w)) for u, c in P.int_facets)
-    return _canonical(P.dim, den, rows, facets)
+    Q = _canonical(P.dim, den, rows, image(P.int_facets))
+    cache = vars(P)
+    if "_levels" in cache:  # divided by the content den/Q.den like the facets
+        vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
+    if "_frame" in cache:
+        U, Ui, F = cache["_frame"] or (None, None, None)
+        vars(Q)["_frame"] = U and (U, Ui, _affine_image(F, a, b, tuple(dot(r, w) for r in U), den))
+    return Q
 
 
 def translate(P: RatPolytope, w: Sequence) -> RatPolytope:
@@ -362,24 +380,90 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
 
 
 def _projection_levels(P: RatPolytope) -> tuple[tuple[IntFacet, ...], ...]:
-    """Per depth ``k``, the facets of the projection of ``P``'s rows onto
-    their first ``k + 1`` coordinates that involve coordinate ``k``.
-
-    The projection is the hull of the rows cut to ``k + 1`` coordinates, so
-    each level comes from hulling the level above; the last depth is
-    ``P.int_facets`` itself.  Facets with a zero entry ``k`` are the
-    preimages of the next level down and are left out."""
-    levels = [tuple(f for f in P.int_facets if f[0][-1] != 0)]
-    rows = P.rows
-    for k in range(P.dim - 2, -1, -1):
+    """Per depth ``k < dim − 1`` (the last is ``P.int_facets``), the facets
+    of the projection of ``P``'s rows onto their first ``k + 1`` coordinates:
+    the hull of the level above cut to ``k + 1`` coordinates, and at depth 0
+    the range of the first one.  The walk skips facets with a zero entry k."""
+    levels, rows = [], P.rows
+    for k in range(P.dim - 2, 0, -1):
         proj = convex_hull([r[: k + 1] for r in rows])
-        levels.append(tuple(f for f in proj.int_facets if f[0][k] != 0))
+        levels.append(proj.int_facets)
         rows = proj.rows
+    if P.dim > 1:
+        levels.append((((-1,), -min(r[0] for r in rows)), ((1,), max(r[0] for r in rows))))
     return tuple(levels[::-1])
 
 
+def _lll(G: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
+    """``(U, U⁻¹)``, the rows of ``U`` an LLL-reduced basis (δ = 3/4) of ℤ^n
+    under the positive definite Gram matrix ``G``: integral LLL (Cohen 1993,
+    Alg. 2.6.7), 1-based, ``dd[i]`` the Gram determinant of the first ``i``
+    rows, ``lam[k][j] = dd[j]·μ_kj`` and ``C`` the columns of ``U⁻¹``."""
+    n = len(G)
+    B, C = [None] + _identity(n), [None] + _identity(n)
+    dd, lam = [1, G[0][0]] + [0] * (n - 1), [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k: int, l: int) -> None:
+        q = (2 * lam[k][l] + dd[l]) // (2 * dd[l])
+        if q:
+            B[k] = [x - q * y for x, y in zip(B[k], B[l])]
+            C[l] = [x + q * y for x, y in zip(C[l], C[k])]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+            lam[k][l] -= q * dd[l]
+
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:  # B[k] is still the unit vector e_k
+            kmax = k
+            for j in range(1, k + 1):
+                u = sum(map(mul, G[k - 1], B[j]))
+                for i in range(1, j):
+                    u = (dd[i] * u - lam[k][i] * lam[j][i]) // dd[i - 1]
+                lam[k][j] = u
+            dd[k] = u
+        reduce(k, k - 1)
+        la = lam[k][k - 1]
+        if 4 * dd[k] * dd[k - 2] >= 3 * dd[k - 1] ** 2 - 4 * la * la:
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        B[k - 1], B[k], C[k - 1], C[k] = B[k], B[k - 1], C[k], C[k - 1]
+        lam[k - 1][1 : k - 1], lam[k][1 : k - 1] = lam[k][1 : k - 1], lam[k - 1][1 : k - 1]
+        b = (dd[k - 2] * dd[k] + la * la) // dd[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (dd[k] * lam[i][k - 1] - la * t) // dd[k - 1]
+            lam[i][k - 1] = (b * t + la * lam[i][k]) // dd[k]
+        dd[k - 1], k = b, max(2, k - 1)
+    return tuple(map(tuple, B[1:])), tuple(zip(*C[1:]))
+
+
+def _reduced_frame(P: RatPolytope) -> tuple[IntMatrix, IntMatrix, RatPolytope] | None:
+    """``(U, U⁻¹, U·P)`` to walk in place of ``P``, or ``None`` to walk ``P``.
+    The rows of ``U``, LLL-reduced under the vertex scatter ``Σ (n·row −
+    Σ rows)(…)ᵀ``, are directions in which ``P`` is thin, so few lattice points
+    of the leading projections of ``U·P`` lead nowhere (Lenstra 1983).  ``P``
+    is kept when the vertex bounding box of ``U·P`` holds no fewer of them."""
+    d, rows, den = P.dim, P.rows, P.den
+    if d <= 1 or not P.int_facets:
+        return None
+    n, cols = len(rows), list(zip(*rows))
+    cen = [[n * x - s for x in c] for c, s in zip(cols, map(sum, cols))]
+    U, Ui = _lll([[sum(map(mul, x, y)) for y in cen] for x in cen])
+    ucols = [[sum(map(mul, u, r)) for r in rows] for u in U]
+    new, old = (
+        math.prod(max(0, max(c) // den + (-min(c)) // den + 1) for c in cs) for cs in (ucols, cols)
+    )
+    if new >= old:
+        return None
+    facets = sorted((tuple(sum(map(mul, u, col)) for col in zip(*Ui)), c) for u, c in P.int_facets)
+    return U, Ui, RatPolytope(d, den, tuple(sorted(zip(*ucols))), tuple(facets))
+
+
 def _iter_points(
-    P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None
+    P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None, M: IntMatrix = ()
 ):
     if not isinstance(scale, int) or scale < 1:
         raise InvalidParameters("scale must be a positive integer")
@@ -396,31 +480,32 @@ def _iter_points(
         # of the interior, so strict membership rounds down past equality.
         return -((-scale * c) // den) - 1 if strict else (scale * c) // den
 
-    levels = [[(u, offset(c)) for u, c in level] for level in P._levels]
-    # Objective cuts (u, c, m): ⟨u, y[:k+1]⟩ ≤ c + m·(record − 1).  Below the
-    # last nonzero entry of w they are the facets of the lifted projection
-    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from there on, w itself.
+    # Depth k reads (u[:k], u[k], c): ⟨u[:k], y[:k]⟩ + u[k]·y[k] ≤ c.
+    levels = [[(u[:k], u[k], offset(c)) for u, c in lv if u[k]]
+              for k, lv in enumerate(P._levels + (P.int_facets,))]
+    # Objective cuts (u[:k], u[k], c, m): ⟨u, y[:k+1]⟩ ≤ c + m·(record − 1).
+    # Below the last nonzero entry of w, the facets of the lifted projection
+    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from there on, w.
     cuts: list[list] = [[] for _ in range(d)]
     if w is not None:
         kw = max((i for i, x in enumerate(w) if x), default=0)
         for k in range(kw):
             lifted = convex_hull([r[: k + 1] + (dot(w, r),) for r in P.rows])
             cuts[k] = [
-                (u[:-1], offset(c), -u[-1]) for u, c in lifted.int_facets if u[-1] < 0
+                (u[:k], u[k], offset(c), -u[-1]) for u, c in lifted.int_facets if u[-1] < 0
             ]
         for k in range(kw, d):
-            cuts[k] = [(w[: k + 1], 0, 1)]
+            cuts[k] = [(w[:k], w[k], 0, 1)]
     record = None
     y = [0] * d
 
     def clip(k: int) -> tuple[int, int]:
         cons = levels[k]
         if record is not None:
-            cons = chain(cons, ((u, c + m * (record - 1)) for u, c, m in cuts[k]))
+            cons = chain(cons, ((p, a, c + m * (record - 1)) for p, a, c, m in cuts[k]))
         lo, hi = None, None
-        for u, c in cons:
-            rest = c - sum(u[i] * y[i] for i in range(k))
-            a = u[k]
+        for p, a, c in cons:
+            rest = c - sum(map(mul, p, y))
             if a > 0:
                 bound = rest // a
                 hi = bound if hi is None else min(hi, bound)
@@ -438,6 +523,11 @@ def _iter_points(
         # again under the new record.
         nonlocal record
         lo, hi = clip(k)
+        if M and k == d - 1:  # the run y[k] = lo..hi maps by M to arithmetic progressions
+            y[k], n = 0, hi - lo + 1
+            cols = ((sum(map(mul, r, y)) + lo * r[k], r[k]) for r in M)
+            yield from zip(*(range(b, b + n * c, c) if c else repeat(b, n) for b, c in cols))
+            return False
         found = False
         while lo <= hi:
             y[k] = lo
@@ -469,9 +559,14 @@ def enumerate_points(
     walk fixes one coordinate at a time within the exact projections of
     ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
     coordinates, taken once per polytope, with offsets rescaled per dilate.
-    :func:`minimize` is the same walk with an objective cut.
+    It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when that frame's
+    vertex bounding box holds fewer lattice points, then maps the points
+    back by ``U⁻¹`` and sorts them; :func:`minimize` walks ``P`` itself.
     """
-    return tuple(_iter_points(P, scale, strict))
+    frame = P._frame
+    if frame is None:
+        return tuple(_iter_points(P, scale, strict))
+    return tuple(sorted(_iter_points(frame[2], scale, strict, M=frame[1])))
 
 
 def minimize(
@@ -499,8 +594,6 @@ def minimize(
 
 
 def any_lattice_point(P: RatPolytope, scale: int = 1, strict: bool = False) -> bool:
-    """Whether ``scale·P`` (or its interior) contains an integer vector;
-    stops at the first hit instead of enumerating everything."""
-    for _ in _iter_points(P, scale, strict):
-        return True
-    return False
+    """Whether ``scale·P`` (or its interior) contains an integer vector: the
+    walk of :func:`enumerate_points`, stopped at the first hit."""
+    return next(_iter_points(P._frame[2] if P._frame else P, scale, strict), None) is not None

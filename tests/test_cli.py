@@ -2,6 +2,10 @@
 2 bad input), exact rational rendering, trace files, CSV determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +256,14 @@ def test_lemmas_minkowski(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "toricmld", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: toricmld" in done.stdout

@@ -225,6 +225,25 @@ def test_random_4d_sweep_matches_oracle_and_pinned_digest():
     )
 
 
+def test_random_4d_sweep_max_entry_5_pinned_digest():
+    """The CLI's default 4D sweep (`toricmld sweep --family random_cone
+    --dims 4 --count 10 --seed 20260814`, entries up to 5) agrees with the
+    zonotope oracle and reproduces pinned CSV and trace-v1 bytes, so that a
+    change of walk frame cannot alter them."""
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(4,), count=10, max_entry=5, L=1, seed=20260814)
+    )
+    assert [r.error for r in report.rows] == [""] * 10
+    for row in report.rows:
+        assert row.report.mld == mld_oracle(row.pair)[0], row.key
+    text = report.to_csv() + "".join(
+        proof.serialize_trace(r.trace) for r in report.rows
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a1c687f85eb41c20e26a6ce3ab394986093aad1810f079f304127a0d3554d02e"
+    )
+
+
 def test_cyclic_2d_sweep_pinned_digest():
     """2D rows, with and without a coefficient equal to 1, reproduce pinned
     CSV and trace-v1 bytes, so that a change of polytope arithmetic cannot

@@ -16,7 +16,7 @@ from toricmld.errors import (
     PointNotInterior,
     UnboundedRegion,
 )
-from toricmld.lattice import SublatticeBasis, dot, matrix_rank, vec_sub
+from toricmld.lattice import SublatticeBasis, det, dot, matrix_rank, vec_sub
 
 coords = st.integers(min_value=-4, max_value=4)
 
@@ -321,10 +321,9 @@ def rational_polytopes(draw, dims=(2, 3, 4)):
     return geo.convex_hull([tuple(Fraction(x, den) for x in p) for p in pts])
 
 
-@given(rational_polytopes(), st.sampled_from([1, 2, 3]), st.booleans())
-@settings(deadline=None, max_examples=100)
-def test_enumerate_points_matches_box_scan(P, scale, strict):
-    got = geo.enumerate_points(P, scale=scale, strict=strict)
+def box_scan(P, scale, strict):
+    """Oracle: the lattice points of ``scale·P`` (or its interior) by testing
+    every point of the vertex bounding box against the facets."""
     ranges = [
         range(
             math.floor(min(v[i] for v in P.vertices) * scale),
@@ -333,11 +332,18 @@ def test_enumerate_points_matches_box_scan(P, scale, strict):
         for i in range(P.dim)
     ]
     bounds = [(u, scale * b) for u, b in P.facets]
-    expected = [
+    return [
         y
         for y in itertools.product(*ranges)
         if all(dot(u, y) < c if strict else dot(u, y) <= c for u, c in bounds)
     ]
+
+
+@given(rational_polytopes(), st.sampled_from([1, 2, 3]), st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_enumerate_points_matches_box_scan(P, scale, strict):
+    got = geo.enumerate_points(P, scale=scale, strict=strict)
+    expected = box_scan(P, scale, strict)
     assert list(got) == expected
     assert list(got) == sorted(got)
     assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(got)
@@ -376,3 +382,167 @@ def test_minimize_known_values():
     assert geo.minimize(geo.convex_hull([()]), ()) == (0, ())
     with pytest.raises(DimensionMismatch):
         geo.minimize(T, (1,))
+
+
+# --- the reduced walk frame ---------------------------------------------------------
+
+
+@st.composite
+def unimodular_matrices(draw, d, bound=20):
+    """A signed permutation times up to eight elementary row operations,
+    skipping any that would push an entry past ``bound``."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    U = [[signs[i] * int(perm[i] == j) for j in range(d)] for i in range(d)]
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(pairs, max_size=8)):
+        row = [x + c * y for x, y in zip(U[i], U[j])]
+        if i != j and max(map(abs, row)) <= bound:
+            U[i] = row
+    return tuple(map(tuple, U))
+
+
+def mat_vec(M, v):
+    return tuple(dot(r, v) for r in M)
+
+
+@st.composite
+def skewed_polytopes(draw):
+    """``(U, B, U·B)``: a small rational box or simplex ``B`` in 2D–4D and
+    its image under a random unimodular ``U``, so that the image is thin in
+    directions far from the coordinate axes."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    den = draw(st.sampled_from([1, 2, 3]))
+    lo = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    if draw(st.booleans()):
+        hi = [x + draw(st.integers(1, 3)) for x in lo]
+        pts = list(itertools.product(*zip(lo, hi)))
+    else:
+        steps = draw(st.tuples(*[st.integers(1, 3)] * d))
+        pts = [lo] + [tuple(x + steps[i] * (i == j) for j, x in enumerate(lo)) for i in range(d)]
+    B = [tuple(Fraction(x, den) for x in p) for p in pts]
+    U = draw(unimodular_matrices(d))
+    return U, geo.convex_hull(B), geo.convex_hull([mat_vec(U, v) for v in B])
+
+
+def box_points(P):
+    """Lattice points in the bounding box of the vertices."""
+    return math.prod(
+        max(0, math.floor(max(c)) - math.ceil(min(c)) + 1) for c in zip(*P.vertices)
+    )
+
+
+def gram_schmidt(U, M):
+    """Exact Gram–Schmidt of the rows of ``U`` under the form ``M``: the
+    squared lengths ``|b*_k|²`` and the coefficients ``μ_kj``."""
+    n = len(U)
+    g = [[Fraction(dot(mat_vec(M, U[i]), U[j])) for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * norms[i] for i in range(j))) / norms[j]
+        norms.append(g[k][k] - sum(mu[k][i] ** 2 * norms[i] for i in range(k)))
+    return norms, mu
+
+
+def vertex_scatter(P):
+    """``Σ (n·row − Σ rows)(n·row − Σ rows)ᵀ`` over the integer vertex rows."""
+    n, s = len(P.rows), [sum(c) for c in zip(*P.rows)]
+    cen = [[n * x - t for x, t in zip(r, s)] for r in P.rows]
+    return [[sum(r[i] * r[j] for r in cen) for j in range(P.dim)] for i in range(P.dim)]
+
+
+def assert_lll_reduced(U, Ui, M):
+    n = len(U)
+    assert abs(det(U)) == 1
+    assert [list(mat_vec(U, col)) for col in zip(*Ui)] == [
+        [int(i == j) for i in range(n)] for j in range(n)
+    ]
+    norms, mu = gram_schmidt(U, M)
+    for k in range(n):
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        if k:
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@given(skewed_polytopes(), st.sampled_from([1, 2, 3]), st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_skewed_enumeration_matches_box_scan(data, scale, strict):
+    """The walk in the reduced frame lists the same lex-sorted points as a
+    box scan of the unskewed preimage mapped forward."""
+    U, B, P = data
+    expected = sorted(mat_vec(U, x) for x in box_scan(B, scale, strict))
+    got = geo.enumerate_points(P, scale=scale, strict=strict)
+    assert list(got) == expected
+    assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(expected)
+
+
+@given(skewed_polytopes())
+@settings(deadline=None, max_examples=60)
+def test_frame_is_lll_reduced_and_pays(data):
+    """The frame's U is unimodular, size-reduced and meets the Lovász
+    condition under the vertex scatter, and is used only when its vertex
+    bounding box holds fewer lattice points."""
+    P = data[2]
+    M = vertex_scatter(P)
+    U, Ui = geo._lll(M)
+    assert_lll_reduced(U, Ui, M)
+    frame = P._frame
+    if frame is not None:
+        assert frame[:2] == (U, Ui)
+        assert box_points(frame[2]) < box_points(P)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_lll_of_random_gram_matrices(data):
+    d = data.draw(st.sampled_from([2, 3, 4, 5]))
+    A = data.draw(
+        st.lists(st.tuples(*[st.integers(-30, 30)] * d), min_size=d, max_size=d)
+    )
+    assume(det(A) != 0)
+    M = [[dot(a, b) for b in zip(*A)] for a in zip(*A)]
+    assert_lll_reduced(*geo._lll(M), M)
+
+
+@given(skewed_polytopes(), st.data(), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_images_keep_frame_and_levels(data, draws, strict):
+    """``translate`` and ``scale_about`` carry the frame and the projection
+    levels of a walked polytope; the images list the same points as hulls
+    rebuilt from their vertices."""
+    P = data[2]
+    d = P.dim
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    z = draws.draw(st.tuples(*[small] * d))
+    t = draws.draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+    geo.enumerate_points(P)
+    frame = P._frame
+    (P if frame is None else frame[2])._levels
+    for image in (geo.translate(P, z), geo.scale_about(P, t, z)):
+        assert "_frame" in vars(image)
+        rebuilt = geo.convex_hull(image.vertices)
+        assert rebuilt == image
+        for scale in (1, 2):
+            got = geo.enumerate_points(image, scale=scale, strict=strict)
+            assert got == geo.enumerate_points(rebuilt, scale=scale, strict=strict)
+            assert geo.any_lattice_point(image, scale=scale, strict=strict) == bool(got)
+
+
+def test_image_offsets_are_divided_by_the_content():
+    # rows (1, 1), (3, 1), (7, 5) over 2, moved by (1, 1) over 2, have the
+    # content 2 in common with the denominator; the carried offsets must be
+    # divided by it like the facet offsets
+    half = Fraction(1, 2)
+    T = geo.convex_hull([(half, half), (3 * half, half), (7 * half, 5 * half)])
+    geo.enumerate_points(T)
+    (T if T._frame is None else T._frame[2])._levels
+    image = geo.translate(T, (half, half))
+    assert image.den == 1
+    rebuilt = geo.convex_hull(image.vertices)
+    for scale in (1, 2, 3):
+        for strict in (False, True):
+            got = geo.enumerate_points(image, scale, strict)
+            assert got == geo.enumerate_points(rebuilt, scale, strict)
+    assert geo.enumerate_points(image) == ((1, 1), (2, 1), (3, 2), (4, 3))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricmld import pairs as tp
-from toricmld.families import cyclic_quotient_cone
+from toricmld.families import cyclic_quotient_cone, random_simplicial_cone
 from toricmld.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -296,6 +296,44 @@ def test_two_dim_invariants_and_oracle_agreement(r, s, b1, b2):
     assert val == rep.mld
     # sharp two-dimensional index bound
     assert rep.index <= 2 * rep.mld_denominator**2
+
+
+def random_unimodular(rng, d, bound=5):
+    """A permutation matrix times random elementary row operations, none
+    pushing an entry past ``bound``."""
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    rng.shuffle(U)
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        row = [x + c * y for x, y in zip(U[i], U[j])]
+        if max(map(abs, row)) <= bound:
+            U[i] = row
+    return U
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3, 4]))
+@settings(deadline=None, max_examples=100)
+def test_invariants_respect_lattice_automorphisms_and_ray_order(seed, d):
+    """(n, a, q) do not change when the rays are permuted or mapped by a
+    matrix in GL(d, ℤ); a permutation keeps the witness, and U maps it to
+    an interior point of the new cone with the same value."""
+    rng = random.Random(seed)
+    rays = random_simplicial_cone(d, 3, seed).rays
+    values = [Fraction(l - 1, l) for l in (rng.randint(1, 3) for _ in range(d))]
+    rep = tp.compute_mld(make_pair(d, rays, values))
+    invariants = (rep.index, rep.mld, rep.mld_denominator)
+    perm = rng.sample(range(d), d)
+    permuted = tp.compute_mld(make_pair(d, [rays[i] for i in perm], [values[i] for i in perm]))
+    assert (permuted.index, permuted.mld, permuted.mld_denominator) == invariants
+    assert permuted.witness == rep.witness
+    U = random_unimodular(rng, d)
+    moved_pair = make_pair(d, [tuple(dot(r, e) for r in U) for e in rays], values)
+    moved = tp.compute_mld(moved_pair)
+    assert (moved.index, moved.mld, moved.mld_denominator) == invariants
+    image = tuple(dot(r, rep.witness) for r in U)
+    assert dot(moved.psi, image) == rep.mld
+    assert all(dot(u, image) < 0 for u in tp.cone_facets(moved_pair))
 
 
 # --- bound_check ----------------------------------------------------------------------
