@@ -5,9 +5,14 @@ as integer vertex rows and integer facets over one common denominator, so
 hulls, transforms, volumes and enumeration run in ``int``; ``Fraction``
 appears only at the API boundary.  Hulls are a monotone chain in 2D and an
 exact incremental double-description pass on homogenized points above, so
-no floating point enters at any stage.  Polytopes of dimension ≥ 1 produced
-by :func:`convex_hull` are full-dimensional in their ambient space;
-lower-dimensional data should be re-coordinatized (e.g. with
+no floating point enters at any stage.  A polytope also carries its
+vertex–facet incidence, one bitmask of vertex rows per facet: hulls above
+2D report the tight sets their double description already keeps, and
+volumes are a pulling triangulation over those bitmasks.  Pyramids and the
+bipyramid of the certificate get their facets in closed form, checked
+against their vertices, so neither is ever re-hulled.  Polytopes of
+dimension ≥ 1 produced by :func:`convex_hull` are full-dimensional in their
+ambient space; lower-dimensional data should be re-coordinatized (e.g. with
 :class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
 """
 
@@ -22,6 +27,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    CheckFailed,
     DimensionMismatch,
     InvalidParameters,
     NotFullDimensional,
@@ -56,8 +62,10 @@ class RatPolytope:
     sorted pairs ``(u, c)`` of a primitive integer outer normal and an
     integer offset, encoding ``⟨u, row⟩ ≤ c``.  ``vertices`` and ``facets``
     are read-only :class:`~fractions.Fraction` views of the same data in
-    the same order, with offsets ``c/den``.  A zero-dimensional polytope is
-    the single empty row with no facets.
+    the same order, with offsets ``c/den``.  ``_incidence`` holds, per
+    facet, the bitmask of the rows it is tight on (bit ``i`` for
+    ``rows[i]``).  A zero-dimensional polytope is the single empty row with
+    no facets.
     """
 
     dim: int
@@ -72,6 +80,13 @@ class RatPolytope:
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
         return tuple((u, Fraction(c, self.den)) for u, c in self.int_facets)
+
+    @cached_property
+    def _incidence(self) -> tuple[int, ...]:
+        return tuple(
+            sum(1 << i for i, r in enumerate(self.rows) if dot(u, r) == c)
+            for u, c in self.int_facets
+        )
 
     @cached_property
     def _levels(self) -> tuple[tuple[IntFacet, ...], ...]:
@@ -103,23 +118,31 @@ def _clear_rows(points) -> tuple[list[IntVector], int]:
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in fracs], den
 
 
-def _canonical(dim: int, den: int, rows, facets) -> RatPolytope:
+def _canonical(dim: int, den: int, rows, facets, incidence=None) -> RatPolytope:
     """``(rows, facets)`` over ``den`` with the common factor of ``den`` and
-    the rows divided out (it divides each offset: facets are tight)."""
+    the rows divided out (it divides each offset: facets are tight); a known
+    ``incidence`` is kept, as dividing changes no tight set."""
     g = math.gcd(den, *chain.from_iterable(rows))
     if g > 1:
         den //= g
         rows = tuple(tuple(x // g for x in r) for r in rows)
         facets = tuple((u, c // g) for u, c in facets)
-    return RatPolytope(dim, den, tuple(rows), tuple(facets))
+    P = RatPolytope(dim, den, tuple(rows), tuple(facets))
+    if incidence is not None:
+        vars(P)["_incidence"] = tuple(incidence)
+    return P
 
 
-def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
-    """Extreme rays of the pointed full-dimensional cone ``{y : ⟨c, y⟩ ≥ 0}``.
+def _double_description(
+    cons: list[IntVector], n: int
+) -> tuple[list[IntVector], list[int]]:
+    """Extreme rays of the pointed full-dimensional cone ``{y : ⟨c, y⟩ ≥ 0}``
+    and, per ray, the bitmask of the constraints tight on it (bit ``i`` for
+    ``cons[i]``).
 
     ``cons`` must contain ``n`` linearly independent vectors; those seed a
     simplicial cone whose rays are refined one constraint at a time, with
-    adjacency decided combinatorially from tight-set bitmasks.
+    adjacency decided combinatorially from the tight-set bitmasks.
     """
     seed: list[int] = []
     for i, c in enumerate(cons):
@@ -129,17 +152,18 @@ def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
             break
     if len(seed) < n:
         raise NotFullDimensional("points do not affinely span the ambient space")
-    ordered = [cons[i] for i in seed] + [c for i, c in enumerate(cons) if i not in set(seed)]
-    adj, D = int_inverse(ordered[:n])
+    seeds = set(seed)
+    order = seed + [i for i in range(len(cons)) if i not in seeds]
+    adj, D = int_inverse([cons[i] for i in seed])
     sign = 1 if D > 0 else -1
     rays: list[IntVector] = []
     zeros: list[int] = []
-    full = (1 << n) - 1
+    full = sum(1 << i for i in seed)
     for j in range(n):
         rays.append(primitive_vector([sign * adj[i][j] for i in range(n)]))
-        zeros.append(full ^ (1 << j))
-    for idx in range(n, len(ordered)):
-        c = ordered[idx]
+        zeros.append(full ^ (1 << seed[j]))
+    for idx in order[n:]:
+        c = cons[idx]
         vals = [dot(c, r) for r in rays]
         if all(v >= 0 for v in vals):
             for t, v in enumerate(vals):
@@ -167,7 +191,7 @@ def _double_description(cons: list[IntVector], n: int) -> list[IntVector]:
                 new_rays.append(primitive_vector(combo))
                 new_zeros.append(common | (1 << idx))
         rays, zeros = new_rays, new_zeros
-    return rays
+    return rays, zeros
 
 
 def _hull_2d(pts: list[IntVector]) -> tuple[list[IntVector], list[IntFacet]]:
@@ -197,6 +221,16 @@ def _hull_2d(pts: list[IntVector]) -> tuple[list[IntVector], list[IntFacet]]:
     return sorted(ring), facets
 
 
+def _meet(masks: Sequence[int], i: int) -> int:
+    """The bitmask of the points on every facet through point ``i`` (all
+    bits when none is): exactly ``1 << i`` when ``i`` is a vertex."""
+    bit, meet = 1 << i, -1
+    for mask in masks:
+        if mask & bit:
+            meet &= mask
+    return meet
+
+
 def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
     """Convex hull of finitely many rational points.
 
@@ -204,7 +238,9 @@ def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
     :class:`NotFullDimensional`), so that a facet inequality description
     exists; dimensions 0–2 are handled directly, higher dimensions by
     double description on the homogenization, all on the points' integer
-    rows over one common denominator.
+    rows over one common denominator.  Above 2D the hull keeps the tight
+    sets of its facets as its incidence, and a point is a vertex exactly
+    when the facets tight at it meet in it alone.
     """
     rows, den = _clear_rows(points)
     if not rows:
@@ -224,42 +260,48 @@ def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
     elif d == 2:
         verts, facets = _hull_2d(pts)
     else:
-        facets = []
-        for y in _double_description([(1,) + p for p in pts], d + 1):
+        tight = {}
+        for y, mask in zip(*_double_description([(1,) + p for p in pts], d + 1)):
             c = math.gcd(*y[1:])
-            facets.append((tuple(-x // c for x in y[1:]), y[0] // c))
-        verts = []
-        for p in pts:
-            tight = [u for u, c in facets if dot(u, p) == c]
-            if len(tight) >= d and matrix_rank(tight) == d:
-                verts.append(p)
+            tight[(tuple(-x // c for x in y[1:]), y[0] // c)] = mask
+        masks = list(tight.values())
+        keep = [i for i in range(len(pts)) if _meet(masks, i) == 1 << i]
+        facets = sorted(tight)
+        incidence = [
+            sum(1 << k for k, i in enumerate(keep) if tight[f] >> i & 1) for f in facets
+        ]
+        return _canonical(d, den, [pts[i] for i in keep], facets, incidence)
     return _canonical(d, den, verts, sorted(set(facets)))
 
 
 # --- volume -------------------------------------------------------------------
 
 
-def _triangulate(rows, facets, k: int) -> list[tuple[IntVector, ...]]:
-    """Partition into simplices by coning the lex-least vertex over the far
-    facets; a facet with ``k`` vertices is a simplex already, any other is
-    triangulated recursively in projected coordinates."""
-    if k <= 1 or len(rows) == k + 1:
-        return [tuple(rows)]
-    v0 = rows[0]
-    out = []
-    for u, c in facets:
-        if dot(u, v0) == c:
+def _pulling(face: int, facets: Sequence[int], k: int):
+    """Bitmasks of the simplices of a pulling triangulation of the
+    ``k``-dimensional face ``face``, given the bitmasks of its facets: a
+    simplex is itself; any other face is its lowest vertex coned over the
+    triangulations of its facets that miss that vertex.  The facets of a
+    facet ``G`` are the inclusion-maximal sets ``G ∩ H`` with at least ``k −
+    1`` vertices, ``H`` another facet."""
+    if face.bit_count() == k + 1:
+        yield face
+        return
+    low = face & -face
+    for g in facets:
+        if g & low:
             continue
-        face = [v for v in rows if dot(u, v) == c]
-        if len(face) == k:
-            out.append((v0, *face))
+        if g.bit_count() == k:
+            yield g | low
             continue
-        drop = next(i for i, x in enumerate(u) if x != 0)
-        proj = {v[:drop] + v[drop + 1 :]: v for v in face}
-        H = convex_hull(list(proj))
-        for s in _triangulate(H.rows, H.int_facets, k - 1):
-            out.append((v0,) + tuple(proj[w] for w in s))
-    return out
+        ridges: list[int] = []
+        for r in sorted({g & h for h in facets} - {g}, key=int.bit_count, reverse=True):
+            if r.bit_count() < k - 1:
+                break
+            if all(r & m != r for m in ridges):
+                ridges.append(r)
+        for s in _pulling(g, ridges, k - 1):
+            yield s | low
 
 
 def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fraction:
@@ -269,8 +311,10 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
     With ``sub`` omitted the lattice is ℤ^dim; otherwise ``sub`` must be a
     finite-index sublattice of ℤ^dim and the result is divided by its index
     (= the covolume of the sublattice).  Zero-dimensional polytopes have
-    volume 1 by convention.  Integer simplex determinants on the rows are
-    summed and divided once by ``den^dim·dim!``.
+    volume 1 by convention.  The volume is a pulling triangulation over the
+    vertex–facet incidence, found by bitmask intersections alone: only its
+    simplices take a determinant on the integer rows, and their sum is
+    divided once by ``den^dim·dim!``.
     """
     k = P.dim
     if sub is not None:
@@ -281,12 +325,12 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
         return normalized_volume(P) / abs(det(sub.rows))
     if k == 0:
         return Fraction(1)
-    base = P.rows[0]
-    if matrix_rank([vec_sub(r, base) for r in P.rows[1:]]) < k:
-        return Fraction(0)
+    rows = P.rows
+    full = (1 << len(rows)) - 1
     total = 0
-    for s in _triangulate(P.rows, P.int_facets, k):
-        total += abs(det([vec_sub(v, s[0]) for v in s[1:]]))
+    for s in _pulling(full, P._incidence, k) if len(rows) != k + 1 else (full,):
+        v0, *rest = (r for i, r in enumerate(rows) if s >> i & 1)
+        total += abs(det([vec_sub(v, v0) for v in rest]))
     return Fraction(total, P.den**k * math.factorial(k))
 
 
@@ -296,20 +340,21 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
 def difference_body(P: RatPolytope) -> RatPolytope:
     """The centrally symmetric body ``P + (−P)``."""
     H = convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows])
-    return _canonical(H.dim, P.den, H.rows, H.int_facets)
+    return _canonical(H.dim, P.den, H.rows, H.int_facets, vars(H).get("_incidence"))
 
 
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
-    ``a > 0`` the vertex and facet orders are unchanged, and the projection
-    levels and walk frame that ``P`` has built carry over (same ``U``)."""
+    ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
+    projection levels and walk frame that ``P`` has built carry over (same
+    ``U``)."""
 
     def image(facets, g=1):
         return tuple((u, (a * c + b * sum(map(mul, u, w))) // g) for u, c in facets)
 
     rows = tuple(tuple(a * x + b * y for x, y in zip(r, w)) for r in P.rows)
-    Q = _canonical(P.dim, den, rows, image(P.int_facets))
     cache = vars(P)
+    Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
     if "_frame" in cache:
@@ -364,16 +409,96 @@ def max_gamma(S: RatPolytope, z: Sequence) -> Fraction:
     return Fraction(*best)
 
 
+def _apex_facets(apex: IntVector, top: int, facets) -> list[IntFacet]:
+    """The facets through ``apex`` of its pyramid over ``{top} × Q``, all in
+    row units: one per facet ``(u, c)`` of ``Q``, the hyperplane through the
+    apex and ``{top} × {⟨u, ·⟩ = c}``, oriented so that ``Q`` lies below."""
+    a0, a = apex[0], apex[1:]
+    s = 1 if top > a0 else -1
+    out = []
+    for u, c in facets:
+        w = (s * (sum(map(mul, u, a)) - c),) + tuple(s * (top - a0) * x for x in u)
+        g = math.gcd(*w)
+        w = tuple(x // g for x in w)
+        out.append((w, sum(map(mul, w, apex))))
+    return out
+
+
+def _checked(dim: int, den: int, rows, facets) -> RatPolytope:
+    """The polytope with vertex rows ``rows`` (lex-sorted) and the facets
+    ``facets`` built in closed form, verified in the one dot pass that also
+    yields its incidence: every row satisfies every facet, each facet is
+    tight on rows that affinely span a hyperplane and on no other facet's
+    rows, and every row is a vertex, the facets tight at it meeting in it
+    alone.  A violation raises :class:`CheckFailed`."""
+    facets = sorted(facets)
+    incidence = []
+    for u, c in facets:
+        mask, tight = 0, []
+        for i, r in enumerate(rows):
+            v = sum(map(mul, u, r))
+            if v > c:
+                raise CheckFailed("closed-form-facets", f"a vertex violates facet {u}")
+            if v == c:
+                mask |= 1 << i
+                tight.append(r)
+        # distinct rows span a point or a line: the rank is needed from 3D on
+        if len(tight) < dim or dim > 2 and matrix_rank(
+            [vec_sub(r, tight[0]) for r in tight[1:]]
+        ) < dim - 1:
+            raise CheckFailed("closed-form-facets", f"facet {u} is not spanned by vertices")
+        incidence.append(mask)
+    if len(set(incidence)) < len(incidence):
+        raise CheckFailed("closed-form-facets", "two facets are tight on the same vertices")
+    if any(_meet(incidence, i) != 1 << i for i in range(len(rows))):
+        raise CheckFailed("closed-form-facets", "a row is not a vertex")
+    return _canonical(dim, den, rows, facets, incidence)
+
+
 def cone_over(height, Q: RatPolytope) -> RatPolytope:
-    """Pyramid ``conv({0} ∪ {height} × Q)`` in one more dimension."""
+    """Pyramid ``conv({0} ∪ {height} × Q)`` in one more dimension.
+
+    Built in closed form, not hulled: its facets are the top ``{height} ×
+    Q`` and one through the apex per facet of ``Q`` (for a point ``Q``, the
+    apex itself), checked against the vertices as in :func:`bipyramid`.
+    """
     h = Fraction(height)
     if h <= 0:
         raise InvalidParameters("cone height must be positive")
-    top = h.numerator * Q.den
-    rows = [(0,) * (Q.dim + 1)]
-    rows += [(top,) + tuple(h.denominator * x for x in r) for r in Q.rows]
-    H = convex_hull(rows)
-    return _canonical(H.dim, h.denominator * Q.den, H.rows, H.int_facets)
+    top, k = h.numerator * Q.den, Q.dim
+    apex = (0,) * (k + 1)
+    base = [(top,) + tuple(h.denominator * x for x in r) for r in Q.rows]
+    sides = [((-1,), 0)]
+    if k:
+        sides = _apex_facets(apex, top, [(u, h.denominator * c) for u, c in Q.int_facets])
+    top_facet = ((1,) + (0,) * k, top)
+    return _checked(k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet])
+
+
+def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
+    """The bipyramid ``conv({0, 2·(height, z)} ∪ {height} × Q)`` over a
+    polytope ``Q`` of dimension ≥ 1 with ``z`` interior to it.
+
+    Built in closed form, not hulled: two facets per facet of ``Q``, one
+    through each apex.  The facets are verified against the vertices in one
+    dot pass (every vertex satisfies every facet, each facet is tight on an
+    affinely spanning set that no other facet shares, every vertex is one),
+    so a ``z`` that is not interior to ``Q`` raises :class:`CheckFailed`.
+    """
+    h = Fraction(height)
+    if h <= 0:
+        raise InvalidParameters("bipyramid height must be positive")
+    if len(z) != Q.dim:
+        raise DimensionMismatch("center has the wrong length")
+    (zr,), m = _clear_rows([z])
+    den = math.lcm(h.denominator * Q.den, m)
+    top, f = h.numerator * (den // h.denominator), den // Q.den
+    apex = (2 * top,) + tuple(2 * (den // m) * x for x in zr)
+    base = [(top,) + tuple(f * x for x in r) for r in Q.rows]
+    base_facets = [(u, f * c) for u, c in Q.int_facets]
+    facets = _apex_facets((0,) * (Q.dim + 1), top, base_facets)
+    facets += _apex_facets(apex, top, base_facets)
+    return _checked(Q.dim + 1, den, [(0,) * (Q.dim + 1)] + base + [apex], facets)
 
 
 # --- lattice points --------------------------------------------------------------

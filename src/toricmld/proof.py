@@ -41,6 +41,7 @@ from .errors import (
 from .geometry import (
     RatPolytope,
     any_lattice_point,
+    bipyramid,
     cone_over,
     convex_hull,
     difference_body,
@@ -220,6 +221,12 @@ def verify_bullets(
 
     * ``dilation-threshold``: ``j`` is the first dilate of the box whose
       interior contains a lattice point (so ``j/n`` really is the minimum).
+      The dilates ``1 … j−1`` of a segment are tried one by one (each is one
+      clip); a larger box is first searched in one walk: the interior of the
+      pyramid ``j·conv({0} ∪ {1} × box)`` has the interior of ``i·box`` as
+      its section at height ``0 < i < j``, so it holds a lattice point
+      exactly when one of those dilates does, and only then are the dilates
+      tried to name the first.
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -229,10 +236,8 @@ def verify_bullets(
     if len(levels) != len(box.rows):
         raise InvalidParameters("one level per vertex is required")
     early = None
-    for i in range(1, j):
-        if any_lattice_point(box, scale=i, strict=True):
-            early = i
-            break
+    if box.dim == 1 or any_lattice_point(cone_over(1, box), scale=j, strict=True):
+        early = next((i for i in range(1, j) if any_lattice_point(box, scale=i, strict=True)), None)
     attained = any_lattice_point(box, scale=j, strict=True)
     if early is not None:
         threshold = CheckResult(
@@ -337,13 +342,15 @@ def shrink_to_unique(
 
 
 def minkowski_certificate(
-    shrunk: RatPolytope, z: Sequence[int], j: int, gamma: Fraction
+    shrunk: RatPolytope, z: Sequence[int], j: int, gamma: Fraction, diff: RatPolytope
 ) -> tuple[RatPolytope, RatPolytope, RatPolytope, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
-    The core ``K = z + gamma·(shrunk − shrunk)`` is centrally symmetric and
-    inscribed in the shrunk body; the certificate is the bipyramid over
-    ``{j}×K`` with apexes at the origin and at ``2·(j, z)``.  Returns
+    ``diff`` is the difference body ``shrunk − shrunk``.  The core ``K = z +
+    gamma·diff`` is centrally symmetric and inscribed in the shrunk body;
+    the certificate is the bipyramid over ``{j}×K`` with apexes at the
+    origin and at ``2·(j, z)``, and its volume is triangulated from the body
+    itself, independently of the half-cone's.  Returns
     ``(K, half, certificate, checks)`` where ``half`` is the cone over
     ``{j}×K``.  Checks: vertexwise central symmetry, the center is the only
     interior lattice point, volume at most ``2^D`` (Minkowski's theorem,
@@ -356,13 +363,11 @@ def minkowski_certificate(
         raise InvalidParameters("inscription factor must lie in (0, 1/2]")
     k = shrunk.dim
     z = as_int_vector(z)
-    core = translate(scale_about(difference_body(shrunk), gamma, (0,) * k), z)
+    core = translate(scale_about(diff, gamma, (0,) * k), z)
     half = cone_over(j, core)
     center = (j,) + z
     apex = tuple(2 * c for c in center)
-    body = convex_hull(
-        [(0,) * (k + 1), apex] + [(Fraction(j),) + tuple(v) for v in core.vertices]
-    )
+    body = bipyramid(j, core, z)
     D = k + 1
     # the mirror of a row r is 2·den·center − r
     mirror = tuple(body.den * c for c in apex)
@@ -417,12 +422,15 @@ def chain_verify(
     q: int,
     gamma: Fraction,
     core: RatPolytope,
-    dilated: RatPolytope,
-    shrunk: RatPolytope,
+    diff_dilated: RatPolytope,
+    diff_shrunk: RatPolytope,
 ) -> tuple[CheckResult, ...]:
     """Exact inequality chain from the certificate volume to the index bound.
 
-    With ``D = core.dim + 1`` the certificate dimension:
+    ``diff_dilated`` and ``diff_shrunk`` are the difference bodies of the
+    dilated and the shrunk cross-section; each of the volumes below is
+    triangulated from its own polytope.  With ``D = core.dim + 1`` the
+    certificate dimension:
 
     1. ``2·j·vol(core)/D ≤ 2^D``            (Minkowski cap, pyramid volumes)
     2. ``vol(core) = γ^{D-1}·vol(shrunk − shrunk)``
@@ -437,16 +445,16 @@ def chain_verify(
     c1 = CheckResult(
         "chain-minkowski", cap <= 2**D, f"2·{j}·{vol_core}/{D} = {cap} vs {2 ** D}"
     )
-    diff_shrunk = normalized_volume(difference_body(shrunk))
+    vol_shrunk = normalized_volume(diff_shrunk)
     c2 = CheckResult(
         "chain-cross-section",
-        vol_core == gamma**k * diff_shrunk,
-        f"{vol_core} vs {gamma}^{k}·{diff_shrunk}",
+        vol_core == gamma**k * vol_shrunk,
+        f"{vol_core} vs {gamma}^{k}·{vol_shrunk}",
     )
-    diff_dilated = normalized_volume(difference_body(dilated))
+    vol_dilated = normalized_volume(diff_dilated)
     floor = Fraction(2**k, factorial(k) * q**k)
     c3 = CheckResult(
-        "chain-difference", diff_dilated >= floor, f"{diff_dilated} vs floor {floor}"
+        "chain-difference", vol_dilated >= floor, f"{vol_dilated} vs floor {floor}"
     )
     jcap = Fraction(factorial(D) * q**k) / gamma**k
     c4 = CheckResult("chain-dilation", j <= jcap, f"{j} vs {jcap}")
@@ -603,9 +611,12 @@ def prove(
             "gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"
         )
     )
-    core, half, body, mk_checks = minkowski_certificate(shrunk, center, j, gamma)
+    # shrunk − shrunk = t·(dilated − dilated): one hull for both
+    diff_dilated = difference_body(dilated)
+    diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
+    core, half, body, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
     checks.extend(mk_checks)
-    checks.extend(chain_verify(n, j, q, gamma, core, dilated, shrunk))
+    checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk))
     bound = bound_check(report) if d <= 2 else bound_check(report, gamma)
     trace = ProofTrace(
         pair=pair,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toricmld import geometry as geo
 from toricmld.errors import (
+    CheckFailed,
     DimensionMismatch,
     InvalidParameters,
     NotFullDimensional,
@@ -546,3 +547,128 @@ def test_image_offsets_are_divided_by_the_content():
             got = geo.enumerate_points(image, scale, strict)
             assert got == geo.enumerate_points(rebuilt, scale, strict)
     assert geo.enumerate_points(image) == ((1, 1), (2, 1), (3, 2), (4, 3))
+
+
+# --- incidence, closed-form pyramids, pulling volumes -------------------------------
+
+
+def dot_pass_incidence(P):
+    """Oracle: per facet, the bitmask of the rows it is tight on."""
+    return geo.RatPolytope(P.dim, P.den, P.rows, P.int_facets)._incidence
+
+
+def fields(P):
+    return P.dim, P.den, P.rows, P.int_facets
+
+
+def rehull_volume(P):
+    """Oracle: the volume by the former re-hull triangulation, which cones the
+    lex-least vertex over the facets missing it and re-hulls each facet that
+    is not a simplex in coordinates with one entry of its normal dropped."""
+
+    def triangulate(rows, facets, k):
+        if k <= 1 or len(rows) == k + 1:
+            return [tuple(rows)]
+        v0, out = rows[0], []
+        for u, c in facets:
+            if dot(u, v0) == c:
+                continue
+            face = [v for v in rows if dot(u, v) == c]
+            if len(face) == k:
+                out.append((v0, *face))
+                continue
+            drop = next(i for i, x in enumerate(u) if x != 0)
+            proj = {v[:drop] + v[drop + 1 :]: v for v in face}
+            H = geo.convex_hull(list(proj))
+            for s in triangulate(H.rows, H.int_facets, k - 1):
+                out.append((v0,) + tuple(proj[w] for w in s))
+        return out
+
+    k = P.dim
+    total = sum(
+        abs(det([vec_sub(v, s[0]) for v in s[1:]]))
+        for s in triangulate(P.rows, P.int_facets, k)
+    )
+    return Fraction(total, P.den**k * math.factorial(k))
+
+
+@given(rational_polytopes(dims=(3, 4, 5)), st.data())
+@settings(deadline=None, max_examples=60)
+def test_pulling_volume_matches_rehull_triangulation(P, data):
+    """The pulling triangulation over incidences gives the volume of the
+    former re-hull triangulation, also on unimodular affine images; hulls
+    above 2D report the incidence a dot pass finds."""
+    d = P.dim
+    assert vars(P)["_incidence"] == dot_pass_incidence(P)
+    vol = geo.normalized_volume(P)
+    assert vol == rehull_volume(P) > 0
+    U = data.draw(unimodular_matrices(d, bound=6))
+    w = data.draw(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * d))
+    image = geo.convex_hull([tuple(x + c for x, c in zip(mat_vec(U, v), w)) for v in P.vertices])
+    assert geo.normalized_volume(image) == rehull_volume(image) == vol
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_cone_over_equals_its_hull(data):
+    """The closed-form pyramid over a base of dimension 0 to 4 is the hull of
+    its points, field by field, and carries the incidence of a dot pass."""
+    k = data.draw(st.sampled_from([0, 1, 2, 3, 4]))
+    Q = geo.convex_hull([()]) if k == 0 else data.draw(rational_polytopes(dims=(k,)))
+    h = data.draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+    C = geo.cone_over(h, Q)
+    H = geo.convex_hull([(Fraction(0),) * (k + 1)] + [(h,) + v for v in Q.vertices])
+    assert fields(C) == fields(H)
+    assert vars(C)["_incidence"] == dot_pass_incidence(C)
+
+
+@given(rational_polytopes(dims=(1, 2, 3)), st.data())
+@settings(deadline=None, max_examples=60)
+def test_bipyramid_equals_its_hull(Q, data):
+    """The closed-form bipyramid over ``{h} × Q`` with apexes 0 and ``2(h, z)``,
+    ``z`` the vertex centroid of ``Q``, is the hull of its points."""
+    k = Q.dim
+    z = tuple(sum(c) / len(Q.vertices) for c in zip(*Q.vertices))
+    h = data.draw(st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=2))
+    B = geo.bipyramid(h, Q, z)
+    apex = (2 * h,) + tuple(2 * x for x in z)
+    H = geo.convex_hull([(Fraction(0),) * (k + 1), apex] + [(h,) + v for v in Q.vertices])
+    assert fields(B) == fields(H)
+    assert vars(B)["_incidence"] == dot_pass_incidence(B)
+    assert geo.normalized_volume(B) == 2 * geo.normalized_volume(geo.cone_over(h, Q))
+
+
+def test_closed_form_facets_are_verified():
+    """Each mutation of a correct facet list raises the typed error: a dropped
+    facet, an offset moved off or into the vertices, a repeated facet."""
+    T = geo.cone_over(2, UNIT_TRIANGLE)
+    facets = list(T.int_facets)
+    (u, c), rest = facets[0], facets[1:]
+    geo._checked(3, T.den, T.rows, facets)
+    for bad in (rest, [(u, c + 1)] + rest, [(u, c - 1)] + rest, facets + facets[:1]):
+        with pytest.raises(CheckFailed):
+            geo._checked(3, T.den, T.rows, bad)
+
+
+def test_bipyramid_center_must_be_interior():
+    half = Fraction(1, 2)
+    assert geo.normalized_volume(geo.bipyramid(1, UNIT_SQUARE, (half, half))) == Fraction(2, 3)
+    for z in ((half, 0), (0, 0), (2, half)):
+        with pytest.raises(CheckFailed):
+            geo.bipyramid(1, UNIT_SQUARE, z)
+    with pytest.raises(InvalidParameters):
+        geo.bipyramid(0, UNIT_SQUARE, (half, half))
+    with pytest.raises(DimensionMismatch):
+        geo.bipyramid(1, UNIT_SQUARE, (half,))
+
+
+def test_volumes_and_pyramids_make_no_hull_calls(monkeypatch):
+    cube = geo.convex_hull([p for p in itertools.product((0, 2), repeat=3)] + [(1, 1, 3)])
+    hull, calls = geo.convex_hull, []
+    monkeypatch.setattr(geo, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+    assert geo.normalized_volume(cube) == Fraction(28, 3)
+    pyramid = geo.cone_over(Fraction(3, 2), cube)
+    assert geo.normalized_volume(pyramid) == Fraction(3, 8) * geo.normalized_volume(cube)
+    body = geo.bipyramid(2, cube, (1, 1, 1))
+    assert geo.normalized_volume(body) == 2 * geo.normalized_volume(geo.cone_over(2, cube))
+    assert calls == []

@@ -7,6 +7,8 @@ equality: volume 4 = 2^2), and the quadrant with a half coefficient
 (shrink factor 1/2, gamma 1/3).
 """
 
+import hashlib
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -21,9 +23,12 @@ from toricmld.errors import (
     NotLatticePolytope,
     PointNotInterior,
 )
-from toricmld.geometry import convex_hull, normalized_volume
-from toricmld.lattice import SublatticeBasis
-from toricmld.pairs import ToricLogPair, standard_coefficients
+import toricmld.geometry as geometry
+import toricmld.pairs as pairs
+import toricmld.proof as proof
+from toricmld.geometry import convex_hull, difference_body, normalized_volume
+from toricmld.lattice import SublatticeBasis, base_point
+from toricmld.pairs import ToricLogPair, compute_mld, standard_coefficients
 from toricmld.proof import (
     build_box,
     chain_verify,
@@ -205,6 +210,12 @@ def test_verify_bullets_detects_wrong_threshold():
     threshold, _, _ = verify_bullets(box, (3, 3), 3, 4, 3)
     assert not threshold.passed
     assert "dilate 2" in threshold.detail
+    # a square box takes the one-walk pyramid search before the dilates
+    square = convex_hull([(F(a, 3), F(b, 3)) for a in (1, 2) for b in (1, 2)])
+    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 3, 3)
+    assert threshold.detail == "interior lattice point at dilate 2 < 3"
+    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 2, 3)
+    assert threshold.passed
 
 
 def test_verify_bullets_detects_wrong_levels_and_denominators():
@@ -213,6 +224,33 @@ def test_verify_bullets_detects_wrong_levels_and_denominators():
     assert not orders.passed
     _, _, denominators = verify_bullets(box, (3, 3), 3, 2, 1)
     assert not denominators.passed
+
+
+def test_verify_bullets_searches_the_dilates_in_one_walk():
+    """The dilates 1 … j−1 of a 6D cross-section with j = 445 are searched by
+    one walk of a pyramid, not by 444 walks."""
+    pair = ToricLogPair(
+        6,
+        (
+            (2, 0, 1, -1, 0, 0),
+            (-2, 1, 2, 1, -2, 1),
+            (2, -1, 0, -2, -2, 0),
+            (0, -1, 2, -1, 2, 2),
+            (0, 2, 0, 2, -1, 2),
+            (2, 2, 2, 0, 2, 1),
+        ),
+        standard_coefficients([0, F(2, 3), F(1, 2), F(2, 3), 0, 0]),
+    )
+    report = compute_mld(pair)
+    n, j = report.index, int(report.mld * report.index)
+    assert (n, j) == (444, 445)
+    box, ray_vertices = build_box(pair, report.psi, n, base_point(report.psi))
+    level = {v: int(n * (1 - c.value)) for v, c in zip(ray_vertices, pair.coefficients)}
+    start = time.perf_counter()
+    checks = verify_bullets(box, [level[v] for v in box.vertices], n, j, report.mld_denominator)
+    assert time.perf_counter() - start < 2
+    assert all(c.passed for c in checks)
+    assert checks[0].detail == "first interior lattice point at dilate 445"
 
 
 def test_shrink_override_center():
@@ -252,7 +290,8 @@ def test_shrink_rejects_bad_center_and_scale():
 
 
 def test_minkowski_certificate_frozen():
-    core, half, body, checks = minkowski_certificate(segment(0, 2), (1,), 2, F(1, 2))
+    S = segment(0, 2)
+    core, half, body, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
     assert core.vertices == ((F(0),), (F(2),))
     assert normalized_volume(body) == 4
     assert normalized_volume(half) == 2
@@ -263,31 +302,35 @@ def test_minkowski_certificate_frozen():
 def test_minkowski_certificate_flags_non_unique_body():
     # [0, 4] still holds three interior lattice points, so both the interior
     # uniqueness and the empty-pyramid checks must fail
-    _, _, _, checks = minkowski_certificate(segment(0, 4), (2,), 2, F(1, 2))
+    S = segment(0, 4)
+    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
     assert not by_name["pyramid-interior-empty"]
 
 
 def test_minkowski_certificate_input_validation():
+    S = segment(0, 2)
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(segment(0, 2), (1,), 0, F(1, 2))
+        minkowski_certificate(S, (1,), 0, F(1, 2), difference_body(S))
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(segment(0, 2), (1,), 2, F(3, 5))
+        minkowski_certificate(S, (1,), 2, F(3, 5), difference_body(S))
 
 
 def test_chain_verify_frozen_quadrant_numbers():
     S = segment(0, 2)
-    checks = chain_verify(1, 2, 1, F(1, 2), S, S, S)
+    D = difference_body(S)
+    checks = chain_verify(1, 2, 1, F(1, 2), S, D, D)
     assert [c.name for c in checks] == list(CHECK_NAMES[-5:])
     assert all(c.passed for c in checks)
 
 
 def test_chain_verify_detects_inconsistencies():
     S = segment(0, 2)
-    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, S, S)}
+    D = difference_body(S)
+    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, D, D)}
     assert not by_name["chain-cross-section"].passed  # gamma does not match core
-    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, S, S)}
+    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, D, D)}
     assert not by_name["chain-index"].passed
 
 
@@ -385,3 +428,65 @@ def test_shrink_postcondition_on_segments(a, length, q):
         if shrunk.contains((F(p, q),), strict=True)
     ]
     assert inside == [q * z[0]]
+
+
+# (rays, coefficients, sha256 of the trace-v1 text), pinned from the re-hull
+# implementation: seeded 5D and 6D cones whose volumes recurse deeper than
+# any 4D row does.
+HIGHER_DIM_PINS = [
+    (
+        ((-1, 2, -2, 0, -2), (1, 1, 1, 1, -1), (-2, 1, -2, 1, 1), (2, -2, 1, 0, -1), (1, -1, 0, -1, -1)),
+        (0, F(2, 3), F(2, 3), 0, F(1, 2)),
+        "c0bf2e8338a92318215cae8e498446aec3698c4fa98006d4198e1e6856a66def",
+    ),
+    (
+        ((-2, -2, -2, 0, -1), (0, 0, 2, -1, 2), (-2, 2, -1, 1, 1), (2, 0, 2, 1, 2), (0, -2, -2, 0, 1)),
+        (F(1, 2), F(1, 2), F(1, 2), F(2, 3), 0),
+        "cc612cede68a3d3f9a41a86c7082ac8bcc7fd83ea2e0abe61d6b3562c1b5b407",
+    ),
+    (
+        ((-1, 2, 2, -1, 0), (2, 1, 2, -2, 2), (-2, 1, 0, 2, -1), (-1, 1, 2, 2, 1), (1, -1, -1, -1, 2)),
+        (F(1, 2), F(2, 3), 0, F(2, 3), 0),
+        "c2f13db624769a4ea535849762725bc3a4a8e2bc96901b121561a2b8bab8d9c4",
+    ),
+    (
+        ((-1, 0, -2, 1, 1), (-1, -2, -2, -2, 1), (2, 0, -2, -1, 2), (2, 0, 0, -1, -2), (0, -1, -2, 0, 0)),
+        (0, 0, F(1, 2), F(1, 2), F(2, 3)),
+        "cff5bd51e72aff63e93e3f0db58f2253a75f45e78f0783b7525513be8d41a77d",
+    ),
+    (
+        (
+            (0, -1, 1, -2, -2, 2),
+            (-2, 0, 2, -2, 2, -1),
+            (-2, -2, 1, 1, -2, -1),
+            (-2, 2, 1, -2, 2, -2),
+            (-1, 2, -2, 2, 2, 1),
+            (-2, -1, -2, 2, -1, 0),
+        ),
+        (F(1, 2), 0, F(2, 3), 0, F(2, 3), F(1, 2)),
+        "e0dcd181d4d6ca6b89eaee3de123b5e38d60d1a48366ccd7c300151787b01540",
+    ),
+]
+
+
+@pytest.mark.parametrize("rays, values, digest", HIGHER_DIM_PINS)
+def test_higher_dimensional_traces_pinned(rays, values, digest):
+    trace = prove(ToricLogPair(len(rays), rays, standard_coefficients(values)))
+    assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
+
+
+def test_prove_hull_calls_are_bounded(monkeypatch):
+    """The proof of a pinned 4D pair takes at most 15 convex hulls, all for
+    the cone, its slab, the cross-section, the difference body and walk
+    projections: pyramids, the bipyramid and volumes take none (re-hulling
+    them took 47)."""
+    hull, calls = geometry.convex_hull, []
+    for module in (geometry, pairs, proof):
+        monkeypatch.setattr(module, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+    pair = ToricLogPair(
+        4,
+        ((-1, 2, -2, 0), (-2, 1, 1, 1), (1, -1, -2, 1), (-2, 1, 1, 2)),
+        standard_coefficients([F(2, 3), 0, F(1, 2), 0]),
+    )
+    assert prove(pair).all_passed
+    assert len(calls) <= 15
