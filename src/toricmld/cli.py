@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate an instance family")
     p.add_argument("--family", choices=("cyclic2d", "random_cone"), required=True)
     p.add_argument("--max-r", dest="max_r", type=int, default=0)
-    p.add_argument("--dims", default="3", help="comma-separated, e.g. 2,3")
+    p.add_argument("--dims", default="3", help="comma-separated dimensions >= 2, e.g. 2,3")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-entry", dest="max_entry", type=int, default=5)
     p.add_argument("--L", type=int, default=1)

@@ -193,8 +193,8 @@ def random_simplicial_cone(d: int, max_entry: int, seed) -> ToricLogPair:
     """A valid pair on ``d`` primitive rays with entries drawn uniformly
     from [-max_entry, max_entry], boundary 0.  Rejection-resamples draws
     that fail validation; deterministic for a given seed."""
-    if d not in (2, 3, 4):
-        raise InvalidParameters("dimension must be 2, 3 or 4")
+    if d < 2:
+        raise InvalidParameters("dimension must be at least 2")
     if max_entry < 1:
         raise InvalidParameters("max_entry must be positive")
     rng = random.Random(seed)
@@ -247,9 +247,8 @@ def _check_spec(spec: FamilySpec) -> None:
             raise InvalidParameters("L must be positive")
         if not spec.dims:
             raise InvalidParameters("random_cone needs at least one dimension")
-        for d in spec.dims:
-            if d not in (2, 3, 4):
-                raise InvalidParameters("dimensions must be 2, 3 or 4")
+        if min(spec.dims) < 2:
+            raise InvalidParameters("dimensions must be at least 2")
 
 
 def _instances(spec: FamilySpec) -> Iterator[tuple[str, ToricLogPair]]:
@@ -394,8 +393,8 @@ def lemma_vo_suite(
 def minkowski_suite(dim: int, count: int, seed) -> tuple[ToricLogPair, ...]:
     """Seeded klt pairs (coefficients below 1) whose certificate bodies
     exercise the symmetry / unique-interior-point verification."""
-    if dim not in (2, 3, 4) or count < 1:
-        raise InvalidParameters("need dim in {2,3,4} and count >= 1")
+    if dim < 2 or count < 1:
+        raise InvalidParameters("need dim >= 2 and count >= 1")
     values = [Fraction(0), Fraction(1, 2), Fraction(2, 3)]
     out = []
     for i in range(count):

@@ -42,14 +42,13 @@ from .lattice import (
     _identity,
     det,
     dot,
+    independent_rows,
     int_inverse,
     matrix_rank,
     primitive_vector,
-    rat_vector,
     vec_sub,
 )
 
-Facet = tuple[IntVector, Fraction]
 IntFacet = tuple[IntVector, int]
 
 
@@ -60,9 +59,9 @@ class RatPolytope:
     ``den`` is the least common denominator of the vertex coordinates and
     ``rows`` the lex-sorted integer rows ``den·vertex``; ``int_facets`` are
     sorted pairs ``(u, c)`` of a primitive integer outer normal and an
-    integer offset, encoding ``⟨u, row⟩ ≤ c``.  ``vertices`` and ``facets``
-    are read-only :class:`~fractions.Fraction` views of the same data in
-    the same order, with offsets ``c/den``.  ``_incidence`` holds, per
+    integer offset, encoding ``⟨u, row⟩ ≤ c``, i.e. ``⟨u, x⟩ ≤ c/den``.
+    ``vertices`` is a read-only :class:`~fractions.Fraction` view of the
+    rows in the same order.  ``_incidence`` holds, per
     facet, the bitmask of the rows it is tight on (bit ``i`` for
     ``rows[i]``).  A zero-dimensional polytope is the single empty row with
     no facets.
@@ -76,10 +75,6 @@ class RatPolytope:
     @cached_property
     def vertices(self) -> tuple[RatVector, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.rows)
-
-    @cached_property
-    def facets(self) -> tuple[Facet, ...]:
-        return tuple((u, Fraction(c, self.den)) for u, c in self.int_facets)
 
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
@@ -113,7 +108,7 @@ def _clear_rows(points) -> tuple[list[IntVector], int]:
     pts = [tuple(p) for p in points]
     if all(type(x) is int for p in pts for x in p):
         return pts, 1
-    fracs = [rat_vector(p) for p in pts]
+    fracs = [[Fraction(x) for x in p] for p in pts]
     den = math.lcm(*(x.denominator for p in fracs for x in p))
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in fracs], den
 
@@ -144,12 +139,7 @@ def _double_description(
     simplicial cone whose rays are refined one constraint at a time, with
     adjacency decided combinatorially from the tight-set bitmasks.
     """
-    seed: list[int] = []
-    for i, c in enumerate(cons):
-        if matrix_rank([cons[j] for j in seed] + [c]) > len(seed):
-            seed.append(i)
-        if len(seed) == n:
-            break
+    seed = independent_rows(cons, n)
     if len(seed) < n:
         raise NotFullDimensional("points do not affinely span the ambient space")
     seeds = set(seed)
@@ -231,8 +221,9 @@ def _meet(masks: Sequence[int], i: int) -> int:
     return meet
 
 
-def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
-    """Convex hull of finitely many rational points.
+def convex_hull(points: Sequence[Sequence], den: int = 1) -> RatPolytope:
+    """Convex hull of finitely many rational points, each divided by the
+    positive integer ``den``.
 
     The points must affinely span their ambient space (otherwise
     :class:`NotFullDimensional`), so that a facet inequality description
@@ -242,7 +233,8 @@ def convex_hull(points: Sequence[Sequence]) -> RatPolytope:
     sets of its facets as its incidence, and a point is a vertex exactly
     when the facets tight at it meet in it alone.
     """
-    rows, den = _clear_rows(points)
+    rows, m = _clear_rows(points)
+    den *= m
     if not rows:
         raise InvalidParameters("hull of an empty point set")
     d = len(rows[0])
@@ -339,15 +331,16 @@ def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fra
 
 def difference_body(P: RatPolytope) -> RatPolytope:
     """The centrally symmetric body ``P + (−P)``."""
-    H = convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows])
-    return _canonical(H.dim, P.den, H.rows, H.int_facets, vars(H).get("_incidence"))
+    return convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows], P.den)
 
 
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
     ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
-    projection levels and walk frame that ``P`` has built carry over (same
-    ``U``)."""
+    projection levels and a walk frame that ``P`` has built carry over (same
+    ``U``).  A decision to walk ``P`` itself is not carried: it depends on
+    how many lattice points the vertex boxes hold, which a scale changes,
+    so the image decides for itself."""
 
     def image(facets, g=1):
         return tuple((u, (a * c + b * sum(map(mul, u, w))) // g) for u, c in facets)
@@ -357,9 +350,9 @@ def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> Rat
     Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
-    if "_frame" in cache:
-        U, Ui, F = cache["_frame"] or (None, None, None)
-        vars(Q)["_frame"] = U and (U, Ui, _affine_image(F, a, b, tuple(dot(r, w) for r in U), den))
+    if cache.get("_frame"):
+        U, Ui, F = cache["_frame"]
+        vars(Q)["_frame"] = (U, Ui, _affine_image(F, a, b, tuple(dot(r, w) for r in U), den))
     return Q
 
 

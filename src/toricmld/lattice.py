@@ -1,14 +1,14 @@
-"""Exact linear algebra over ℤ and ℚ: lattices, functionals, quotients.
+"""Exact linear algebra over ℤ: lattices, functionals, quotients.
 
-Everything here works with arbitrary-precision ``int`` and
-``fractions.Fraction``; no floating point is used anywhere in the package.
-The module provides the Smith normal form, integer kernels
-and saturations, and three small abstractions built on top of them:
+Everything here works with arbitrary-precision ``int``, fraction-free: a
+rational functional is an integer vector ``w`` over one denominator, an
+inverse is an integer matrix over a determinant.  No floating point is used
+anywhere in the package.  The module provides the Smith normal form,
+integer kernels and saturations, and two small abstractions built on top
+of them:
 
 * :class:`SublatticeBasis` — a sublattice of ℤ^d given by independent rows,
   with exact coordinate/membership queries;
-* :class:`ValueGroup` / :func:`value_group` — the subgroup of ℚ generated by
-  the values of a rational functional on ℤ^d;
 * :class:`QuotientMap` / :func:`quotient_lattice` — a concrete model of
   ℤ^d / Λ for a saturated sublattice Λ, with an integral section.
 """
@@ -32,7 +32,6 @@ from .errors import (
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 IntMatrix = tuple[IntVector, ...]
-RatMatrix = tuple[RatVector, ...]
 
 
 # --- vectors ----------------------------------------------------------------
@@ -59,10 +58,6 @@ def vec_sub(u: Sequence, v: Sequence) -> tuple:
 
 def vec_scale(c, v: Sequence) -> tuple:
     return tuple(c * x for x in v)
-
-
-def rat_vector(v: Sequence) -> RatVector:
-    return tuple(Fraction(x) for x in v)
 
 
 def as_int_vector(v: Sequence) -> IntVector:
@@ -105,13 +100,6 @@ def primitive_vector(v: Sequence[int]) -> IntVector:
     return tuple(x // c for x in w)
 
 
-def clear_denominators(v: Sequence) -> tuple[IntVector, int]:
-    """Return ``(w, m)`` with ``w = m * v`` integral and ``m`` the lcm of denominators."""
-    fracs = rat_vector(v)
-    m = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * m) for f in fracs), m
-
-
 # --- matrices ---------------------------------------------------------------
 
 
@@ -133,8 +121,9 @@ def _cleared(M: Sequence[Sequence]) -> tuple[list[list[int]], list[int] | None]:
     (``None`` for an integer matrix).  Row scaling keeps the rank."""
     if all(type(x) is int for row in M for x in row):
         return [list(row) for row in M], None
-    cleared = [clear_denominators(row) for row in M]
-    return [list(w) for w, _ in cleared], [m for _, m in cleared]
+    rows = [[Fraction(x) for x in row] for row in M]
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[int(x * s) for x in row] for row, s in zip(rows, scales)], scales
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
@@ -209,25 +198,38 @@ def int_inverse(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     return tuple(tuple(row[n:]) for row in a), prev
 
 
-def mat_inverse(M: Sequence[Sequence]) -> RatMatrix:
-    """Exact inverse of a square matrix: with ``M = diag(1/s)·A`` for the
-    integer rows ``A``, ``M⁻¹ = A⁻¹·diag(s)``."""
-    a, scales = _cleared(M)
-    B, D = int_inverse(a)
-    scales = scales or [1] * len(B)
-    return tuple(tuple(Fraction(x * s, D) for x, s in zip(row, scales)) for row in B)
-
-
-def as_int_matrix(M: Sequence[Sequence]) -> IntMatrix:
-    return tuple(as_int_vector(row) for row in M)
-
-
-def solve(M: Sequence[Sequence], b: Sequence) -> RatVector:
-    """Solve ``M x = b`` for square invertible ``M``, exactly."""
-    inv = mat_inverse(M)
-    if len(b) != len(inv):
+def solve(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntVector, int]:
+    """Solve ``M x = b`` for a square nonsingular integer matrix, fraction
+    free: ``(x, D)`` with ``M·x = D·b`` and ``|D| = |det M|``, so the
+    solution is ``x/D``."""
+    B, D = int_inverse(M)
+    if len(b) != len(B):
         raise DimensionMismatch("right-hand side has the wrong length")
-    return tuple(dot(row, b) for row in inv)
+    return tuple(dot(row, b) for row in B), D
+
+
+def independent_rows(M: Sequence[Sequence[int]], k: int) -> list[int]:
+    """Indices of the first ``k`` rows, taken greedily in order, each
+    linearly independent of those taken before it (fewer when the rows
+    span less).  One incremental fraction-free reduction: a candidate is
+    reduced against the rows taken so far, each eliminating its own pivot
+    column, and taken when a nonzero entry is left."""
+    taken: list[int] = []
+    basis: list[tuple[int, list[int]]] = []
+    for i, row in enumerate(M):
+        if len(taken) == k:
+            break
+        r = list(row)
+        for c, b in basis:
+            if r[c]:
+                p, f = b[c], r[c]
+                r = [p * x - f * y for x, y in zip(r, b)]
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is not None:
+            g = gcd(*r)
+            basis.append((piv, [x // g for x in r]))
+            taken.append(i)
+    return taken
 
 
 # --- normal form ------------------------------------------------------------
@@ -376,31 +378,27 @@ class SublatticeBasis:
         return len(self.rows)
 
     @cached_property
-    def _solver(self) -> tuple[tuple[int, ...], RatMatrix]:
-        if not self.rows:
-            return (), ()
+    def _solver(self) -> tuple[tuple[int, ...], IntMatrix, int]:
+        """Pivot columns ``cols`` of the rows and ``(B, D)`` with ``S·B =
+        D·I`` for the rows ``S`` cut to those columns."""
         pivots, _ = _bareiss([list(row) for row in self.rows])
-        sub = [[row[c] for c in pivots] for row in self.rows]
-        return tuple(pivots), mat_inverse(sub)
+        B, D = int_inverse([[row[c] for c in pivots] for row in self.rows])
+        return tuple(pivots), B, D
 
-    def to_coords(self, point: Sequence) -> RatVector:
-        """Coordinates of ``point`` in this basis; the point must lie in the
-        ℚ-span of the rows (otherwise :class:`InvalidParameters`)."""
+    def to_coords(self, point: Sequence) -> IntVector:
+        """Integer coordinates of ``point`` in this basis; the point must lie
+        in the sublattice (otherwise :class:`InvalidParameters`)."""
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("point has the wrong length")
-        target = rat_vector(point)
-        if self.rank == 0:
-            if any(target):
-                raise InvalidParameters("point lies outside the sublattice span")
-            return ()
-        cols, inv = self._solver
-        proj = [target[c] for c in cols]
-        coords = tuple(
-            sum(proj[i] * inv[i][j] for i in range(len(cols)))
-            for j in range(len(cols))
-        )
-        if rat_vector(self.from_coords(coords)) != target:
-            raise InvalidParameters("point lies outside the sublattice span")
+        coords: tuple = ()
+        if self.rank:
+            cols, B, D = self._solver
+            nums = [sum(point[c] * x for c, x in zip(cols, col)) for col in zip(*B)]
+            if any(v % D for v in nums):
+                raise InvalidParameters("point lies outside the sublattice")
+            coords = tuple(v // D for v in nums)
+        if self.from_coords(coords) != tuple(point):
+            raise InvalidParameters("point lies outside the sublattice")
         return coords
 
     def from_coords(self, coords: Sequence) -> tuple:
@@ -415,62 +413,35 @@ class SublatticeBasis:
     def contains(self, point: Sequence) -> bool:
         """Whether ``point`` is an integer combination of the basis rows."""
         try:
-            coords = self.to_coords(point)
+            self.to_coords(point)
         except InvalidParameters:
             return False
-        return all(c.denominator == 1 for c in coords)
+        return True
 
 
-def kernel_sublattice(psi: Sequence, dim: int) -> SublatticeBasis:
-    """The lattice ``{x ∈ ℤ^dim : ⟨psi, x⟩ = 0}`` for a rational functional."""
-    if len(psi) != dim:
+def kernel_sublattice(w: Sequence[int], dim: int) -> SublatticeBasis:
+    """The lattice ``{x ∈ ℤ^dim : ⟨w, x⟩ = 0}`` for an integer functional
+    (the numerators of a rational one over their common denominator)."""
+    if len(w) != dim:
         raise DimensionMismatch("functional has the wrong length")
-    w, _ = clear_denominators(psi)
     if not any(w):
         return SublatticeBasis(dim, tuple(tuple(r) for r in _identity(dim)))
     return SublatticeBasis(dim, kernel_basis((w,), dim))
 
 
-# --- value groups and base points -------------------------------------------
+# --- base points ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueGroup:
-    """The subgroup ``generator·ℤ ⊆ ℚ`` of values of a functional on ℤ^d.
+def base_point(w: Sequence[int]) -> IntVector:
+    """An integer point where the integer functional ``w`` takes the value 1,
+    so ``w/n`` takes ``1/n`` there.
 
-    ``index`` is the lcm of the coordinate denominators; ``unit_generator``
-    records whether the group is exactly ``(1/index)·ℤ``.
+    Only exists when the entries of ``w`` are coprime, i.e. the values of
+    ``w/n`` form ``(1/n)·ℤ``; otherwise :class:`ValueGroupMismatch` is
+    raised, and :class:`ZeroFunctional` on the zero vector.
     """
-
-    generator: Fraction
-    index: int
-    unit_generator: bool
-
-
-def value_group(psi: Sequence) -> ValueGroup:
-    """Value group of a nonzero rational functional on the standard lattice.
-
-    The values ``⟨psi, x⟩`` for ``x ∈ ℤ^d`` form ``g·ℤ`` with
-    ``g = gcd(numerators)/lcm(denominators)`` of the coordinates in lowest
-    terms.  Raises :class:`ZeroFunctional` on the zero vector.
-    """
-    fracs = rat_vector(psi)
-    if not any(fracs):
-        raise ZeroFunctional("the zero functional has trivial value group")
-    num_gcd = gcd(*(f.numerator for f in fracs))
-    den_lcm = lcm(*(f.denominator for f in fracs))
-    g = Fraction(num_gcd, den_lcm)
-    return ValueGroup(g, den_lcm, g == Fraction(1, den_lcm))
-
-
-def base_point(psi: Sequence) -> IntVector:
-    """An integer point where the functional attains ``1/index``.
-
-    Only exists when the value group is ``(1/index)·ℤ``; otherwise
-    :class:`ValueGroupMismatch` is raised.
-    """
-    vg = value_group(psi)
-    w = tuple(int(Fraction(x) * vg.index) for x in psi)
+    if not any(w):
+        raise ZeroFunctional("the zero functional attains no nonzero value")
     g = 0
     coeffs = [0] * len(w)
     for i, wi in enumerate(w):
@@ -483,9 +454,7 @@ def base_point(psi: Sequence) -> IntVector:
         if g == 1:
             break
     if g != 1:
-        raise ValueGroupMismatch(
-            f"values generate ({g}/{vg.index})·ℤ; no point attains 1/{vg.index}"
-        )
+        raise ValueGroupMismatch(f"values generate {g}·ℤ; no point attains 1")
     return tuple(coeffs)
 
 
@@ -542,6 +511,6 @@ def quotient_lattice(dim: int, sub: SublatticeBasis) -> QuotientMap:
                 f"sublattice has invariant factor {D[i][i]}; quotient has torsion"
             )
     proj = tuple(tuple(V[i][j] for i in range(dim)) for j in range(k, dim))
-    v_inv = as_int_matrix(mat_inverse(V))
-    lift_rows = tuple(v_inv[i] for i in range(k, dim))
+    B, det_v = int_inverse(V)  # V is unimodular: V⁻¹ = det_v·B
+    lift_rows = tuple(tuple(det_v * x for x in B[i]) for i in range(k, dim))
     return QuotientMap(dim, dim - k, proj, lift_rows, sub)

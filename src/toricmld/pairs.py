@@ -4,9 +4,9 @@ A pair is a full-dimensional strongly convex rational cone, given by its
 primitive extreme rays, together with one *standard* boundary coefficient
 per ray: a value of the form ``(l−1)/l`` for an integer level ``l ≥ 1``, or
 exactly ``1``.  From the rays and coefficients one solves for the rational
-functional that takes ``1 − coefficient`` on each ray; its value group gives
-the Gorenstein index, and its minimum over the interior lattice points of
-the cone is the minimal log discrepancy.
+functional that takes ``1 − coefficient`` on each ray, kept as an integer
+vector ``w`` over the Gorenstein index ``n``; its minimum over the interior
+lattice points of the cone is the minimal log discrepancy.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -37,15 +37,13 @@ from .lattice import (
     IntVector,
     RatVector,
     SublatticeBasis,
-    clear_denominators,
     content,
     dot,
+    independent_rows,
     matrix_rank,
     quotient_lattice,
-    rat_vector,
     saturate,
     solve,
-    value_group,
     vec_add,
     vec_scale,
 )
@@ -170,45 +168,54 @@ def cone_facets(pair: ToricLogPair) -> tuple[IntVector, ...]:
     return normals
 
 
-def solve_psi(pair: ToricLogPair) -> RatVector:
-    """The rational functional taking ``1 − coefficient`` on every ray.
+def solve_psi(pair: ToricLogPair) -> tuple[IntVector, int]:
+    """The rational functional taking ``1 − coefficient`` on every ray, as
+    ``(w, n)``: the integer vector ``w`` over the least common denominator
+    ``n ≥ 1`` of its entries (``n`` is the Gorenstein index; ``w = 0`` and
+    ``n = 1`` for the zero functional).
 
-    Solved on a maximal independent subset of rays and then verified on the
-    rest; an inconsistent system raises :class:`NotLogQGorenstein`.
+    Solved fraction-free on the first independent rays, with the integer
+    targets ``lcm(l)/l_i``, and then verified on the rest; an inconsistent
+    system raises :class:`NotLogQGorenstein`.
     """
     d = pair.dim
-    targets = [1 - c.value for c in pair.coefficients]
-    chosen: list[int] = []
-    for i, e in enumerate(pair.rays):
-        if matrix_rank([pair.rays[j] for j in chosen] + [e]) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == d:
-            break
+    levels = [c.level for c in pair.coefficients]
+    m = math.lcm(*(l for l in levels if l is not None))
+    targets = [0 if l is None else m // l for l in levels]
+    chosen = independent_rows(pair.rays, d)
     if len(chosen) < d:
         raise NotFullDimensional("rays do not span the ambient space")
-    psi = solve([pair.rays[i] for i in chosen], [targets[i] for i in chosen])
+    v, D = solve([pair.rays[i] for i in chosen], [targets[i] for i in chosen])
+    # psi = v/(D·m); divide out the common factor, sign included
+    g = math.gcd(D * m, *v) * (1 if D > 0 else -1)
+    w, n = tuple(x // g for x in v), D * m // g
     for e, t in zip(pair.rays, targets):
-        if dot(psi, e) != t:
+        if dot(w, e) * m != t * n:
             raise NotLogQGorenstein(
                 "no rational functional matches all prescribed ray values"
             )
-    return psi
+    return w, n
 
 
 @dataclass(frozen=True)
 class LogCanonicalReport:
-    """Invariants of a pair: the discrepancy functional, Gorenstein index,
-    minimal log discrepancy with an attaining interior lattice point, and
-    the denominator of the minimum."""
+    """Invariants of a pair: the discrepancy functional ``psi = w/index``,
+    Gorenstein index, minimal log discrepancy with an attaining interior
+    lattice point, and the denominator of the minimum.  ``psi`` is a
+    :class:`~fractions.Fraction` view of ``w`` over the index."""
 
     dim: int
-    psi: RatVector
+    w: IntVector
     index: int
     mld: Fraction
     mld_denominator: int
     witness: IntVector
     klt: bool
     value_group_unit: bool
+
+    @cached_property
+    def psi(self) -> RatVector:
+        return tuple(Fraction(x, self.index) for x in self.w)
 
 
 def _interior_sum(rays: Sequence[IntVector], dim: int) -> IntVector:
@@ -227,45 +234,49 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     face's span, where the functional is positive on the cone, and the
     minimizer is lifted back to an interior point of the original cone.
 
-    In the quotient, with ``psi = w/m`` over the least common denominator, the
-    sum of the rays is an interior lattice point of value ``level``.  The
-    slab ``conv(0, rays scaled to psi = level + 1/m)`` has as its interior
-    lattice points exactly the cone's interior lattice points with
-    ``psi ≤ level``, and :func:`~toricmld.geometry.minimize` finds the least
-    ``⟨w, y⟩`` over them with the lex-least minimizer.
+    In the quotient, with the functional ``wq/m`` over the least common
+    denominator, the sum of the rays is an interior lattice point of value
+    ``level/m``.  The slab ``conv(0, rays scaled to wq = level + 1)`` has as
+    its interior lattice points exactly the cone's interior lattice points
+    with ``wq ≤ level``, and :func:`~toricmld.geometry.minimize` finds the
+    least ``⟨wq, y⟩`` over them with the lex-least minimizer.
     """
-    psi = solve_psi(pair)
+    w, n = solve_psi(pair)
     d = pair.dim
-    if not any(psi):
+    if not any(w):
         return LogCanonicalReport(
-            d, psi, 1, Fraction(0), 1, _interior_sum(pair.rays, d), False, False
+            d, w, n, Fraction(0), 1, _interior_sum(pair.rays, d), False, False
         )
-    vg = value_group(psi)
-    zero_rays = [e for e in pair.rays if dot(psi, e) == 0]
-    pos_rays = [e for e in pair.rays if dot(psi, e) != 0]
+    zero_rays = [e for e in pair.rays if dot(w, e) == 0]
+    pos_rays = [e for e in pair.rays if dot(w, e) != 0]
     qmap = quotient_lattice(d, SublatticeBasis(d, saturate(zero_rays, d)))
     proj = tuple(qmap.apply(e) for e in pos_rays)
-    w, m = clear_denominators([dot(psi, row) for row in qmap.lift_rows])
-    level = dot(w, _interior_sum(proj, qmap.target_dim))
+    raw = [dot(w, row) for row in qmap.lift_rows]
+    g = math.gcd(n, *raw)
+    wq, m = tuple(x // g for x in raw), n // g
+    level = dot(wq, _interior_sum(proj, qmap.target_dim))
+    vals = [dot(wq, p) for p in proj]
+    den = math.lcm(*vals)
     slab = convex_hull(
         [(0,) * qmap.target_dim]
-        + [vec_scale(Fraction(level + 1, dot(w, g)), g) for g in proj]
+        + [vec_scale((level + 1) * (den // v), p) for p, v in zip(proj, vals)],
+        den,
     )
-    value, w_bar = minimize(slab, w, strict=True)
+    value, w_bar = minimize(slab, wq, strict=True)
     mld = Fraction(value, m)
     base = qmap.lift(w_bar)
     shift = _interior_sum(zero_rays, d)
     normals = cone_facets(pair)
-    m = 0
+    k = 0
     while True:
-        witness = vec_add(base, vec_scale(m, shift))
+        witness = vec_add(base, vec_scale(k, shift))
         if all(dot(u, witness) < 0 for u in normals):
             break
-        m = 1 if m == 0 else 2 * m
-        if m > 1 << 62:  # pragma: no cover - the lift always stabilizes
+        k = 1 if k == 0 else 2 * k
+        if k > 1 << 62:  # pragma: no cover - the lift always stabilizes
             raise NoInteriorPoint("witness lift failed to enter the cone interior")
     return LogCanonicalReport(
-        d, psi, vg.index, mld, mld.denominator, witness, True, vg.unit_generator
+        d, w, n, mld, mld.denominator, witness, True, math.gcd(*w) == 1
     )
 
 
@@ -279,31 +290,30 @@ def mld_oracle(pair: ToricLogPair) -> tuple[Fraction, IntVector]:
     Minkowski sum of the segments ``[0, (level/value)·ray]`` and
     ``[0, ray]``, so enumerating that zonotope finds the true minimum.
     """
-    psi = solve_psi(pair)
-    if not any(psi):
+    w, n = solve_psi(pair)
+    if not any(w):
         raise NotKlt("the minimum is 0; the oracle needs a positive functional")
     if len(pair.rays) > 14:
         raise InvalidParameters("oracle zonotope would have too many segments")
-    level = Fraction(dot(psi, _interior_sum(pair.rays, pair.dim)))
-    ends = []
-    for e in pair.rays:
-        v = dot(psi, e)
-        ends.append(vec_scale(level / v, e) if v > 0 else rat_vector(e))
-    corners = [(Fraction(0),) * pair.dim]
-    for end in ends:
+    level = dot(w, _interior_sum(pair.rays, pair.dim))
+    vals = [dot(w, e) for e in pair.rays]
+    den = math.lcm(*(v for v in vals if v > 0))
+    corners = [(0,) * pair.dim]
+    for e, v in zip(pair.rays, vals):
+        end = vec_scale(level * den // v if v > 0 else den, e)
         corners += [vec_add(c, end) for c in corners]
-    zono = convex_hull(corners)
+    zono = convex_hull(corners, den)
     normals = cone_facets(pair)
     best = None
     witness = None
     for p in enumerate_points(zono):
         if all(dot(u, p) < 0 for u in normals):
-            val = Fraction(dot(psi, p))
+            val = dot(w, p)
             if best is None or val < best:
                 best, witness = val, p
     if witness is None:
         raise NoInteriorPoint("no interior lattice point in the search region")
-    return best, witness
+    return Fraction(best, n), witness
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -60,9 +60,8 @@ from .lattice import (
     content,
     det,
     dot,
+    independent_rows,
     kernel_sublattice,
-    matrix_rank,
-    rat_vector,
     vec_add,
     vec_scale,
     vec_sub,
@@ -138,46 +137,50 @@ class ProofTrace:
 
 
 def build_box(
-    pair: ToricLogPair, psi: Sequence, n: int, base: Sequence[int]
+    pair: ToricLogPair, w: Sequence[int], n: int, base: Sequence[int]
 ) -> tuple[RatPolytope, tuple[RatVector, ...]]:
     """Cross-section of the cone at functional value 1/n, in the coordinates
-    of the kernel lattice of ``psi``.
+    of the kernel lattice of the functional ``psi = w/n``.
 
     Requires every coefficient below 1 (so the functional is positive on
     every ray and the section is bounded) and dimension at least 2.  The
     vertices are the rays scaled to value 1/n and re-based at ``base``, an
-    integer point of value 1/n; they are returned in ray order alongside the
-    polytope.  Two consistency checks are performed: the exact identity
-    ``ray = n(1−b)·(vertex + base)`` per ray, and agreement of the vertex
-    hull with the direct halfspace slice of the cone.
+    integer point of value 1/n: the vertex of a ray of level ``⟨w, ray⟩``
+    is ``c/level`` for the integer kernel coordinates ``c`` of ``ray −
+    level·base``, and the hull is taken on these over the lcm of the
+    levels.  The vertices are returned in ray order alongside the polytope.
+    Two consistency checks are performed: the exact identity ``ray =
+    c + level·base`` per ray, and agreement of the vertex hull with the
+    direct halfspace slice of the cone.
     """
     d = pair.dim
     if d < 2:
         raise DimensionTooSmall("the certificate construction needs dimension >= 2")
-    if any(c.value == 1 for c in pair.coefficients):
+    if any(c.level is None for c in pair.coefficients):
         raise NotKlt("a coefficient equal to 1 makes the cross-section unbounded")
-    psi = rat_vector(psi)
-    if not isinstance(n, int) or n < 1 or Fraction(dot(psi, base)) != Fraction(1, n):
+    if not isinstance(n, int) or n < 1 or dot(w, base) != 1:
         raise InvalidParameters("base point must have functional value 1/index")
-    kernel = kernel_sublattice(psi, d)
+    kernel = kernel_sublattice(w, d)
     if kernel.rank != d - 1:
         raise InvalidParameters("functional must vanish on a corank-one lattice")
-    vertices = []
+    levels, coords = [], []
     for ray, coeff in zip(pair.rays, pair.coefficients):
-        level = Fraction(dot(psi, ray)) * n
+        level = dot(w, ray)
         if level <= 0:
             raise NotKlt("functional must be positive on every ray")
-        if level.denominator != 1 or level != n * (1 - coeff.value):
+        if level * coeff.level != n:
             raise InvalidParameters("functional does not match the coefficients")
-        point = vec_sub(vec_scale(Fraction(1, int(level)), ray), base)
-        coords = kernel.to_coords(point)
-        back = vec_scale(level, vec_add(kernel.from_coords(coords), base))
-        if rat_vector(back) != rat_vector(ray):
+        shift = vec_scale(level, base)
+        c = kernel.to_coords(vec_sub(ray, shift))
+        if vec_add(kernel.from_coords(c), shift) != ray:
             raise CheckFailed(
                 "box-reconstruction", f"ray {ray} is not recovered from its vertex"
             )
-        vertices.append(coords)
-    box = convex_hull(vertices)
+        levels.append(level)
+        coords.append(c)
+    den = lcm(*levels)
+    box = convex_hull([vec_scale(den // m, c) for m, c in zip(levels, coords)], den)
+    vertices = [tuple(Fraction(x, m) for x in c) for m, c in zip(levels, coords)]
     if set(box.vertices) != set(vertices):
         raise InvalidParameters("rays must be exactly the extreme rays of the cone")
     _cross_check_halfspaces(pair, base, kernel, box)
@@ -502,14 +505,8 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
     if Q.den != 1:
         v = next(v for v in Q.vertices if any(x.denominator != 1 for x in v))
         raise NotLatticePolytope(f"vertex {v} is not a lattice point")
-    origin = Q.rows[0]
-    spanning: list[IntVector] = []
-    for w in Q.rows[1:]:
-        candidate = spanning + [vec_sub(w, origin)]
-        if matrix_rank(candidate) == len(candidate):
-            spanning = candidate
-        if len(spanning) == k:
-            break
+    diffs = [vec_sub(w, Q.rows[0]) for w in Q.rows[1:]]
+    spanning = [diffs[i] for i in independent_rows(diffs, k)]
     if len(spanning) < k:
         raise InvalidParameters("polytope vertices do not span the space")
     index = abs(det(spanning))
@@ -578,18 +575,13 @@ def prove(
         raise NotKlt("the certificate requires a klt pair")
     if pair.dim < 2:
         raise DimensionTooSmall("the certificate construction needs dimension >= 2")
-    if any(c.value == 1 for c in pair.coefficients):
+    if any(c.level is None for c in pair.coefficients):
         raise NotKlt("a coefficient equal to 1 makes the cross-section unbounded")
-    psi = report.psi
-    d = pair.dim
-    n = report.index
-    base = base_point(psi)
-    kernel = kernel_sublattice(psi, d)
-    section, ray_vertices = build_box(pair, psi, n, base)
-    by_vertex = {
-        v: int(n * (1 - c.value))
-        for v, c in zip(ray_vertices, pair.coefficients)
-    }
+    w, n, d = report.w, report.index, pair.dim
+    base = base_point(w)
+    kernel = kernel_sublattice(w, d)
+    section, ray_vertices = build_box(pair, w, n, base)
+    by_vertex = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
     levels = tuple(by_vertex[v] for v in section.vertices)
     threshold = report.mld * n
     if threshold.denominator != 1:

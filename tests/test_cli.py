@@ -203,7 +203,7 @@ def test_sweep_cyclic_summary_and_csv(tmp_path, capsys):
 def test_sweep_bad_flags_exit_two(tmp_path, capsys):
     assert main(["sweep", "--family", "cyclic2d", "--max-r", "0"]) == 2
     assert main(["sweep", "--family", "random_cone", "--dims", "3"]) == 2  # no seed
-    assert main(["sweep", "--family", "random_cone", "--dims", "7", "--seed", "1"]) == 2
+    assert main(["sweep", "--family", "random_cone", "--dims", "1", "--seed", "1"]) == 2
     assert main(["sweep", "--family", "nonsense"]) == 2  # argparse choices
     assert main(["sweep"]) == 2
     capsys.readouterr()

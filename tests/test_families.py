@@ -82,9 +82,24 @@ def test_random_cone_is_valid_and_deterministic():
     tiny = random_simplicial_cone(3, 1, 7)
     assert all(abs(x) <= 1 for ray in tiny.rays for x in ray)
     with pytest.raises(InvalidParameters):
-        random_simplicial_cone(5, 5, 42)
+        random_simplicial_cone(1, 5, 42)
     with pytest.raises(InvalidParameters):
         random_simplicial_cone(3, 0, 42)
+
+
+def test_random_cone_sweep_in_five_and_six_dimensions():
+    """Dimensions above 4 run the whole pipeline: seeded 5D and 6D cones
+    (coefficients below 1) each get a passing trace, with no error rows and
+    no counterexamples."""
+    for d, count in ((5, 60), (6, 30)):
+        spec = FamilySpec(
+            kind="random_cone", dims=(d,), count=count, max_entry=2, L=3, seed=20261018
+        )
+        report = sweep(spec)
+        assert len(report.rows) == count
+        assert [r.key for r in report.rows if r.error] == []
+        assert all(r.trace is not None for r in report.rows)
+        assert report.counterexamples == ()
 
 
 def test_random_cone_resampling_budget(monkeypatch):
@@ -186,7 +201,7 @@ def test_sweep_rejects_bad_specs():
     with pytest.raises(InvalidParameters):
         sweep(FamilySpec(kind="random_cone", dims=(3,), count=5))  # no seed
     with pytest.raises(InvalidParameters):
-        sweep(FamilySpec(kind="random_cone", dims=(5,), count=5, seed=1))
+        sweep(FamilySpec(kind="random_cone", dims=(1,), count=5, seed=1))
     with pytest.raises(InvalidParameters):
         sweep(FamilySpec(kind="random_cone", dims=(), count=5, seed=1))
     with pytest.raises(InvalidParameters):
@@ -298,7 +313,7 @@ def test_minkowski_suite_stays_in_pipeline_scope():
         assert all(c.value < 1 for c in pair.coefficients)
         assert validate_pair(pair) is pair
     with pytest.raises(InvalidParameters):
-        minkowski_suite(5, 5, 9)
+        minkowski_suite(1, 5, 9)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,8 +1,8 @@
-"""Exact lattice linear algebra: normal forms, kernels, value groups."""
+"""Exact lattice linear algebra: normal forms, kernels, base points."""
 
 from fractions import Fraction
 from importlib.util import find_spec
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +18,6 @@ from toricmld.errors import (
 )
 
 small_ints = st.integers(min_value=-6, max_value=6)
-small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def int_matrix(rows, cols, entries=small_ints):
@@ -78,14 +77,6 @@ def test_content_and_primitive():
     assert lat.primitive_vector((0, -3)) == (0, -1)
     with pytest.raises(InvalidParameters):
         lat.primitive_vector((0, 0))
-
-
-def test_clear_denominators():
-    w, m = lat.clear_denominators((Fraction(2, 3), 1))
-    assert (w, m) == ((2, 3), 3)
-    w, m = lat.clear_denominators((Fraction(1, 2), Fraction(1, 3)))
-    assert (w, m) == ((3, 2), 6)
-    assert lat.clear_denominators(()) == ((), 1)
 
 
 def test_as_int_vector():
@@ -148,24 +139,37 @@ def test_matrix_rank_matches_sympy(M):
 @given(int_matrix(3, 3))
 def test_inverse_multiplies_to_identity(M):
     assume(laplace_det(M) != 0)
-    inv = lat.mat_inverse(M)
+    B, D = lat.int_inverse(M)
+    assert abs(D) == abs(laplace_det(M))
     prod = [
-        [sum(M[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+        [sum(M[i][k] * B[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
-    assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert prod == [[D * (i == j) for j in range(3)] for i in range(3)]
 
 
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(InvalidParameters):
-        lat.mat_inverse([[1, 2], [2, 4]])
+        lat.int_inverse([[1, 2], [2, 4]])
 
 
 @given(int_matrix(3, 3), st.lists(small_ints, min_size=3, max_size=3))
 def test_solve_satisfies_the_system(M, b):
     assume(laplace_det(M) != 0)
-    x = lat.solve(M, b)
-    assert [lat.dot(row, x) for row in M] == list(b)
+    x, D = lat.solve(M, b)
+    assert abs(D) == abs(laplace_det(M))
+    assert [lat.dot(row, x) for row in M] == [D * y for y in b]
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=6), st.integers(0, 3))
+def test_independent_rows_is_the_greedy_rank_choice(M, k):
+    """Oracle: a row is taken exactly when it raises the rank of the rows
+    taken before it, until ``k`` are taken."""
+    expected: list[int] = []
+    for i, row in enumerate(M):
+        if len(expected) < k and lat.matrix_rank([M[j] for j in expected] + [row]) > len(expected):
+            expected.append(i)
+    assert lat.independent_rows(M, k) == expected
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -206,6 +210,30 @@ def test_smith_normal_form_properties(M):
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+
+
+@pytest.mark.skipif(find_spec("sympy") is None, reason="sympy is not installed")
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+@settings(deadline=None)
+def test_smith_normal_form_matches_sympy(M):
+    """``U·M·V == D`` with ``U``, ``V`` unimodular, and the invariant factors
+    equal sympy's (an independent implementation; test-only)."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    D, U, V = lat.smith_normal_form(M)
+    assert _mat_mul(_mat_mul(U, M), V) == D
+    assert abs(lat.det(U)) == 1 and abs(lat.det(V)) == 1
+    diag = tuple(D[i][i] for i in range(min(len(M), len(M[0]))))
+    assert diag == tuple(abs(x) for x in invariant_factors(Matrix(M), domain=ZZ))
 
 
 # --- kernels and saturation ---------------------------------------------------
@@ -262,6 +290,9 @@ def test_sublattice_coordinates_roundtrip():
     assert basis.to_coords(point) == (3, -2)
     with pytest.raises(InvalidParameters):
         basis.to_coords((0, 0, 1))
+    with pytest.raises(InvalidParameters):
+        # in the span, but half a basis row
+        lat.SublatticeBasis(2, ((2, 0),)).to_coords((1, 0))
     assert not basis.contains((0, 0, 1))
     assert basis.contains((1, 1, 1))
 
@@ -278,73 +309,50 @@ def test_sublattice_roundtrip_property(rows, coords):
     assume(lat.matrix_rank(rows) == 2)
     basis = lat.SublatticeBasis(3, tuple(tuple(r) for r in rows))
     point = basis.from_coords(tuple(coords))
-    assert basis.to_coords(point) == tuple(Fraction(c) for c in coords)
+    assert basis.to_coords(point) == tuple(coords)
     assert basis.contains(point)
 
 
 def test_kernel_sublattice():
-    basis = lat.kernel_sublattice((Fraction(2, 3), 1), 2)
+    basis = lat.kernel_sublattice((2, 3), 2)
     assert basis.rank == 1
     assert tuple(map(abs, basis.rows[0])) == (3, 2)
     assert lat.kernel_sublattice((0, 0), 2).rank == 2
 
 
-# --- value groups -------------------------------------------------------------
-
-
-def test_value_group_known_cases():
-    vg = lat.value_group((Fraction(2, 3), 1))
-    assert vg == lat.ValueGroup(Fraction(1, 3), 3, True)
-    vg = lat.value_group((Fraction(2, 3), 2))
-    assert vg == lat.ValueGroup(Fraction(2, 3), 3, False)
-    vg = lat.value_group((Fraction(1, 2), Fraction(1, 3)))
-    assert vg == lat.ValueGroup(Fraction(1, 6), 6, True)
-    vg = lat.value_group((4, 6))
-    assert vg == lat.ValueGroup(Fraction(2), 1, False)
-    with pytest.raises(ZeroFunctional):
-        lat.value_group((0, 0))
-
-
-@given(st.lists(small_fractions, min_size=1, max_size=4))
-def test_value_group_characterization(psi):
-    """Oracle: g generates the subgroup iff every value is an integer
-    multiple of g and the multipliers are coprime."""
-    assume(any(psi))
-    vg = lat.value_group(psi)
-    g = vg.generator
-    assert g > 0
-    multipliers = [Fraction(x) / g for x in psi]
-    assert all(m.denominator == 1 for m in multipliers)
-    assert gcd(*(m.numerator for m in multipliers)) == 1
-    assert vg.index == lcm(*(Fraction(x).denominator for x in psi))
-    assert vg.unit_generator == (g == Fraction(1, vg.index))
+# --- base points ---------------------------------------------------------------
 
 
 def test_base_point_attains_the_unit_value():
-    for psi in [(Fraction(2, 3), 1), (Fraction(1, 2), Fraction(1, 3)),
-                (Fraction(3, 5), Fraction(4, 7), 1)]:
-        e = lat.base_point(psi)
+    # the numerators of (2/3, 1), (1/2, 1/3) and (3/5, 4/7, 1) over their index
+    for w in [(2, 3), (3, 2), (21, 20, 35)]:
+        e = lat.base_point(w)
         assert all(isinstance(c, int) for c in e)
-        assert lat.dot(psi, e) == Fraction(1, lat.value_group(psi).index)
+        assert lat.dot(w, e) == 1
 
 
 def test_base_point_requires_unit_generator():
     with pytest.raises(ValueGroupMismatch):
-        lat.base_point((Fraction(2, 3), 2))
+        lat.base_point((2, 6))  # (2/3, 2) over 3: values (2/3)·ℤ
     with pytest.raises(ValueGroupMismatch):
         lat.base_point((2, 4))
     with pytest.raises(ZeroFunctional):
         lat.base_point((0, 0))
 
 
-@given(st.lists(small_fractions, min_size=1, max_size=4))
+@given(st.lists(small_ints, min_size=1, max_size=4))
 @settings(deadline=None)
-def test_base_point_property(psi):
-    assume(any(psi))
-    vg = lat.value_group(psi)
-    assume(vg.unit_generator)
-    e = lat.base_point(psi)
-    assert lat.dot(psi, e) == vg.generator
+def test_base_point_property(w):
+    """The values of ``w`` on ℤ^d are ``gcd(w)·ℤ``: ``w/g`` attains 1, and
+    ``w`` itself attains 1 only when ``g = 1``."""
+    assume(any(w))
+    g = gcd(*w)
+    assert lat.dot(w, lat.base_point([x // g for x in w])) == g
+    if g == 1:
+        assert lat.dot(w, lat.base_point(w)) == 1
+    else:
+        with pytest.raises(ValueGroupMismatch):
+            lat.base_point(w)
 
 
 # --- quotient lattices --------------------------------------------------------

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -118,11 +118,66 @@ def test_cone_facets_of_quadrant():
 
 
 def test_solve_psi_known_values():
-    assert tp.solve_psi(QUADRANT_PLAIN) == (1, 1)
-    assert tp.solve_psi(QUADRANT_ONE_AXIS) == (0, 1)
-    assert tp.solve_psi(QUADRANT_HALF) == (Fraction(1, 2), 1)
-    assert tp.solve_psi(THIRD_THIRD) == (Fraction(2, 3), 1)
-    assert tp.solve_psi(ALL_ONES) == (0, 0)
+    # (w, n): psi = w/n over the index
+    assert tp.solve_psi(QUADRANT_PLAIN) == ((1, 1), 1)
+    assert tp.solve_psi(QUADRANT_ONE_AXIS) == ((0, 1), 1)
+    assert tp.solve_psi(QUADRANT_HALF) == ((1, 2), 2)
+    assert tp.solve_psi(THIRD_THIRD) == ((2, 3), 3)
+    assert tp.solve_psi(ALL_ONES) == ((0, 0), 1)
+
+
+def test_solve_psi_value_group_known_cases():
+    """The values of ``psi = w/n`` on ℤ^d form ``(gcd(w)/n)·ℤ``; the report
+    names the group unit when it is ``(1/n)·ℤ``."""
+    cases = [
+        (THIRD_THIRD, (2, 3), 3, True),
+        (make_pair(2, [(1, 0), (0, 1)], [Fraction(1, 2), Fraction(2, 3)]), (3, 2), 6, True),
+        (make_pair(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)], [0, 0, 0]), (5, 5, -2), 5, True),
+        (ALL_ONES, (0, 0), 1, False),
+    ]
+    for pair, w, n, unit in cases:
+        assert tp.solve_psi(pair) == (w, n)
+        rep = tp.compute_mld(pair)
+        assert (rep.w, rep.index, rep.value_group_unit) == (w, n, unit)
+        assert rep.psi == tuple(Fraction(x, n) for x in w)
+
+
+def _fraction_solve(M, b):
+    """Oracle: Gauss–Jordan over ``Fraction`` for a nonsingular system."""
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(M, b)]
+    k = len(a)
+    for c in range(k):
+        piv = next(i for i in range(c, k) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(k):
+            if i != c and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[c])]
+    return tuple(row[-1] for row in a)
+
+
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.integers(min_value=0, max_value=10**6),
+            st.lists(st.sampled_from([0, Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), 1]),
+                     min_size=d, max_size=d),
+        )
+    )
+)
+@settings(deadline=None, max_examples=60)
+def test_solve_psi_is_psi_in_lowest_terms(data):
+    """``(w, n)`` is the rational solution in lowest terms: ``w/n`` equals a
+    ``Fraction`` solve of the ray equations, ``n`` is the lcm of its
+    denominators (the index) and ``gcd(n, w) = 1``."""
+    d, seed, values = data
+    pair = make_pair(d, random_simplicial_cone(d, 3, seed).rays, values)
+    psi = _fraction_solve(pair.rays, [1 - c.value for c in pair.coefficients])
+    w, n = tp.solve_psi(pair)
+    assert tuple(Fraction(x, n) for x in w) == psi
+    assert n == lcm(*(x.denominator for x in psi))
+    assert gcd(n, *w) == 1
 
 
 def test_solve_psi_detects_inconsistent_systems():
@@ -267,7 +322,8 @@ def test_oracle_agrees_on_hand_checked_pairs():
         val, wit = tp.mld_oracle(pair)
         assert val == rep.mld
         assert all(dot(u, wit) < 0 for u in tp.cone_facets(pair))
-        assert dot(tp.solve_psi(pair), wit) == val
+        w, n = tp.solve_psi(pair)
+        assert Fraction(dot(w, wit), n) == val
 
 
 def test_oracle_refuses_non_klt_pairs():
@@ -276,14 +332,18 @@ def test_oracle_refuses_non_klt_pairs():
 
 
 @given(
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=11),
+    # 1/r(1, s) with 0 <= s < r coprime, drawn directly rather than filtered
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda r: st.tuples(
+            st.just(r), st.sampled_from([s for s in range(r) if gcd(r, s) == 1])
+        )
+    ),
     st.sampled_from([0, Fraction(1, 2), Fraction(2, 3), 1]),
     st.sampled_from([0, Fraction(1, 2), Fraction(2, 3), 1]),
 )
 @settings(deadline=None, max_examples=80)
-def test_two_dim_invariants_and_oracle_agreement(r, s, b1, b2):
-    assume(s < r and gcd(r, s) == 1)
+def test_two_dim_invariants_and_oracle_agreement(rs, b1, b2):
+    r, s = rs
     assume((b1, b2) != (1, 1))
     pair = tp.validate_pair(make_pair(2, [(0, 1), (r, -s)], [b1, b2]))
     rep = tp.compute_mld(pair)

@@ -162,7 +162,7 @@ def test_prove_rejects_one_dimensional_positive_part():
 
 
 def test_build_box_frozen_coordinates():
-    box, ray_vertices = build_box(THIRD, (F(2, 3), F(1)), 3, (-1, 1))
+    box, ray_vertices = build_box(THIRD, (2, 3), 3, (-1, 1))
     assert box.vertices == ((F(-2, 3),), (F(-1, 3),))
     # in ray order, not vertex order
     assert ray_vertices == ((F(-1, 3),), (F(-2, 3),))
@@ -170,22 +170,22 @@ def test_build_box_frozen_coordinates():
 
 def test_build_box_input_validation():
     with pytest.raises(InvalidParameters):
-        build_box(QUADRANT, (F(1), F(1)), 1, (1, 1))  # base has value 2
+        build_box(QUADRANT, (1, 1), 1, (1, 1))  # base has value 2
     with pytest.raises(InvalidParameters):
         # functional value on (1, 0) is 2, but the coefficient says 1
-        build_box(QUADRANT, (F(2), F(1)), 1, (0, 1))
+        build_box(QUADRANT, (2, 1), 1, (0, 1))
     with pytest.raises(NotKlt):
         # the functional is negative on the downward ray
         build_box(
             ToricLogPair(2, ((1, 0), (0, -1)), standard_coefficients([0, 0])),
-            (F(1), F(1)),
+            (1, 1),
             1,
             (1, 0),
         )
     with pytest.raises(NotKlt):
         build_box(
             ToricLogPair(2, ((1, 0), (0, 1)), standard_coefficients([1, 0])),
-            (F(0), F(1)),
+            (0, 1),
             1,
             (0, 1),
         )
@@ -196,7 +196,7 @@ def test_build_box_input_validation():
             ((1, 0), (0, 1), (1, 1)),
             standard_coefficients([F(1, 2), F(1, 2), 0]),
         )
-        build_box(redundant, (F(1, 2), F(1, 2)), 2, (1, 0))
+        build_box(redundant, (1, 1), 2, (1, 0))
 
 
 def test_verify_bullets_frozen_pass():
@@ -226,26 +226,30 @@ def test_verify_bullets_detects_wrong_levels_and_denominators():
     assert not denominators.passed
 
 
+# A 6D pair with index n = 444 and threshold j = 445.
+SIX_D_444 = ToricLogPair(
+    6,
+    (
+        (2, 0, 1, -1, 0, 0),
+        (-2, 1, 2, 1, -2, 1),
+        (2, -1, 0, -2, -2, 0),
+        (0, -1, 2, -1, 2, 2),
+        (0, 2, 0, 2, -1, 2),
+        (2, 2, 2, 0, 2, 1),
+    ),
+    standard_coefficients([0, F(2, 3), F(1, 2), F(2, 3), 0, 0]),
+)
+
+
 def test_verify_bullets_searches_the_dilates_in_one_walk():
     """The dilates 1 … j−1 of a 6D cross-section with j = 445 are searched by
     one walk of a pyramid, not by 444 walks."""
-    pair = ToricLogPair(
-        6,
-        (
-            (2, 0, 1, -1, 0, 0),
-            (-2, 1, 2, 1, -2, 1),
-            (2, -1, 0, -2, -2, 0),
-            (0, -1, 2, -1, 2, 2),
-            (0, 2, 0, 2, -1, 2),
-            (2, 2, 2, 0, 2, 1),
-        ),
-        standard_coefficients([0, F(2, 3), F(1, 2), F(2, 3), 0, 0]),
-    )
+    pair = SIX_D_444
     report = compute_mld(pair)
     n, j = report.index, int(report.mld * report.index)
     assert (n, j) == (444, 445)
-    box, ray_vertices = build_box(pair, report.psi, n, base_point(report.psi))
-    level = {v: int(n * (1 - c.value)) for v, c in zip(ray_vertices, pair.coefficients)}
+    box, ray_vertices = build_box(pair, report.w, n, base_point(report.w))
+    level = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
     start = time.perf_counter()
     checks = verify_bullets(box, [level[v] for v in box.vertices], n, j, report.mld_denominator)
     assert time.perf_counter() - start < 2
@@ -475,6 +479,19 @@ def test_higher_dimensional_traces_pinned(rays, values, digest):
     assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
 
 
+def test_prove_six_dim_index_444_is_fast_and_pinned():
+    """``scale_about`` images decide their walk frame for themselves: when the
+    shrink search's contractions of the 6D dilated section inherited the
+    section's decision to walk in place (taken at scale 1/n, where its vertex
+    boxes hold almost no lattice points), this proof took about 15 s.  The
+    trace is pinned from that implementation."""
+    start = time.perf_counter()
+    trace = prove(SIX_D_444)
+    assert time.perf_counter() - start < 2
+    digest = "dc532921450b677056c3042b6cc3efda96f3ba391ae319448fd8d8033c72995c"
+    assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
+
+
 def test_prove_hull_calls_are_bounded(monkeypatch):
     """The proof of a pinned 4D pair takes at most 15 convex hulls, all for
     the cone, its slab, the cross-section, the difference body and walk
@@ -482,7 +499,7 @@ def test_prove_hull_calls_are_bounded(monkeypatch):
     them took 47)."""
     hull, calls = geometry.convex_hull, []
     for module in (geometry, pairs, proof):
-        monkeypatch.setattr(module, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+        monkeypatch.setattr(module, "convex_hull", lambda *args: calls.append(1) or hull(*args))
     pair = ToricLogPair(
         4,
         ((-1, 2, -2, 0), (-2, 1, 1, 1), (1, -1, -2, 1), (-2, 1, 1, 2)),
