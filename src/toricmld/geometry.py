@@ -599,21 +599,32 @@ def _iter_points(
         return -((-scale * c) // den) - 1 if strict else (scale * c) // den
 
     # Depth k reads (u[:k], u[k], c): ⟨u[:k], y[:k]⟩ + u[k]·y[k] ≤ c.
-    levels = [[(u[:k], u[k], offset(c)) for u, c in lv if u[k]]
-              for k, lv in enumerate(P._levels + (P.int_facets,))]
+    facets = P._levels + (P.int_facets,)
+    levels = [[(u[:k], u[k], offset(c)) for u, c in lv if u[k]] for k, lv in enumerate(facets)]
     # Objective cuts (u[:k], u[k], c, m): ⟨u, y[:k+1]⟩ ≤ c + m·(record − 1).
-    # Below the last nonzero entry of w, the facets of the lifted projection
-    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from there on, w.
+    # Below the last nonzero entry kw of w, the facets of the lifted projection
+    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from kw on, w.  At
+    # kw − 1 that projection is a linear image of the one onto y[:kw+1]: with
+    # w[kw] = s·a, a > 0, a facet ⟨u, y⟩ ≤ c maps to
+    # ⟨a·u[:kw] − s·u[kw]·w[:kw], y[:kw]⟩ + s·u[kw]·⟨w, y⟩ ≤ a·c.
     cuts: list[list] = [[] for _ in range(d)]
     if w is not None:
         kw = max((i for i, x in enumerate(w) if x), default=0)
-        for k in range(kw):
+        for k in range(kw - 1):
             lifted = convex_hull([r[: k + 1] + (dot(w, r),) for r in P.rows])
             cuts[k] = [
                 (u[:k], u[k], offset(c), -u[-1]) for u, c in lifted.int_facets if u[-1] < 0
             ]
+        if kw:
+            a, s = abs(w[kw]), (1 if w[kw] > 0 else -1)
+            for u, c in facets[kw]:
+                if s * u[kw] < 0:
+                    v = [a * x - s * u[kw] * y for x, y in zip(u, w[:kw])]
+                    cuts[kw - 1].append((v[:-1], v[-1], offset(a * c), -s * u[kw]))
         for k in range(kw, d):
             cuts[k] = [(w[:k], w[k], 0, 1)]
+        # the coordinates of the vertex least under w start each depth's range
+        first = [(scale * x) // den for x in min(P.rows, key=lambda r: dot(w, r))]
     record = None
     y = [0] * d
 
@@ -641,26 +652,39 @@ def _iter_points(
         # again under the new record.
         nonlocal record
         lo, hi = clip(k)
-        if M and k == d - 1:  # the run y[k] = lo..hi maps by M to arithmetic progressions
-            y[k], n = 0, hi - lo + 1
-            cols = ((sum(map(mul, r, y)) + lo * r[k], r[k]) for r in M)
-            yield from zip(*(range(b, b + n * c, c) if c else repeat(b, n) for b, c in cols))
-            return False
-        found = False
-        while lo <= hi:
-            y[k] = lo
-            if k == d - 1:
-                hit = w is not None
-                if hit:
-                    record = dot(w, y)
+        if k == d - 1:
+            if w is not None:  # each point beats the record: take the better end
+                if lo > hi:
+                    return False
+                y[k] = lo if w[k] >= 0 else hi
+                record = dot(w, y)
                 yield tuple(y)
-            else:
-                hit = yield from walk(k + 1)
-            lo += 1
-            if hit:
-                found = True
-                new_lo, hi = clip(k)
-                lo = max(lo, new_lo)
+                return True
+            if M:  # the run y[k] = lo..hi maps by M to arithmetic progressions
+                y[k], n = 0, hi - lo + 1
+                cols = ((sum(map(mul, r, y)) + lo * r[k], r[k]) for r in M)
+                yield from zip(*(range(b, b + n * c, c) if c else repeat(b, n) for b, c in cols))
+                return False
+            for y[k] in range(lo, hi + 1):
+                yield tuple(y)
+            return False
+        if w is None:
+            for y[k] in range(lo, hi + 1):
+                yield from walk(k + 1)
+            return False
+        # The minimiser is unique, so any order finds it: from the best
+        # vertex's coordinate down to lo, then up to hi.
+        found, start = False, min(max(first[k], lo), hi)
+        for step, x in ((-1, start), (1, start + 1)):
+            while True:
+                x = min(x, hi) if step < 0 else max(x, lo)
+                if not lo <= x <= hi:
+                    break
+                y[k] = x
+                if (yield from walk(k + 1)):
+                    found = True
+                    lo, hi = clip(k)
+                x += step
         return found
 
     yield from walk(0)
@@ -679,7 +703,7 @@ def enumerate_points(
     coordinates, taken once per polytope, with offsets rescaled per dilate.
     It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when that frame's
     vertex bounding box holds fewer lattice points, then maps the points
-    back by ``U⁻¹`` and sorts them; :func:`minimize` walks ``P`` itself.
+    back by ``U⁻¹`` and sorts them.
     """
     frame = P._frame
     if frame is None:
@@ -694,21 +718,44 @@ def minimize(
     (of its interior with ``strict``) and the lex-least point attaining it,
     or ``None`` when there is no such point; ``w`` is an integer vector.
 
-    The :func:`enumerate_points` walk in objective mode (branch and bound):
-    it yields only points that strictly beat every earlier one, in
-    lexicographic order, so the last one is the answer.  At a depth ``k``
-    before the last nonzero entry of ``w`` the range of ``y[k]`` is also cut
-    by the lower bounds on ``⟨w, ·⟩`` from the hull of ``(row[:k+1],
-    ⟨w, row⟩)``, taken once per call; from that entry on, by ``w`` itself.
-    Each depth is clipped again under every new record found below it.
+    The lex tie-break is folded into one objective ``W = B^d·w + Σ_i
+    B^(d−1−i)·e_i``, ``B`` one more than the widest range of ``P``'s vertex
+    box: no two lattice points of ``P`` differ by ``B`` in a coordinate, so
+    ``⟨W, ·⟩`` orders them by ``(⟨w, y⟩, y_0, …, y_(d−1))`` and its
+    minimiser is unique and the answer.  Like :func:`enumerate_points` it
+    walks the reduced frame ``U·P`` when there is one, under ``W·U⁻¹``, and
+    maps the one result back by ``U⁻¹``.
+
+    The walk runs in objective mode (branch and bound): it yields only
+    points that strictly beat every earlier one, so the last is the
+    minimiser.  As that is unique, the order of the walk is free: each
+    depth starts at the coordinate of the vertex least under ``W``, clamped
+    to its range, and walks down from there, then up, clipped again under
+    every record found below it.  At a depth ``k`` before the last nonzero
+    entry ``kw`` of the objective the range of ``y[k]`` is also cut by the
+    lower bounds on ``⟨W, ·⟩`` from the hull of ``(row[:k+1], ⟨W, row⟩)``;
+    at ``kw − 1`` that hull is a linear image of the projection onto the
+    first ``kw + 1`` coordinates, so its facets come in closed form; from
+    ``kw`` on the cut is ``W`` itself.  At the last depth every point of
+    the clipped range beats the record, so only its better end is taken.
     """
     if len(w) != P.dim:
         raise DimensionMismatch("objective has the wrong length")
-    w = tuple(w)
+    w, d = tuple(w), P.dim
+    B = 1 + max((max(c) - min(c) for c in zip(*P.rows)), default=0) // P.den
+    W = tuple(B**d * x + B ** (d - 1 - i) for i, x in enumerate(w))
+    frame = P._frame
+    if frame is not None:
+        Ui, P = frame[1], frame[2]
+        W = tuple(dot(W, col) for col in zip(*Ui))
     best = None
-    for best in _iter_points(P, 1, strict, w):
+    for best in _iter_points(P, 1, strict, W):
         pass
-    return None if best is None else (dot(w, best), best)
+    if best is None:
+        return None
+    if frame is not None:
+        best = tuple(dot(r, best) for r in Ui)
+    return dot(w, best), best
 
 
 def any_lattice_point(P: RatPolytope, scale: int = 1, strict: bool = False) -> bool:

@@ -137,10 +137,11 @@ class ProofTrace:
 
 
 def build_box(
-    pair: ToricLogPair, w: Sequence[int], n: int, base: Sequence[int]
+    pair: ToricLogPair, w: Sequence[int], n: int, base: Sequence[int], kernel: SublatticeBasis
 ) -> tuple[RatPolytope, tuple[RatVector, ...]]:
     """Cross-section of the cone at functional value 1/n, in the coordinates
-    of the kernel lattice of the functional ``psi = w/n``.
+    of ``kernel``, the kernel lattice of the functional ``psi = w/n``
+    (:func:`~toricmld.lattice.kernel_sublattice` of ``w``).
 
     Requires every coefficient below 1 (so the functional is positive on
     every ray and the section is bounded) and dimension at least 2.  The
@@ -160,7 +161,6 @@ def build_box(
         raise NotKlt("a coefficient equal to 1 makes the cross-section unbounded")
     if not isinstance(n, int) or n < 1 or dot(w, base) != 1:
         raise InvalidParameters("base point must have functional value 1/index")
-    kernel = kernel_sublattice(w, d)
     if kernel.rank != d - 1:
         raise InvalidParameters("functional must vanish on a corank-one lattice")
     levels, coords = [], []
@@ -580,7 +580,7 @@ def prove(
     w, n, d = report.w, report.index, pair.dim
     base = base_point(w)
     kernel = kernel_sublattice(w, d)
-    section, ray_vertices = build_box(pair, w, n, base)
+    section, ray_vertices = build_box(pair, w, n, base, kernel)
     by_vertex = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
     levels = tuple(by_vertex[v] for v in section.vertices)
     threshold = report.mld * n

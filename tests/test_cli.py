@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricmld import proof
 from toricmld.cli import load_instance, main
@@ -23,6 +25,13 @@ SMOOTH_DOC = {
     "dim": 2,
     "rays": [[1, 0], [0, 1]],
     "coefficients": [{"type": "standard", "l": 1}, {"type": "standard", "l": 1}],
+}
+
+# b = 1 on (3, 2) and l = 10^30 on (3, 2^70): 1/r(1, s) with r = 3·2^70 - 6
+SKEWED_DOC = {
+    "dim": 2,
+    "rays": [[3, 2], [3, 2**70]],
+    "coefficients": [{"type": "one"}, {"type": "standard", "l": 10**30}],
 }
 
 NON_Q_GORENSTEIN_DOC = {
@@ -57,6 +66,67 @@ def test_compute_exit_codes(tmp_path, capsys):
     assert main(["compute", write(tmp_path, bad)]) == 2
     assert "primitive" in capsys.readouterr().out
     assert main(["compute", write(tmp_path, NON_Q_GORENSTEIN_DOC)]) == 1
+
+
+def test_compute_skewed_pair_with_huge_level(tmp_path):
+    """A pair whose minimisation in the caller's frame never finished."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "toricmld", "compute", write(tmp_path, SKEWED_DOC)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"a: 1/{10**30 * (3 * 2**70 - 6)}" in done.stdout
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def instance_documents(draw):
+    """An instance of dimension <= 3 with entries and levels up to 10^6 (small
+    ones mixed in, so that some are valid), then up to two mutations: a
+    field, a ray or a coefficient replaced by arbitrary JSON, a field
+    dropped, or an unknown one added."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, d + 1))
+    entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    level = st.integers(1, 3) | st.integers(1, 10**6)
+    coeff = st.builds(lambda l: {"type": "standard", "l": l}, level) | st.just({"type": "one"})
+    doc = {
+        "dim": d,
+        "rays": draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n)),
+        "coefficients": draw(st.lists(coeff, min_size=n, max_size=n)),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        if not doc:
+            break
+        key, value = draw(st.sampled_from(sorted(doc))), draw(json_values)
+        how = draw(st.sampled_from(["field", "item", "drop", "extra"]))
+        if how == "field":
+            doc[key] = value
+        elif how == "item" and isinstance(doc[key], list) and doc[key]:
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = value
+        elif how == "drop":
+            del doc[key]
+        else:
+            doc[draw(st.text(max_size=6))] = value
+    return doc
+
+
+@given(json_values | instance_documents(), st.sampled_from(["text", "json"]))
+@settings(deadline=None, max_examples=200)
+def test_compute_fuzzed_documents_exit_cleanly(tmp_path_factory, doc, fmt):
+    """Any JSON document ends in exit code 0, 1 or 2, never a traceback."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path), "--format", fmt]) in (0, 1, 2)
 
 
 def test_instance_document_errors_carry_field_paths(tmp_path):

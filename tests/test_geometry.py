@@ -346,28 +346,6 @@ def test_enumerate_points_matches_box_scan(P, scale, strict):
     assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(got)
 
 
-@st.composite
-def objectives(draw, d):
-    """Integer objectives whose trailing entries are often zero, so that
-    every point under a fixed prefix ties."""
-    w = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d))
-    zeros = draw(st.integers(min_value=0, max_value=d))
-    return tuple(w[: d - zeros]) + (0,) * zeros
-
-
-@given(st.data(), st.booleans())
-@settings(deadline=None, max_examples=150)
-def test_minimize_matches_enumeration(data, strict):
-    P = data.draw(rational_polytopes(dims=(1, 2, 3, 4)))
-    w = data.draw(objectives(P.dim))
-    pts = geo.enumerate_points(P, strict=strict)
-    expected = None
-    if pts:
-        best = min(pts, key=lambda y: (dot(w, y), y))
-        expected = (dot(w, best), best)
-    assert geo.minimize(P, w, strict=strict) == expected
-
-
 def test_minimize_known_values():
     T = geo.convex_hull([(0, 0), (4, 0), (0, 4)])
     assert geo.minimize(T, (1, 1)) == (0, (0, 0))
@@ -377,6 +355,10 @@ def test_minimize_known_values():
     unit = geo.convex_hull([(0, 0), (1, 0), (0, 1)])
     assert geo.minimize(unit, (1, 2), strict=True) is None
     assert geo.minimize(geo.convex_hull([()]), ()) == (0, ())
+    # walked in its reduced frame, where the optimum is one below the first
+    # record under the unique objective and tight on the closed-form cut
+    thin = geo.convex_hull([(6, 9), (8, 2), (10, 0)], 2)
+    assert geo.minimize(thin, (2, 0)) == (8, (4, 1))
     with pytest.raises(DimensionMismatch):
         geo.minimize(T, (1,))
 
@@ -473,6 +455,48 @@ def test_skewed_enumeration_matches_box_scan(data, scale, strict):
     got = geo.enumerate_points(P, scale=scale, strict=strict)
     assert list(got) == expected
     assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(expected)
+
+
+@st.composite
+def objectives(draw, P):
+    """Integer objectives with ties: entries of which the trailing ones are
+    often zero, so that every point under a fixed prefix ties; the zero
+    objective; or one that is least on an edge of ``P``, the negated sum of
+    the outer normals of the facets through that edge, which is constant
+    along it."""
+    d = P.dim
+    kind = draw(st.sampled_from(["entries", "zero", "edge"] if d > 1 else ["entries", "zero"]))
+    if kind == "zero":
+        return (0,) * d
+    if kind == "edge":
+        edges = []
+        for i, j in itertools.combinations(range(len(P.rows)), 2):
+            mask = 1 << i | 1 << j
+            if geo._meet([m for m in P._incidence if m & mask == mask], i) == mask:
+                edges.append(mask)
+        edge = draw(st.sampled_from(edges))
+        normals = [u for (u, _), m in zip(P.int_facets, P._incidence) if m & edge == edge]
+        return tuple(-sum(col) for col in zip(*normals))
+    w = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d))
+    zeros = draw(st.integers(min_value=0, max_value=d))
+    return tuple(w[: d - zeros]) + (0,) * zeros
+
+
+@given(st.data(), st.booleans())
+@settings(deadline=None, max_examples=250)
+def test_minimize_matches_enumeration(data, strict):
+    """The lex-least minimiser over the enumerated points, on small hulls
+    and on unimodular images of boxes and simplices with entries up to 20,
+    which are walked in their reduced frame."""
+    skewed = skewed_polytopes().map(lambda t: t[2])
+    P = data.draw(st.one_of(rational_polytopes(dims=(1, 2, 3, 4)), skewed))
+    w = data.draw(objectives(P))
+    pts = geo.enumerate_points(P, strict=strict)
+    expected = None
+    if pts:
+        best = min(pts, key=lambda y: (dot(w, y), y))
+        expected = (dot(w, best), best)
+    assert geo.minimize(P, w, strict=strict) == expected
 
 
 @given(skewed_polytopes())

@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -24,7 +26,7 @@ from toricmld.errors import (
     NotStronglyConvex,
     RedundantRay,
 )
-from toricmld.lattice import dot
+from toricmld.lattice import dot, int_inverse, smith_normal_form
 from toricmld.proof import fmt_rat
 
 
@@ -285,31 +287,113 @@ def test_large_cyclic_quotients_pinned_digest():
     )
 
 
-def _sail_mld(r, s):
-    """Oracle: the least psi = ((1+s)/r, 1) over the interior vertices
-    v_1..v_k of the sail of cone((0,1),(r,-s)) (Fulton 1993, section 2.6).
+def _sail_mld(r, s, b=(0, 0)):
+    """Oracle: the least psi over the interior vertices v_1..v_k of the sail
+    of cone((0,1),(r,-s)) (Fulton 1993, section 2.6), psi taking 1 - b[0]
+    on (0,1) and 1 - b[1] on (r,-s): ((1+s)/r, 1) for the zero boundary.
     With v_0 = (0,1), v_1 = (1,0) and the Hirzebruch-Jung expansion
     r/s = [b_1, ..., b_k], v_{i+1} = b_i v_i - v_{i-1} and v_{k+1} = (r,-s).
     Every interior lattice point lies in conv(v_1..v_k) + cone, because
-    adjacent sail vertices form a lattice basis."""
-    bs = []
-    a, b = r, s
-    while b:
-        bs.append(-(-a // b))
-        a, b = b, bs[-1] * b - a
-    psi = (Fraction(1 + s, r), 1)
+    adjacent sail vertices form a lattice basis.  A run of t entries 2
+    takes t equal steps along a line, on which psi is linear, so only its
+    ends are compared and the expansion is read run by run: the oracle
+    takes O(log r) steps."""
+    runs, a, c = [], r, s
+    while c:
+        e = -(-a // c)
+        t = c // (a - c) if e == 2 else 1  # (a, c) -> (c, 2c - a) keeps a - c
+        runs.append((e, t))
+        a, c = (a - t * (a - c), c - t * (a - c)) if e == 2 else (c, e * c - a)
+    last, t = runs.pop()
+    runs.append((last, t - 1))
+    psi = (Fraction(1 - b[1] + s * (1 - b[0]), r), 1 - Fraction(b[0]))
     prev, v = (0, 1), (1, 0)
     best = dot(psi, v)
-    for b in bs[:-1]:
-        prev, v = v, (b * v[0] - prev[0], b * v[1] - prev[1])
+    for e, t in runs:
+        if t and e == 2:
+            step = (v[0] - prev[0], v[1] - prev[1])
+            prev = (v[0] + (t - 1) * step[0], v[1] + (t - 1) * step[1])
+            v = (v[0] + t * step[0], v[1] + t * step[1])
+        elif t:
+            prev, v = v, (e * v[0] - prev[0], e * v[1] - prev[1])
         best = min(best, dot(psi, v))
-    assert (bs[-1] * v[0] - prev[0], bs[-1] * v[1] - prev[1]) == (r, -s)
+    assert (last * v[0] - prev[0], last * v[1] - prev[1]) == (r, -s)
     return best
 
 
 def test_mld_matches_the_sail_of_large_cyclic_quotients():
     for r, s in _seeded_cyclic(5, 10**5, 10**6, 40) + [(3, 1), (7, 3), (10**5 + 3, 2)]:
         assert tp.compute_mld(cyclic_quotient_cone(r, s)).mld == _sail_mld(r, s), (r, s)
+
+
+def test_skewed_cyclic_quotients_of_huge_order_are_fast():
+    """1/r(1, r-2) and 1/r(1, r-1) at r = 10^9 + 7: every column improves
+    the record, so a walk in the caller's frame is linear in r."""
+    r = 10**9 + 7
+    for s in (r - 2, r - 1):
+        start = time.perf_counter()
+        mld = tp.compute_mld(cyclic_quotient_cone(r, s)).mld
+        assert time.perf_counter() - start < 1, s
+        assert mld == _sail_mld(r, s), s
+
+
+def test_skewed_pair_with_huge_levels_is_fast():
+    """The rays (3, 2), (3, 2^70) with l = 3 or 10^30 on one ray and b = 0
+    or 1 on the other.  U = ((-2, 3), (1, -1)) maps them to (0, 1) and
+    (r, -s), r = 3·2^70 - 6 and s = 2^70 - 3, so the sail of 1/r(1, s)
+    gives the mld."""
+    rays = ((3, 2), (3, 2**70))
+    r, s = 3 * 2**70 - 6, 2**70 - 3
+    assert [(dot((-2, 3), e), dot((1, -1), e)) for e in rays] == [(0, 1), (r, -s)]
+    for l in (3, 10**30):
+        for b in (0, 1):
+            for values in ((Fraction(l - 1, l), b), (b, Fraction(l - 1, l))):
+                start = time.perf_counter()
+                mld = tp.compute_mld(make_pair(2, rays, values)).mld
+                assert time.perf_counter() - start < 1, (l, values)
+                assert mld == _sail_mld(r, s, values), (l, values)
+
+
+def _age_mld(pair):
+    """Geometry-free oracle for a simplicial cone, the Reid-Tai age with
+    boundary weights: the least sum_i (1 - b_i)<lambda_i(g)> over the
+    cosets g of Z^d / R Z^d, where R has the rays as columns, lambda(g) =
+    R^-1 g are the barycentric coordinates, <x> is the fractional part and
+    <0> := 1.  With U R V = D from smith_normal_form, R Z^d = U^-1 D Z^d,
+    so the points U^-1 x with 0 <= x_i < D_ii represent the cosets."""
+    R = list(zip(*pair.rays))
+    D, U, _ = smith_normal_form(R)
+    Ui, u = int_inverse(U)  # u = det U = ±1, so U^-1 = u·Ui
+    adj, det_r = int_inverse(R)
+    weights = [Fraction(1, c.level) if c.level else 0 for c in pair.coefficients]
+    best = None
+    for x in product(*(range(D[i][i]) for i in range(pair.dim))):
+        g = [u * dot(row, x) for row in Ui]
+        age = sum(
+            wt * (Fraction(dot(row, g), det_r) % 1 or 1) for wt, row in zip(weights, adj)
+        )
+        best = age if best is None else min(best, age)
+    return best
+
+
+def test_mld_matches_the_age_formula():
+    """compute_mld against the age oracle, which uses no hull and no walk:
+    on seeded 2D-4D simplicial cones, and on 1/r(1, s) with r <= 10^4 (s
+    random, r - 2 or r - 1) moved by a seeded unimodular map."""
+    rng = random.Random(20261018)
+    levels = [1, 2, 3, 4, None]
+    cases = []
+    for i in range(45):
+        d = 2 + i % 3
+        cases.append((d, random_simplicial_cone(d, 3, rng.randrange(10**6)).rays))
+    for r in (rng.randrange(10, 10**4) for _ in range(12)):
+        s = rng.choice([x for x in (rng.randrange(1, r), r - 2, r - 1) if gcd(r, x) == 1])
+        U = random_unimodular(rng, 2)
+        cases.append((2, [tuple(dot(row, e) for row in U) for e in ((0, 1), (r, -s))]))
+    for d, rays in cases:
+        coeffs = tuple(tp.BoundaryCoefficient(rng.choice(levels)) for _ in range(d))
+        pair = tp.validate_pair(tp.ToricLogPair(d, tuple(rays), coeffs))
+        assert tp.compute_mld(pair).mld == _age_mld(pair), (rays, coeffs)
 
 
 # --- the oracle --------------------------------------------------------------------

@@ -27,7 +27,7 @@ import toricmld.geometry as geometry
 import toricmld.pairs as pairs
 import toricmld.proof as proof
 from toricmld.geometry import convex_hull, difference_body, normalized_volume
-from toricmld.lattice import SublatticeBasis, base_point
+from toricmld.lattice import SublatticeBasis, base_point, kernel_sublattice
 from toricmld.pairs import ToricLogPair, compute_mld, standard_coefficients
 from toricmld.proof import (
     build_box,
@@ -162,7 +162,7 @@ def test_prove_rejects_one_dimensional_positive_part():
 
 
 def test_build_box_frozen_coordinates():
-    box, ray_vertices = build_box(THIRD, (2, 3), 3, (-1, 1))
+    box, ray_vertices = build_box(THIRD, (2, 3), 3, (-1, 1), kernel_sublattice((2, 3), 2))
     assert box.vertices == ((F(-2, 3),), (F(-1, 3),))
     # in ray order, not vertex order
     assert ray_vertices == ((F(-1, 3),), (F(-2, 3),))
@@ -170,10 +170,10 @@ def test_build_box_frozen_coordinates():
 
 def test_build_box_input_validation():
     with pytest.raises(InvalidParameters):
-        build_box(QUADRANT, (1, 1), 1, (1, 1))  # base has value 2
+        build_box(QUADRANT, (1, 1), 1, (1, 1), kernel_sublattice((1, 1), 2))  # base has value 2
     with pytest.raises(InvalidParameters):
         # functional value on (1, 0) is 2, but the coefficient says 1
-        build_box(QUADRANT, (2, 1), 1, (0, 1))
+        build_box(QUADRANT, (2, 1), 1, (0, 1), kernel_sublattice((2, 1), 2))
     with pytest.raises(NotKlt):
         # the functional is negative on the downward ray
         build_box(
@@ -181,6 +181,7 @@ def test_build_box_input_validation():
             (1, 1),
             1,
             (1, 0),
+            kernel_sublattice((1, 1), 2),
         )
     with pytest.raises(NotKlt):
         build_box(
@@ -188,6 +189,7 @@ def test_build_box_input_validation():
             (0, 1),
             1,
             (0, 1),
+            kernel_sublattice((0, 1), 2),
         )
     with pytest.raises(InvalidParameters):
         # (1, 1) is listed as a ray but is not extreme in the quadrant
@@ -196,7 +198,7 @@ def test_build_box_input_validation():
             ((1, 0), (0, 1), (1, 1)),
             standard_coefficients([F(1, 2), F(1, 2), 0]),
         )
-        build_box(redundant, (1, 1), 2, (1, 0))
+        build_box(redundant, (1, 1), 2, (1, 0), kernel_sublattice((1, 1), 2))
 
 
 def test_verify_bullets_frozen_pass():
@@ -248,7 +250,9 @@ def test_verify_bullets_searches_the_dilates_in_one_walk():
     report = compute_mld(pair)
     n, j = report.index, int(report.mld * report.index)
     assert (n, j) == (444, 445)
-    box, ray_vertices = build_box(pair, report.w, n, base_point(report.w))
+    box, ray_vertices = build_box(
+        pair, report.w, n, base_point(report.w), kernel_sublattice(report.w, pair.dim)
+    )
     level = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
     start = time.perf_counter()
     checks = verify_bullets(box, [level[v] for v in box.vertices], n, j, report.mld_denominator)
@@ -490,6 +494,17 @@ def test_prove_six_dim_index_444_is_fast_and_pinned():
     assert time.perf_counter() - start < 2
     digest = "dc532921450b677056c3042b6cc3efda96f3ba391ae319448fd8d8033c72995c"
     assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
+
+
+def test_prove_builds_the_kernel_once(monkeypatch):
+    """``prove`` takes one Smith normal form of the functional's row for the
+    kernel lattice and hands it to ``build_box``."""
+    kernel, calls = proof.kernel_sublattice, []
+    monkeypatch.setattr(
+        proof, "kernel_sublattice", lambda *args: calls.append(args) or kernel(*args)
+    )
+    assert prove(THIRD).all_passed
+    assert calls == [((2, 3), 2)]
 
 
 def test_prove_hull_calls_are_bounded(monkeypatch):
