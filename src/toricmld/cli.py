@@ -23,14 +23,7 @@ import argparse
 import json
 from typing import Sequence
 
-from .errors import (
-    CheckFailed,
-    DimensionTooSmall,
-    InvalidParameters,
-    NotKlt,
-    NotLogQGorenstein,
-    ToricMldError,
-)
+from .errors import CheckFailed, InvalidParameters, NotLogQGorenstein, ToricMldError
 from .families import FamilySpec, lemma_lv_suite, lemma_vo_suite, minkowski_suite, sweep
 from .geometry import convex_hull, normalized_volume
 from .pairs import (
@@ -143,16 +136,7 @@ def _report_text(report: LogCanonicalReport) -> str:
 
 
 def cmd_compute(args) -> int:
-    try:
-        pair = load_instance(args.input)
-    except ToricMldError as err:
-        print(f"error: {err}")
-        return 2
-    try:
-        report = compute_mld(pair)
-    except NotLogQGorenstein as err:
-        print(f"error: {err}")
-        return 1
+    report = compute_mld(load_instance(args.input))
     if args.format == "json":
         print(_report_json(report))
     else:
@@ -161,19 +145,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    try:
-        pair = load_instance(args.input)
-    except ToricMldError as err:
-        print(f"error: {err}")
-        return 2
-    try:
-        trace = prove(pair, strict=False)
-    except (NotLogQGorenstein, CheckFailed) as err:
-        print(f"error: {err}")
-        return 1
-    except (NotKlt, DimensionTooSmall) as err:
-        print(f"error: {err}")
-        return 2
+    trace = prove(load_instance(args.input), strict=False)
     text = serialize_trace(trace)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -198,28 +170,24 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        if args.family == "cyclic2d":
-            spec = FamilySpec(
-                kind="cyclic2d",
-                max_r=args.max_r,
-                L=args.L,
-                include_one=args.include_one,
-            )
-        else:
-            spec = FamilySpec(
-                kind="random_cone",
-                dims=_parse_dims(args.dims),
-                count=args.count,
-                max_entry=args.max_entry,
-                L=args.L,
-                include_one=args.include_one,
-                seed=args.seed,
-            )
-        report = sweep(spec)
-    except ToricMldError as err:
-        print(f"error: {err}")
-        return 2
+    if args.family == "cyclic2d":
+        spec = FamilySpec(
+            kind="cyclic2d",
+            max_r=args.max_r,
+            L=args.L,
+            include_one=args.include_one,
+        )
+    else:
+        spec = FamilySpec(
+            kind="random_cone",
+            dims=_parse_dims(args.dims),
+            count=args.count,
+            max_entry=args.max_entry,
+            L=args.L,
+            include_one=args.include_one,
+            seed=args.seed,
+        )
+    report = sweep(spec)
     csv_text = report.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -314,15 +282,11 @@ def _run_lemma_minkowski(dim: int, samples: int, seed: int) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    try:
-        if args.check == "vo":
-            return _run_lemma_vo(args.dim, args.samples, args.seed)
-        if args.check == "lv":
-            return _run_lemma_lv(args.dim, args.samples, args.seed)
-        return _run_lemma_minkowski(args.dim, args.samples, args.seed)
-    except ToricMldError as err:
-        print(f"error: {err}")
-        return 2
+    if args.check == "vo":
+        return _run_lemma_vo(args.dim, args.samples, args.seed)
+    if args.check == "lv":
+        return _run_lemma_lv(args.dim, args.samples, args.seed)
+    return _run_lemma_minkowski(args.dim, args.samples, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +336,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except OSError as err:
+    except (CheckFailed, NotLogQGorenstein) as err:
+        print(f"error: {err}")
+        return 1
+    except (ToricMldError, OSError) as err:
         print(f"error: {err}")
         return 2
 

@@ -1,7 +1,7 @@
 """Deterministic instance suites and the sweep driver.
 
 Generators: the 2D cyclic-quotient classification ``cone((0,1),(r,-s))``,
-seeded random simplicial cones in dimensions 2-4, standard-coefficient
+seeded random simplicial cones in any dimension d ≥ 2, standard-coefficient
 grids, and seeded random lattice polytopes (with optional non-standard
 sublattices) for the volume-lemma suites.  :func:`sweep` runs every
 instance of a :class:`FamilySpec` through the invariant computation, the
@@ -48,7 +48,6 @@ __all__ = [
     "cyclic_quotient_cone",
     "coefficient_grid",
     "random_simplicial_cone",
-    "one_dim_standard_pairs",
     "sweep",
     "lemma_vo_suite",
     "lemma_lv_suite",
@@ -57,7 +56,6 @@ __all__ = [
 
 CSV_COLUMNS = ("key", "d", "rays", "coeffs", "n", "a", "q", "j", "gamma", "n_over_qd", "pass")
 
-_RANDOM_KINDS = frozenset({"random_cone"})
 _KINDS = frozenset({"cyclic2d", "random_cone", "explicit_list"})
 
 _RESAMPLE_BUDGET = 1000
@@ -217,21 +215,10 @@ def random_simplicial_cone(d: int, max_entry: int, seed) -> ToricLogPair:
     )
 
 
-def one_dim_standard_pairs(max_l: int) -> FamilySpec:
-    """The 1D family b = (l-1)/l for l = 1..max_l, as an explicit list."""
-    if max_l < 1:
-        raise InvalidParameters("max_l must be positive")
-    pairs = tuple(
-        ToricLogPair(1, ((1,),), standard_coefficients([Fraction(l - 1, l)]))
-        for l in range(1, max_l + 1)
-    )
-    return FamilySpec(kind="explicit_list", pairs=pairs)
-
-
 def _check_spec(spec: FamilySpec) -> None:
     if spec.kind not in _KINDS:
         raise InvalidParameters(f"unknown family kind {spec.kind!r}")
-    if spec.kind in _RANDOM_KINDS and spec.seed is None:
+    if spec.kind == "random_cone" and spec.seed is None:
         raise InvalidParameters(f"kind {spec.kind!r} needs a seed")
     if spec.kind == "cyclic2d":
         if spec.max_r < 1:

@@ -8,7 +8,7 @@ integer kernels and saturations, and two small abstractions built on top
 of them:
 
 * :class:`SublatticeBasis` — a sublattice of ℤ^d given by independent rows,
-  with exact coordinate/membership queries;
+  with exact integer coordinates;
 * :class:`QuotientMap` / :func:`quotient_lattice` — a concrete model of
   ℤ^d / Λ for a saturated sublattice Λ, with an integral section.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -116,21 +116,22 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _cleared(M: Sequence[Sequence]) -> tuple[list[list[int]], list[int] | None]:
-    """Each row times the lcm of its denominators, with those multipliers
-    (``None`` for an integer matrix).  Row scaling keeps the rank."""
-    if all(type(x) is int for row in M for x in row):
-        return [list(row) for row in M], None
-    rows = [[Fraction(x) for x in row] for row in M]
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[int(x * s) for x in row] for row, s in zip(rows, scales)], scales
+def _int_rows(M: Sequence[Sequence]) -> list[list[int]]:
+    """A mutable copy of an integer matrix.  Any other entry raises
+    :class:`InvalidParameters`: the exact ``//`` below would silently give
+    a wrong answer on a ``Fraction``."""
+    if not all(type(x) is int for row in M for x in row):
+        raise InvalidParameters("matrix entries must be integers")
+    return [list(row) for row in M]
 
 
-def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free forward elimination in place (Bareiss 1968): every
-    entry stays an integer minor of the input, so each division by the
-    previous pivot is exact.  Returns the pivot columns and the sign of the
-    row permutation; a square nonsingular matrix ends with ±det last."""
+def _bareiss(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination in place (Bareiss 1968): every entry stays
+    an integer minor of the input, so each division by the previous pivot
+    is exact.  Returns the pivot columns and the sign of the row
+    permutation; a square nonsingular matrix ends with ±det last.  With
+    ``full`` each pivot clears its column above too (Gauss–Jordan), and
+    every pivot entry ends equal to the last pivot."""
     m = len(a)
     n = len(a[0]) if m else 0
     pivots: list[int] = []
@@ -145,57 +146,55 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         p, top = a[r][c], a[r]
-        for i in range(r + 1, m):
-            f = a[i][c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        for i in range(0 if full else r + 1, m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         pivots.append(c)
         r += 1
     return pivots, sign
 
 
-def det(M: Sequence[Sequence]):
-    """Exact determinant by fraction-free elimination: ``int`` for integer
-    matrices, ``Fraction`` for rational ones."""
+def det(M: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
     m, n = _check_rect(M)
     if m != n:
         raise InvalidParameters(f"determinant of a {m}x{n} matrix")
     if n == 0:
         return 1
-    a, scales = _cleared(M)
+    a = _int_rows(M)
     pivots, sign = _bareiss(a)
-    value = sign * a[n - 1][n - 1] if len(pivots) == n else 0
-    return value if scales is None else Fraction(value, prod(scales))
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def matrix_rank(M: Sequence[Sequence]) -> int:
+def matrix_rank(M: Sequence[Sequence[int]]) -> int:
     if not len(M):
         return 0
     _check_rect(M)
-    return len(_bareiss(_cleared(M)[0])[0])
+    return len(_bareiss(_int_rows(M))[0])
+
+
+def _augmented(M: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Gauss–Jordan on ``[M | I]``: the pivot columns and the rows.  The
+    ``I`` part ends as ``B`` with ``B·M`` equal to the last pivot times the
+    identity on the pivot columns."""
+    a = [row + [int(i == j) for j in range(len(M))] for i, row in enumerate(_int_rows(M))]
+    return _bareiss(a, full=True)[0], a
 
 
 def int_inverse(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     """Fraction-free Gauss–Jordan: ``(B, D)`` with ``M·B = D·I`` and
-    ``|D| = |det M|`` for a nonsingular integer matrix, by the update of
-    :func:`_bareiss` applied above the pivot too."""
+    ``|D| = |det M|`` for a nonsingular integer matrix."""
     m, n = _check_rect(M)
     if m != n:
         raise InvalidParameters(f"inverse of a {m}x{n} matrix")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise InvalidParameters("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        p, top = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-    return tuple(tuple(row[n:]) for row in a), prev
+    if n == 0:
+        return (), 1
+    pivots, a = _augmented(M)
+    if pivots != list(range(n)):
+        raise InvalidParameters("matrix is singular")
+    return tuple(tuple(row[n:]) for row in a), a[0][0]
 
 
 def solve(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntVector, int]:
@@ -379,11 +378,11 @@ class SublatticeBasis:
 
     @cached_property
     def _solver(self) -> tuple[tuple[int, ...], IntMatrix, int]:
-        """Pivot columns ``cols`` of the rows and ``(B, D)`` with ``S·B =
+        """Pivot columns ``cols`` of the rows and ``(B, D)`` with ``B·S =
         D·I`` for the rows ``S`` cut to those columns."""
-        pivots, _ = _bareiss([list(row) for row in self.rows])
-        B, D = int_inverse([[row[c] for c in pivots] for row in self.rows])
-        return tuple(pivots), B, D
+        cols, a = _augmented(self.rows)
+        B = tuple(tuple(row[self.ambient_dim :]) for row in a)
+        return tuple(cols), B, a[0][cols[0]]
 
     def to_coords(self, point: Sequence) -> IntVector:
         """Integer coordinates of ``point`` in this basis; the point must lie
@@ -410,22 +409,12 @@ class SublatticeBasis:
                 out[i] += c * x
         return tuple(out)
 
-    def contains(self, point: Sequence) -> bool:
-        """Whether ``point`` is an integer combination of the basis rows."""
-        try:
-            self.to_coords(point)
-        except InvalidParameters:
-            return False
-        return True
-
 
 def kernel_sublattice(w: Sequence[int], dim: int) -> SublatticeBasis:
     """The lattice ``{x ∈ ℤ^dim : ⟨w, x⟩ = 0}`` for an integer functional
     (the numerators of a rational one over their common denominator)."""
     if len(w) != dim:
         raise DimensionMismatch("functional has the wrong length")
-    if not any(w):
-        return SublatticeBasis(dim, tuple(tuple(r) for r in _identity(dim)))
     return SublatticeBasis(dim, kernel_basis((w,), dim))
 
 
@@ -467,15 +456,13 @@ class QuotientMap:
 
     ``matrix`` holds the k functional rows of the projection; ``lift_rows``
     holds the images of the target's unit vectors under the section, so
-    ``apply(lift(y)) == y`` for every ``y`` and ``apply`` kills exactly
-    ``kernel``.
+    ``apply(lift(y)) == y`` for every ``y``.
     """
 
     source_dim: int
     target_dim: int
     matrix: IntMatrix
     lift_rows: IntMatrix
-    kernel: SublatticeBasis
 
     def apply(self, point: Sequence) -> tuple:
         if len(point) != self.source_dim:
@@ -503,7 +490,7 @@ def quotient_lattice(dim: int, sub: SublatticeBasis) -> QuotientMap:
     k = sub.rank
     if k == 0:
         ident = tuple(tuple(r) for r in _identity(dim))
-        return QuotientMap(dim, dim, ident, ident, sub)
+        return QuotientMap(dim, dim, ident, ident)
     D, _, V = smith_normal_form(sub.rows)
     for i in range(k):
         if D[i][i] != 1:
@@ -513,4 +500,4 @@ def quotient_lattice(dim: int, sub: SublatticeBasis) -> QuotientMap:
     proj = tuple(tuple(V[i][j] for i in range(dim)) for j in range(k, dim))
     B, det_v = int_inverse(V)  # V is unimodular: V⁻¹ = det_v·B
     lift_rows = tuple(tuple(det_v * x for x in B[i]) for i in range(k, dim))
-    return QuotientMap(dim, dim - k, proj, lift_rows, sub)
+    return QuotientMap(dim, dim - k, proj, lift_rows)

@@ -79,9 +79,6 @@ class BoundaryCoefficient:
         return cls(gap.denominator)
 
 
-ONE = BoundaryCoefficient(None)
-
-
 def standard_coefficients(values: Sequence) -> tuple[BoundaryCoefficient, ...]:
     return tuple(BoundaryCoefficient.from_value(v) for v in values)
 
@@ -103,9 +100,6 @@ class ToricLogPair:
             self, "rays", tuple(tuple(int(x) for x in e) for e in self.rays)
         )
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
-
-    def coefficient_values(self) -> RatVector:
-        return tuple(c.value for c in self.coefficients)
 
 
 def validate_pair(pair: ToricLogPair) -> ToricLogPair:

@@ -36,7 +36,6 @@ from .errors import (
     NoInteriorPoint,
     NotKlt,
     NotLatticePolytope,
-    PointNotInterior,
 )
 from .geometry import (
     RatPolytope,
@@ -276,25 +275,11 @@ def verify_bullets(
     return threshold, orders, denominators
 
 
-def _gauge_table(S: RatPolytope, z: Sequence[int]):
-    """Per facet ``(u, c)`` of ``S``, ``(u, ⟨u, z⟩, slack)`` in row units."""
-    slacks = []
-    for u, c in S.int_facets:
-        uz = dot(u, z)
-        s = c - S.den * uz
-        if s <= 0:
-            raise PointNotInterior("center is not interior to the body")
-        slacks.append((u, uz, s))
-    return slacks
+def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, IntVector]:
+    """Contract ``S`` toward its lexicographically least interior lattice
+    point ``z`` until ``z`` is the only point of the (1/q)-lattice left in
+    the interior.
 
-
-def shrink_to_unique(
-    S: RatPolytope, q: int, z: Sequence[int] | None = None
-) -> tuple[Fraction, RatPolytope, IntVector]:
-    """Contract ``S`` toward an interior lattice point ``z`` until ``z`` is
-    the only point of the (1/q)-lattice left in the interior.
-
-    ``z`` defaults to the lexicographically least interior lattice point.
     The factor is the gauge distance (in ``S − z`` units) from ``z`` to the
     nearest other (1/q)-point, capped at 1; the search grows a small
     contraction geometrically instead of enumerating all of ``S``.  Returns
@@ -302,16 +287,14 @@ def shrink_to_unique(
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameters("denominator scale must be a positive integer")
-    if z is None:
-        pts = enumerate_points(S, strict=True)
-        if not pts:
-            raise NoInteriorPoint("body has no interior lattice point")
-        z = pts[0]
-    else:
-        z = as_int_vector(z)
-        if not S.contains(z, strict=True):
-            raise PointNotInterior(f"{z} is not an interior lattice point")
-    slacks = _gauge_table(S, z)
+    pts = enumerate_points(S, strict=True)
+    if not pts:
+        raise NoInteriorPoint("body has no interior lattice point")
+    z = pts[0]
+    slacks = []  # per facet (u, c): (u, ⟨u, z⟩, slack) in row units
+    for u, c in S.int_facets:
+        uz = dot(u, z)
+        slacks.append((u, uz, c - S.den * uz))  # positive: z is interior
 
     def gauge(w: IntVector) -> Fraction:
         # ⟨u, w/q − z⟩ over the slack c/den − ⟨u, z⟩

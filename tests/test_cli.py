@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmld import proof
+from toricmld import cli, proof
 from toricmld.cli import load_instance, main
-from toricmld.errors import CheckFailed, InvalidParameters
+from toricmld.errors import CheckFailed, InvalidParameters, NoInteriorPoint
 
 THIRD_DOC = {
     "dim": 2,
@@ -247,6 +247,18 @@ def test_prove_exit_one_when_a_check_raises(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(proof, "shrink_to_unique", fail)
     assert main(["prove", write(tmp_path, THIRD_DOC)]) == 1
     assert "shrink-uniqueness" in capsys.readouterr().out
+
+
+def test_unexpected_library_error_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoInteriorPoint("forced")
+
+    monkeypatch.setattr(cli, "compute_mld", fail)
+    monkeypatch.setattr(proof, "compute_mld", fail)
+    path = write(tmp_path, THIRD_DOC)
+    for command in ("compute", "prove"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().out == "error: forced\n"
 
 
 def test_sweep_cyclic_summary_and_csv(tmp_path, capsys):

@@ -23,7 +23,6 @@ from toricmld.families import (
     lemma_lv_suite,
     lemma_vo_suite,
     minkowski_suite,
-    one_dim_standard_pairs,
     random_simplicial_cone,
     sweep,
 )
@@ -119,7 +118,12 @@ def test_random_cones_always_validate(seed, d):
 
 
 def test_one_dim_family_ratio_is_exactly_one():
-    report = sweep(one_dim_standard_pairs(10))
+    # b = (l-1)/l for l = 1..10 on the 1D cone
+    pairs = tuple(
+        ToricLogPair(1, ((1,),), standard_coefficients([F(l - 1, l)]))
+        for l in range(1, 11)
+    )
+    report = sweep(FamilySpec(kind="explicit_list", pairs=pairs))
     assert len(report.rows) == 10
     assert report.max_ratio == 1
     assert report.counterexamples == ()

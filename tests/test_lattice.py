@@ -1,8 +1,10 @@
 """Exact lattice linear algebra: normal forms, kernels, base points."""
 
 from fractions import Fraction
-from importlib.util import find_spec
+from importlib import import_module
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -92,10 +94,11 @@ def test_det_known_values():
     assert lat.det([[2, 4], [1, 3]]) == 2
     assert lat.det([[0, 1], [1, 0]]) == -1
     assert lat.det([[1, 2], [2, 4]]) == 0
-    assert lat.det([[Fraction(1, 2)]]) == Fraction(1, 2)
     assert lat.det([]) == 1
     with pytest.raises(InvalidParameters):
         lat.det([[1, 2]])
+    with pytest.raises(InvalidParameters):
+        lat.det([[Fraction(1, 2)]])  # integer entries only
 
 
 @given(int_matrix(3, 3))
@@ -103,17 +106,13 @@ def test_det_matches_laplace_expansion(M):
     assert lat.det(M) == laplace_det(M)
 
 
-@given(int_matrix(3, 3))
-def test_det_fraction_path_agrees_with_integer_path(M):
-    half = [[Fraction(x, 2) for x in row] for row in M]
-    assert lat.det(half) == Fraction(laplace_det(M), 2**3)
-
-
 def test_matrix_rank():
     assert lat.matrix_rank([[1, 2], [2, 4]]) == 1
     assert lat.matrix_rank([[1, 0], [0, 1]]) == 2
     assert lat.matrix_rank([[0, 0]]) == 0
     assert lat.matrix_rank([]) == 0
+    with pytest.raises(InvalidParameters):
+        lat.matrix_rank([[1, Fraction(2)]])  # integer entries only
 
 
 @pytest.mark.skipif(find_spec("sympy") is None, reason="sympy is not installed")
@@ -132,8 +131,6 @@ def test_matrix_rank_matches_sympy(M):
     import sympy
 
     assert lat.matrix_rank(M) == sympy.Matrix(M).rank()
-    scaled = [[Fraction(x, 2 + i) for x in row] for i, row in enumerate(M)]
-    assert lat.matrix_rank(scaled) == sympy.Matrix(M).rank()
 
 
 @given(int_matrix(3, 3))
@@ -239,12 +236,21 @@ def test_smith_normal_form_matches_sympy(M):
 # --- kernels and saturation ---------------------------------------------------
 
 
+def in_lattice(basis, point):
+    """Membership of ``point`` in ``basis``, through its coordinates."""
+    try:
+        basis.to_coords(point)
+    except InvalidParameters:
+        return False
+    return True
+
+
 def test_kernel_basis_of_single_functional():
     rows = lat.kernel_basis(((2, 3),), 2)
     assert len(rows) == 1
     assert lat.dot(rows[0], (2, 3)) == 0
     basis = lat.SublatticeBasis(2, rows)
-    assert basis.contains((3, -2))
+    assert in_lattice(basis, (3, -2))
     assert _saturated(rows)
 
 
@@ -267,16 +273,16 @@ def test_kernel_is_saturated_and_complete(w):
             for x2 in range(-2, 3):
                 x = (x0, x1, x2)
                 if lat.dot(w, x) == 0:
-                    assert basis.contains(x)
+                    assert in_lattice(basis, x)
 
 
 def test_saturate():
     sat = lat.SublatticeBasis(2, lat.saturate(((2, 0), (0, 2)), 2))
     assert sat.rank == 2
-    assert sat.contains((1, 0))
+    assert in_lattice(sat, (1, 0))
     sat1 = lat.SublatticeBasis(2, lat.saturate(((2, 4),), 2))
     assert sat1.rank == 1
-    assert sat1.contains((1, 2))
+    assert in_lattice(sat1, (1, 2))
     assert lat.saturate((), 2) == ()
 
 
@@ -293,8 +299,8 @@ def test_sublattice_coordinates_roundtrip():
     with pytest.raises(InvalidParameters):
         # in the span, but half a basis row
         lat.SublatticeBasis(2, ((2, 0),)).to_coords((1, 0))
-    assert not basis.contains((0, 0, 1))
-    assert basis.contains((1, 1, 1))
+    assert not in_lattice(basis, (0, 0, 1))
+    assert in_lattice(basis, (1, 1, 1))
 
 
 def test_sublattice_rejects_dependent_rows():
@@ -310,7 +316,7 @@ def test_sublattice_roundtrip_property(rows, coords):
     basis = lat.SublatticeBasis(3, tuple(tuple(r) for r in rows))
     point = basis.from_coords(tuple(coords))
     assert basis.to_coords(point) == tuple(coords)
-    assert basis.contains(point)
+    assert in_lattice(basis, point)
 
 
 def test_kernel_sublattice():
@@ -395,3 +401,19 @@ def test_quotient_section_property(w):
         assert q.apply(row) == (0,)
     for y in [(-2,), (0,), (7,)]:
         assert q.apply(q.lift(y)) == y
+
+
+# --- functions the benchmark tracer wraps -------------------------------------
+
+
+def test_every_traced_function_exists():
+    """``bench/tracer.py`` wraps ``toricmld.<layer>.<name>`` for each entry of
+    its ``TRACED``; a renamed or deleted one would break ``--trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = spec_from_file_location("bench_tracer", path)
+    tracer = module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = import_module(f"toricmld.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"toricmld.{layer}.{name}"

@@ -50,7 +50,7 @@ def test_coefficient_values():
     assert tp.BoundaryCoefficient(1).value == 0
     assert tp.BoundaryCoefficient(2).value == Fraction(1, 2)
     assert tp.BoundaryCoefficient(5).value == Fraction(4, 5)
-    assert tp.ONE.value == 1
+    assert tp.BoundaryCoefficient(None).value == 1
 
 
 def test_coefficient_from_value_roundtrip():

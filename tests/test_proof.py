@@ -19,9 +19,9 @@ from toricmld.errors import (
     CheckFailed,
     DimensionTooSmall,
     InvalidParameters,
+    NoInteriorPoint,
     NotKlt,
     NotLatticePolytope,
-    PointNotInterior,
 )
 import toricmld.geometry as geometry
 import toricmld.pairs as pairs
@@ -261,13 +261,6 @@ def test_verify_bullets_searches_the_dilates_in_one_walk():
     assert checks[0].detail == "first interior lattice point at dilate 445"
 
 
-def test_shrink_override_center():
-    t, shrunk, z = shrink_to_unique(segment(0, 4), 1, z=(2,))
-    assert t == F(1, 2)
-    assert z == (2,)
-    assert shrunk.vertices == ((F(1),), (F(3),))
-
-
 def test_shrink_default_center_is_lex_least():
     t, shrunk, z = shrink_to_unique(segment(0, 4), 1)
     assert z == (1,)
@@ -289,10 +282,8 @@ def test_shrink_noop_when_already_unique():
 
 
 def test_shrink_rejects_bad_center_and_scale():
-    with pytest.raises(PointNotInterior):
-        shrink_to_unique(segment(0, 4), 1, z=(0,))
-    with pytest.raises(PointNotInterior):
-        shrink_to_unique(segment(0, 4), 1, z=(9,))
+    with pytest.raises(NoInteriorPoint):
+        shrink_to_unique(segment(0, 1), 1)  # no interior lattice point to shrink to
     with pytest.raises(InvalidParameters):
         shrink_to_unique(segment(0, 4), 0)
 
