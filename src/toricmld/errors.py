@@ -36,10 +36,6 @@ class ValueGroupMismatch(ToricMldError, ArithmeticError):
     """A requested value is not attained by the functional on the lattice."""
 
 
-class NotSaturated(ToricMldError, ValueError):
-    """A sublattice is not saturated in its ambient lattice."""
-
-
 # --- geometry-level failures ------------------------------------------------
 
 

@@ -109,7 +109,6 @@ class SweepRow:
 class SweepReport:
     """All rows of a sweep plus the aggregate empirical constants."""
 
-    spec: FamilySpec
     rows: tuple[SweepRow, ...]
     max_ratio: Fraction | None
     min_gamma: Fraction | None
@@ -254,9 +253,7 @@ def _instances(spec: FamilySpec) -> Iterator[tuple[str, ToricLogPair]]:
                         base, coefficients=standard_coefficients(coeffs)
                     )
     else:  # random_cone
-        values = [Fraction(l - 1, l) for l in range(1, spec.L + 1)]
-        if spec.include_one:
-            values.append(Fraction(1))
+        values = [v for (v,) in coefficient_grid(1, spec.L, spec.include_one)]
         for d in spec.dims:
             for i in range(spec.count):
                 pair = random_simplicial_cone(
@@ -312,7 +309,6 @@ def sweep(spec: FamilySpec) -> SweepReport:
     gammas = [r.trace.gamma for r in rows if r.trace is not None]
     counterexamples = tuple(r.key for r in rows if r.passed is False)
     return SweepReport(
-        spec=spec,
         rows=rows,
         max_ratio=max(ratios) if ratios else None,
         min_gamma=min(gammas) if gammas else None,
@@ -382,7 +378,7 @@ def minkowski_suite(dim: int, count: int, seed) -> tuple[ToricLogPair, ...]:
     exercise the symmetry / unique-interior-point verification."""
     if dim < 2 or count < 1:
         raise InvalidParameters("need dim >= 2 and count >= 1")
-    values = [Fraction(0), Fraction(1, 2), Fraction(2, 3)]
+    values = [v for (v,) in coefficient_grid(1, 3)]
     out = []
     for i in range(count):
         pair = random_simplicial_cone(dim, 4, f"{seed}:mk:{dim}:{i}")

@@ -38,7 +38,6 @@ from .lattice import (
     IntMatrix,
     IntVector,
     RatVector,
-    SublatticeBasis,
     _identity,
     det,
     dot,
@@ -296,25 +295,14 @@ def _pulling(face: int, facets: Sequence[int], k: int):
             yield s | low
 
 
-def normalized_volume(P: RatPolytope, sub: SublatticeBasis | None = None) -> Fraction:
-    """Volume of ``P`` normalized so a fundamental cell of the lattice has
-    volume 1.
-
-    With ``sub`` omitted the lattice is ℤ^dim; otherwise ``sub`` must be a
-    finite-index sublattice of ℤ^dim and the result is divided by its index
-    (= the covolume of the sublattice).  Zero-dimensional polytopes have
-    volume 1 by convention.  The volume is a pulling triangulation over the
-    vertex–facet incidence, found by bitmask intersections alone: only its
-    simplices take a determinant on the integer rows, and their sum is
-    divided once by ``den^dim·dim!``.
+def normalized_volume(P: RatPolytope) -> Fraction:
+    """Volume of ``P`` normalized so a fundamental cell of ℤ^dim has volume
+    1.  Zero-dimensional polytopes have volume 1 by convention.  The volume
+    is a pulling triangulation over the vertex–facet incidence, found by
+    bitmask intersections alone: only its simplices take a determinant on
+    the integer rows, and their sum is divided once by ``den^dim·dim!``.
     """
     k = P.dim
-    if sub is not None:
-        if sub.ambient_dim != k or sub.rank != k:
-            raise InvalidParameters(
-                "normalizing sublattice must have finite index in ℤ^dim"
-            )
-        return normalized_volume(P) / abs(det(sub.rows))
     if k == 0:
         return Fraction(1)
     rows = P.rows
@@ -580,9 +568,12 @@ def _reduced_frame(P: RatPolytope) -> tuple[IntMatrix, IntMatrix, RatPolytope] |
     return U, Ui, RatPolytope(d, den, tuple(sorted(zip(*ucols))), tuple(facets))
 
 
-def _iter_points(
-    P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None, M: IntMatrix = ()
-):
+def _iter_points(P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None):
+    """The one lattice-point walk, over ``scale·P`` or its interior; with an
+    objective ``w`` only the points that beat every earlier one under it.
+    When ``P`` has a reduced frame ``(U, U⁻¹, U·P)`` the walk runs in
+    ``U·P`` under ``w·U⁻¹`` and yields its points mapped back by ``U⁻¹``,
+    so every point is in ``P``'s coordinates."""
     if not isinstance(scale, int) or scale < 1:
         raise InvalidParameters("scale must be a positive integer")
     d = P.dim
@@ -591,6 +582,11 @@ def _iter_points(
         return
     if not P.int_facets:
         raise UnboundedRegion("polytope carries no facet description")
+    M: IntMatrix = ()
+    if P._frame:
+        _, M, P = P._frame
+        if w is not None:
+            w = tuple(dot(w, col) for col in zip(*M))
     den = P.den
 
     def offset(c: int) -> int:
@@ -658,7 +654,7 @@ def _iter_points(
                     return False
                 y[k] = lo if w[k] >= 0 else hi
                 record = dot(w, y)
-                yield tuple(y)
+                yield tuple(dot(r, y) for r in M) if M else tuple(y)
                 return True
             if M:  # the run y[k] = lo..hi maps by M to arithmetic progressions
                 y[k], n = 0, hi - lo + 1
@@ -705,10 +701,7 @@ def enumerate_points(
     vertex bounding box holds fewer lattice points, then maps the points
     back by ``U⁻¹`` and sorts them.
     """
-    frame = P._frame
-    if frame is None:
-        return tuple(_iter_points(P, scale, strict))
-    return tuple(sorted(_iter_points(frame[2], scale, strict, M=frame[1])))
+    return tuple(sorted(_iter_points(P, scale, strict)))
 
 
 def minimize(
@@ -724,7 +717,7 @@ def minimize(
     ``⟨W, ·⟩`` orders them by ``(⟨w, y⟩, y_0, …, y_(d−1))`` and its
     minimiser is unique and the answer.  Like :func:`enumerate_points` it
     walks the reduced frame ``U·P`` when there is one, under ``W·U⁻¹``, and
-    maps the one result back by ``U⁻¹``.
+    maps each record back by ``U⁻¹``.
 
     The walk runs in objective mode (branch and bound): it yields only
     points that strictly beat every earlier one, so the last is the
@@ -744,21 +737,15 @@ def minimize(
     w, d = tuple(w), P.dim
     B = 1 + max((max(c) - min(c) for c in zip(*P.rows)), default=0) // P.den
     W = tuple(B**d * x + B ** (d - 1 - i) for i, x in enumerate(w))
-    frame = P._frame
-    if frame is not None:
-        Ui, P = frame[1], frame[2]
-        W = tuple(dot(W, col) for col in zip(*Ui))
     best = None
     for best in _iter_points(P, 1, strict, W):
         pass
     if best is None:
         return None
-    if frame is not None:
-        best = tuple(dot(r, best) for r in Ui)
     return dot(w, best), best
 
 
 def any_lattice_point(P: RatPolytope, scale: int = 1, strict: bool = False) -> bool:
     """Whether ``scale·P`` (or its interior) contains an integer vector: the
     walk of :func:`enumerate_points`, stopped at the first hit."""
-    return next(_iter_points(P._frame[2] if P._frame else P, scale, strict), None) is not None
+    return next(_iter_points(P, scale, strict), None) is not None

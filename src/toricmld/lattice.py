@@ -9,8 +9,8 @@ of them:
 
 * :class:`SublatticeBasis` — a sublattice of ℤ^d given by independent rows,
   with exact integer coordinates;
-* :class:`QuotientMap` / :func:`quotient_lattice` — a concrete model of
-  ℤ^d / Λ for a saturated sublattice Λ, with an integral section.
+* :func:`quotient_lattice` — ``(proj, lift)``, a concrete model of ℤ^d / Λ
+  for the saturation Λ of given rows, with an integral section.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     InvalidParameters,
-    NotSaturated,
     ValueGroupMismatch,
     ZeroFunctional,
 )
@@ -87,17 +86,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def content(v: Sequence[int]) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    return gcd(*(int(x) for x in v)) if len(v) else 0
+    """gcd of the entries (0 for the zero vector).  An entry that is not an
+    ``int`` raises :class:`InvalidParameters`, as in :func:`det`."""
+    if not all(type(x) is int for x in v):
+        raise InvalidParameters("vector entries must be integers")
+    return gcd(*v)
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by its content; rejects the zero vector."""
-    w = tuple(int(x) for x in v)
-    c = content(w)
+    c = content(v)
     if c == 0:
         raise InvalidParameters("the zero vector has no primitive multiple")
-    return tuple(x // c for x in w)
+    return tuple(x // c for x in v)
 
 
 # --- matrices ---------------------------------------------------------------
@@ -117,9 +118,9 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _int_rows(M: Sequence[Sequence]) -> list[list[int]]:
-    """A mutable copy of an integer matrix.  Any other entry raises
-    :class:`InvalidParameters`: the exact ``//`` below would silently give
-    a wrong answer on a ``Fraction``."""
+    """A mutable copy of an integer matrix.  Any other entry (a ``bool``
+    too) raises :class:`InvalidParameters`: a cast would silently truncate
+    a ``Fraction``, and the exact ``//`` below would be silently wrong."""
     if not all(type(x) is int for row in M for x in row):
         raise InvalidParameters("matrix entries must be integers")
     return [list(row) for row in M]
@@ -271,7 +272,7 @@ def smith_normal_form(
     ``d₁ | d₂ | …``.
     """
     m, n = _check_rect(M)
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M)
     U = _identity(m)
     V = _identity(n)
     t = 0
@@ -362,7 +363,7 @@ class SublatticeBasis:
     rows: IntMatrix
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(tuple, _int_rows(self.rows)))
         object.__setattr__(self, "rows", rows)
         for row in rows:
             if len(row) != self.ambient_dim:
@@ -450,54 +451,19 @@ def base_point(w: Sequence[int]) -> IntVector:
 # --- quotient lattices --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """A surjection ℤ^d → ℤ^k with a chosen integral section.
-
-    ``matrix`` holds the k functional rows of the projection; ``lift_rows``
-    holds the images of the target's unit vectors under the section, so
-    ``apply(lift(y)) == y`` for every ``y``.
-    """
-
-    source_dim: int
-    target_dim: int
-    matrix: IntMatrix
-    lift_rows: IntMatrix
-
-    def apply(self, point: Sequence) -> tuple:
-        if len(point) != self.source_dim:
-            raise DimensionMismatch("point has the wrong length")
-        return tuple(dot(row, point) for row in self.matrix)
-
-    def lift(self, point: Sequence) -> tuple:
-        if len(point) != self.target_dim:
-            raise DimensionMismatch("point has the wrong length")
-        out = [0] * self.source_dim
-        for c, row in zip(point, self.lift_rows):
-            for i, x in enumerate(row):
-                out[i] += c * x
-        return tuple(out)
-
-
-def quotient_lattice(dim: int, sub: SublatticeBasis) -> QuotientMap:
-    """Quotient of ℤ^dim by a saturated sublattice.
-
-    Raises :class:`NotSaturated` if the sublattice has a nontrivial invariant
-    factor (the quotient would then have torsion).
-    """
-    if sub.ambient_dim != dim:
-        raise DimensionMismatch("sublattice lives in a different ambient lattice")
-    k = sub.rank
-    if k == 0:
+def quotient_lattice(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntMatrix, IntMatrix]:
+    """ℤ^dim modulo the saturation of the row lattice, torsion-free of rank
+    ``k``: ``(proj, lift)``, the ``k`` functional rows of a surjection ℤ^dim
+    → ℤ^k and the images of ℤ^k's unit vectors under an integral section,
+    so ``proj·lift = I``.  Both come from the Smith form ``U·S·V`` of the
+    saturated rows ``S``: the columns of ``V`` past the rank, and the rows
+    of ``V⁻¹`` past it."""
+    sat = saturate(rows, dim)
+    if not sat:
         ident = tuple(tuple(r) for r in _identity(dim))
-        return QuotientMap(dim, dim, ident, ident)
-    D, _, V = smith_normal_form(sub.rows)
-    for i in range(k):
-        if D[i][i] != 1:
-            raise NotSaturated(
-                f"sublattice has invariant factor {D[i][i]}; quotient has torsion"
-            )
+        return ident, ident
+    _, _, V = smith_normal_form(sat)
+    k = len(sat)
     proj = tuple(tuple(V[i][j] for i in range(dim)) for j in range(k, dim))
     B, det_v = int_inverse(V)  # V is unimodular: V⁻¹ = det_v·B
-    lift_rows = tuple(tuple(det_v * x for x in B[i]) for i in range(k, dim))
-    return QuotientMap(dim, dim - k, proj, lift_rows)
+    return proj, tuple(tuple(det_v * x for x in B[i]) for i in range(k, dim))

@@ -36,13 +36,12 @@ from .lattice import (
     IntMatrix,
     IntVector,
     RatVector,
-    SublatticeBasis,
+    _int_rows,
     content,
     dot,
     independent_rows,
     matrix_rank,
     quotient_lattice,
-    saturate,
     solve,
     vec_add,
     vec_scale,
@@ -57,9 +56,11 @@ class BoundaryCoefficient:
     level: int | None
 
     def __post_init__(self):
-        if self.level is not None and (
-            not isinstance(self.level, int) or self.level < 1
-        ):
+        if self.level is None:
+            return
+        if type(self.level) is not int:
+            raise InvalidParameters(f"coefficient level {self.level!r} is not an integer")
+        if self.level < 1:
             raise NonStandardCoefficient(f"invalid coefficient level {self.level!r}")
 
     @property
@@ -96,9 +97,7 @@ class ToricLogPair:
     coefficients: tuple[BoundaryCoefficient, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rays", tuple(tuple(int(x) for x in e) for e in self.rays)
-        )
+        object.__setattr__(self, "rays", tuple(map(tuple, _int_rows(self.rays))))
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
 
@@ -205,7 +204,6 @@ class LogCanonicalReport:
     mld_denominator: int
     witness: IntVector
     klt: bool
-    value_group_unit: bool
 
     @cached_property
     def psi(self) -> RatVector:
@@ -239,26 +237,26 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     d = pair.dim
     if not any(w):
         return LogCanonicalReport(
-            d, w, n, Fraction(0), 1, _interior_sum(pair.rays, d), False, False
+            d, w, n, Fraction(0), 1, _interior_sum(pair.rays, d), False
         )
     zero_rays = [e for e in pair.rays if dot(w, e) == 0]
     pos_rays = [e for e in pair.rays if dot(w, e) != 0]
-    qmap = quotient_lattice(d, SublatticeBasis(d, saturate(zero_rays, d)))
-    proj = tuple(qmap.apply(e) for e in pos_rays)
-    raw = [dot(w, row) for row in qmap.lift_rows]
+    to_q, lift = quotient_lattice(zero_rays, d)
+    proj = [tuple(dot(r, e) for r in to_q) for e in pos_rays]
+    raw = [dot(w, row) for row in lift]
     g = math.gcd(n, *raw)
     wq, m = tuple(x // g for x in raw), n // g
-    level = dot(wq, _interior_sum(proj, qmap.target_dim))
+    level = dot(wq, _interior_sum(proj, len(lift)))
     vals = [dot(wq, p) for p in proj]
     den = math.lcm(*vals)
     slab = convex_hull(
-        [(0,) * qmap.target_dim]
+        [(0,) * len(lift)]
         + [vec_scale((level + 1) * (den // v), p) for p, v in zip(proj, vals)],
         den,
     )
     value, w_bar = minimize(slab, wq, strict=True)
     mld = Fraction(value, m)
-    base = qmap.lift(w_bar)
+    base = tuple(dot(w_bar, col) for col in zip(*lift))
     shift = _interior_sum(zero_rays, d)
     normals = cone_facets(pair)
     k = 0
@@ -269,9 +267,7 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
         k = 1 if k == 0 else 2 * k
         if k > 1 << 62:  # pragma: no cover - the lift always stabilizes
             raise NoInteriorPoint("witness lift failed to enter the cone interior")
-    return LogCanonicalReport(
-        d, w, n, mld, mld.denominator, witness, True, math.gcd(*w) == 1
-    )
+    return LogCanonicalReport(d, w, n, mld, mld.denominator, witness, True)
 
 
 def mld_oracle(pair: ToricLogPair) -> tuple[Fraction, IntVector]:
@@ -319,7 +315,6 @@ class BoundVerdict:
     dim: int
     constant: Fraction
     limit: Fraction
-    ratio: Fraction
     passed: bool
 
 
@@ -341,9 +336,7 @@ def bound_check(report: LogCanonicalReport, gamma: Fraction | None = None) -> Bo
         if not 0 < gamma <= Fraction(1, 2):
             raise InvalidParameters("gamma must lie in (0, 1/2]")
         c = Fraction(math.factorial(d)) / gamma ** (d - 1)
-    qd = Fraction(report.mld_denominator) ** d
-    limit = c * qd
-    ratio = Fraction(report.index) / qd
+    limit = c * report.mld_denominator**d
     return BoundVerdict(
-        report.index, report.mld_denominator, d, c, limit, ratio, report.index <= limit
+        report.index, report.mld_denominator, d, c, limit, report.index <= limit
     )

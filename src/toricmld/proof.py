@@ -124,8 +124,6 @@ class ProofTrace:
     shrink_factor: Fraction
     shrunk: RatPolytope
     gamma: Fraction
-    symmetric_body: RatPolytope
-    half_body: RatPolytope
     certificate: RatPolytope
     checks: tuple[CheckResult, ...]
     bound: BoundVerdict
@@ -329,19 +327,19 @@ def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, Int
 
 def minkowski_certificate(
     shrunk: RatPolytope, z: Sequence[int], j: int, gamma: Fraction, diff: RatPolytope
-) -> tuple[RatPolytope, RatPolytope, RatPolytope, tuple[CheckResult, ...]]:
+) -> tuple[RatPolytope, RatPolytope, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
     ``diff`` is the difference body ``shrunk − shrunk``.  The core ``K = z +
     gamma·diff`` is centrally symmetric and inscribed in the shrunk body;
     the certificate is the bipyramid over ``{j}×K`` with apexes at the
     origin and at ``2·(j, z)``, and its volume is triangulated from the body
-    itself, independently of the half-cone's.  Returns
-    ``(K, half, certificate, checks)`` where ``half`` is the cone over
-    ``{j}×K``.  Checks: vertexwise central symmetry, the center is the only
-    interior lattice point, volume at most ``2^D`` (Minkowski's theorem,
-    ``D`` the certificate dimension), the two half-cones tile the body, and
-    the pyramid over the shrunk body itself has empty interior lattice set.
+    itself, independently of the half-cone's, the cone over ``{j}×K``.
+    Returns ``(K, certificate, checks)``.  Checks: vertexwise central
+    symmetry, the center is the only interior lattice point, volume at most
+    ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension), the two
+    half-cones tile the body, and the pyramid over the shrunk body itself
+    has empty interior lattice set.
     """
     if not isinstance(j, int) or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
@@ -399,7 +397,7 @@ def minkowski_certificate(
             else "pyramid over the shrunk body contains an interior lattice point",
         )
     )
-    return core, half, body, tuple(checks)
+    return core, body, tuple(checks)
 
 
 def chain_verify(
@@ -460,21 +458,18 @@ def lemma_vo_check(
     height h over the origin multiplies the normalized volume by h/(k+1).
 
     With ``sub`` the base volume is measured in a finite-index sublattice L
-    and the cone in ℤ×L.
+    and the cone in ℤ×L: both volumes are divided by the index ``|det
+    sub|``, which is also the index of ℤ×L.
     """
     if not isinstance(height, int) or height < 1:
         raise InvalidParameters("height must be a positive integer")
-    k = base.dim
-    pyramid = cone_over(height, base)
-    if sub is None:
-        lhs = normalized_volume(pyramid)
-        rhs = Fraction(height, k + 1) * normalized_volume(base)
-    else:
-        ambient = SublatticeBasis(
-            k + 1, ((1,) + (0,) * k,) + tuple((0,) + tuple(r) for r in sub.rows)
-        )
-        lhs = normalized_volume(pyramid, ambient)
-        rhs = Fraction(height, k + 1) * normalized_volume(base, sub)
+    k, index = base.dim, 1
+    if sub is not None:
+        if sub.ambient_dim != k or sub.rank != k:
+            raise InvalidParameters("normalizing sublattice must have finite index in ℤ^dim")
+        index = abs(det(sub.rows))
+    lhs = normalized_volume(cone_over(height, base)) / index
+    rhs = Fraction(height, k + 1) * normalized_volume(base) / index
     return CheckResult("pyramid-volume", lhs == rhs, f"{lhs} vs {rhs}")
 
 
@@ -589,7 +584,7 @@ def prove(
     # shrunk − shrunk = t·(dilated − dilated): one hull for both
     diff_dilated = difference_body(dilated)
     diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
-    core, half, body, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
+    core, body, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
     checks.extend(mk_checks)
     checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk))
     bound = bound_check(report) if d <= 2 else bound_check(report, gamma)
@@ -607,8 +602,6 @@ def prove(
         shrink_factor=t,
         shrunk=shrunk,
         gamma=gamma,
-        symmetric_body=core,
-        half_body=half,
         certificate=body,
         checks=tuple(checks),
         bound=bound,

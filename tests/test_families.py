@@ -276,6 +276,30 @@ def test_cyclic_2d_sweep_pinned_digest():
     )
 
 
+def test_random_sweep_with_coefficient_one_pinned_digest():
+    """3D–5D rows with coefficients equal to 1 reproduce pinned sweep JSON
+    bytes and ``(index, mld, witness)`` of every report, so that a change
+    of the quotient by the zero rays, or of the witness lifted from it,
+    cannot alter them."""
+    report = sweep(
+        FamilySpec(
+            kind="random_cone", dims=(3, 4, 5), count=10, max_entry=3, L=3,
+            include_one=True, seed=2,
+        )
+    )
+    assert all(r.report is not None for r in report.rows)
+    text = "".join(
+        f"{r.key}|{r.report.index}|{proof.fmt_rat(r.report.mld)}|{r.report.witness}\n"
+        for r in report.rows
+    )
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "046a48adc108be1f7b8e184c3a4c1c1444f5e6efc9fb097a8e6796b71744bf2c"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "934193d7fd8b743c4a3cb2f9e47f0aaef56b20afbb0de031bc3d1ce8976e1651"
+    )
+
+
 def test_sweep_json_carries_aggregates():
     import json
 

@@ -17,7 +17,7 @@ from toricmld.errors import (
     PointNotInterior,
     UnboundedRegion,
 )
-from toricmld.lattice import SublatticeBasis, det, dot, matrix_rank, vec_sub
+from toricmld.lattice import det, dot, matrix_rank, vec_sub
 
 coords = st.integers(min_value=-4, max_value=4)
 
@@ -152,14 +152,6 @@ def test_volume_known_values():
 def test_volume_matches_shoelace_oracle(pts):
     assume(matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == 2)
     assert geo.normalized_volume(geo.convex_hull(pts)) == shoelace(monotone_chain(pts))
-
-
-def test_volume_with_sublattice_normalization():
-    big = geo.convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    halved = SublatticeBasis(2, ((2, 0), (0, 1)))
-    assert geo.normalized_volume(big, halved) == 2
-    with pytest.raises(InvalidParameters):
-        geo.normalized_volume(big, SublatticeBasis(2, ((1, 0),)))
 
 
 # --- Minkowski arithmetic -------------------------------------------------------

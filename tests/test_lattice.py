@@ -14,7 +14,6 @@ from toricmld import lattice as lat
 from toricmld.errors import (
     DimensionMismatch,
     InvalidParameters,
-    NotSaturated,
     ValueGroupMismatch,
     ZeroFunctional,
 )
@@ -79,6 +78,30 @@ def test_content_and_primitive():
     assert lat.primitive_vector((0, -3)) == (0, -1)
     with pytest.raises(InvalidParameters):
         lat.primitive_vector((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lat.smith_normal_form(((Fraction(1, 2), 1),)),
+        lambda: lat.kernel_basis(((Fraction(1, 2), 1),), 2),
+        lambda: lat.SublatticeBasis(2, ((Fraction(3, 2), 1),)),
+        lambda: lat.SublatticeBasis(2, ((True, 1),)),
+        lambda: lat.content((Fraction(1, 2), 1)),
+        lambda: lat.primitive_vector((Fraction(3, 2), 3)),
+        lambda: lat.primitive_vector((2.0, 4)),
+    ],
+    ids=[
+        "smith_normal_form", "kernel_basis", "SublatticeBasis", "SublatticeBasis-bool",
+        "content", "primitive_vector", "primitive_vector-float",
+    ],
+)
+def test_non_integer_entries_are_rejected(call):
+    """A cast to ``int`` would truncate silently: ``kernel_basis`` would
+    give ``((1, 0),)`` for the row ``(1/2, 1)``, whose kernel is spanned by
+    ``(2, −1)``."""
+    with pytest.raises(InvalidParameters):
+        call()
 
 
 def test_as_int_vector():
@@ -364,43 +387,52 @@ def test_base_point_property(w):
 # --- quotient lattices --------------------------------------------------------
 
 
+def _apply(proj, point):
+    return tuple(lat.dot(row, point) for row in proj)
+
+
+def _is_section(proj, lift):
+    """``proj·lift = I``: the lift is a section of the projection."""
+    k = len(proj)
+    return len(lift) == k and all(
+        lat.dot(proj[i], lift[j]) == (i == j) for i in range(k) for j in range(k)
+    )
+
+
 def test_quotient_by_rank_one_sublattice():
-    sub = lat.SublatticeBasis(2, ((2, 1),))
-    q = lat.quotient_lattice(2, sub)
-    assert q.target_dim == 1
-    assert q.apply((2, 1)) == (0,)
-    assert q.apply(q.lift((5,))) == (5,)
+    proj, lift = lat.quotient_lattice(((2, 1),), 2)
+    assert len(proj) == 1 and _is_section(proj, lift)
+    assert _apply(proj, (2, 1)) == (0,)
     for x0 in range(-3, 4):
         for x1 in range(-3, 4):
-            killed = q.apply((x0, x1)) == (0,)
+            killed = _apply(proj, (x0, x1)) == (0,)
             assert killed == ((x0, x1) in {(2 * t, t) for t in range(-3, 4)})
 
 
-def test_quotient_requires_saturated_sublattice():
-    with pytest.raises(NotSaturated):
-        lat.quotient_lattice(2, lat.SublatticeBasis(2, ((2, 0),)))
+def test_quotient_saturates_its_rows():
+    """The span of ``(2, 0)`` has the quotient of ``(1, 0)``: no torsion."""
+    proj, lift = lat.quotient_lattice(((2, 0),), 2)
+    assert (proj, lift) == lat.quotient_lattice(((1, 0),), 2)
+    assert _apply(proj, (1, 0)) == (0,) and _is_section(proj, lift)
 
 
 def test_quotient_edge_ranks():
-    q0 = lat.quotient_lattice(2, lat.SublatticeBasis(2, ()))
-    assert q0.target_dim == 2
-    assert q0.apply((3, 4)) == (3, 4)
-    qd = lat.quotient_lattice(2, lat.SublatticeBasis(2, ((1, 0), (0, 1))))
-    assert qd.target_dim == 0
-    assert qd.apply((3, 4)) == ()
-    assert qd.lift(()) == (0, 0)
+    proj, lift = lat.quotient_lattice((), 2)
+    assert _is_section(proj, lift) and len(proj) == 2
+    assert _apply(proj, (3, 4)) == (3, 4)
+    assert lat.quotient_lattice(((1, 0), (0, 1)), 2) == ((), ())
+    with pytest.raises(DimensionMismatch):
+        lat.quotient_lattice(((1, 0, 0),), 2)
 
 
 @given(st.lists(small_ints, min_size=3, max_size=3))
 def test_quotient_section_property(w):
     assume(any(w))
-    sub = lat.SublatticeBasis(3, lat.kernel_basis((tuple(w),), 3))
-    q = lat.quotient_lattice(3, sub)
-    assert q.target_dim == 1
-    for row in sub.rows:
-        assert q.apply(row) == (0,)
-    for y in [(-2,), (0,), (7,)]:
-        assert q.apply(q.lift(y)) == y
+    rows = lat.kernel_basis((tuple(w),), 3)
+    proj, lift = lat.quotient_lattice(rows, 3)
+    assert len(proj) == 1 and _is_section(proj, lift)
+    for row in rows:
+        assert _apply(proj, row) == (0,)
 
 
 # --- functions the benchmark tracer wraps -------------------------------------

@@ -73,6 +73,19 @@ def test_coefficient_rejects_bad_levels():
         tp.BoundaryCoefficient(-3)
 
 
+@pytest.mark.parametrize("level", [True, 2.0, Fraction(2)])
+def test_coefficient_rejects_non_integer_levels(level):
+    with pytest.raises(InvalidParameters):
+        tp.BoundaryCoefficient(level)
+
+
+@pytest.mark.parametrize("entry", [0.9, Fraction(1, 2), True])
+def test_pair_rejects_non_integer_rays(entry):
+    """A cast would silently make ``(0.9, 1)`` the ray ``(0, 1)``."""
+    with pytest.raises(InvalidParameters):
+        make_pair(2, [(entry, 1), (1, 0)], [0, 0])
+
+
 # --- validation ----------------------------------------------------------------
 
 
@@ -130,7 +143,7 @@ def test_solve_psi_known_values():
 
 def test_solve_psi_value_group_known_cases():
     """The values of ``psi = w/n`` on ℤ^d form ``(gcd(w)/n)·ℤ``; the report
-    names the group unit when it is ``(1/n)·ℤ``."""
+    has ``gcd(w) = 1`` exactly when it is ``(1/n)·ℤ``."""
     cases = [
         (THIRD_THIRD, (2, 3), 3, True),
         (make_pair(2, [(1, 0), (0, 1)], [Fraction(1, 2), Fraction(2, 3)]), (3, 2), 6, True),
@@ -140,7 +153,7 @@ def test_solve_psi_value_group_known_cases():
     for pair, w, n, unit in cases:
         assert tp.solve_psi(pair) == (w, n)
         rep = tp.compute_mld(pair)
-        assert (rep.w, rep.index, rep.value_group_unit) == (w, n, unit)
+        assert (rep.w, rep.index, gcd(*rep.w) == 1) == (w, n, unit)
         assert rep.psi == tuple(Fraction(x, n) for x in w)
 
 
@@ -215,14 +228,14 @@ def test_mld_of_smooth_quadrant():
     rep = tp.compute_mld(QUADRANT_PLAIN)
     assert (rep.index, rep.mld, rep.mld_denominator) == (1, 2, 1)
     assert rep.witness == (1, 1)
-    assert rep.klt and rep.value_group_unit
+    assert rep.klt and gcd(*rep.w) == 1
 
 
 def test_mld_of_cyclic_third():
     rep = tp.compute_mld(THIRD_THIRD)
     assert (rep.index, rep.mld, rep.mld_denominator) == (3, Fraction(2, 3), 3)
     assert rep.witness == (1, 0)
-    assert rep.klt and rep.value_group_unit
+    assert rep.klt and gcd(*rep.w) == 1
 
 
 def test_mld_with_one_coefficient_reduces_to_a_quotient():
@@ -247,7 +260,7 @@ def test_mld_in_dimension_one():
 def test_mld_of_all_ones_boundary_is_zero():
     rep = tp.compute_mld(ALL_ONES)
     assert (rep.index, rep.mld, rep.mld_denominator) == (1, 0, 1)
-    assert not rep.klt and not rep.value_group_unit
+    assert not rep.klt and gcd(*rep.w) != 1
     assert rep.witness == (1, 1)
 
 
@@ -433,7 +446,7 @@ def test_two_dim_invariants_and_oracle_agreement(rs, b1, b2):
     rep = tp.compute_mld(pair)
     assert rep.klt and rep.mld > 0
     assert rep.index % rep.mld_denominator == 0
-    assert rep.value_group_unit
+    assert gcd(*rep.w) == 1
     assert all(dot(u, rep.witness) < 0 for u in tp.cone_facets(pair))
     assert dot(rep.psi, rep.witness) == rep.mld
     val, _ = tp.mld_oracle(pair)
@@ -485,10 +498,11 @@ def test_invariants_respect_lattice_automorphisms_and_ray_order(seed, d):
 
 def test_bound_check_low_dimensions():
     v1 = tp.bound_check(tp.compute_mld(LINE_FIFTH))
-    assert v1.passed and v1.constant == 1 and v1.limit == 5 and v1.ratio == 1
+    assert v1.passed and v1.constant == 1 and v1.limit == 5
+    assert Fraction(v1.index, v1.mld_denominator**v1.dim) == 1
     v2 = tp.bound_check(tp.compute_mld(THIRD_THIRD))
     assert v2.passed and v2.constant == 2 and v2.limit == 18
-    assert v2.ratio == Fraction(1, 3)
+    assert Fraction(v2.index, v2.mld_denominator**v2.dim) == Fraction(1, 3)
 
 
 def test_bound_check_needs_gamma_in_higher_dimension():

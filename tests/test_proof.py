@@ -290,10 +290,9 @@ def test_shrink_rejects_bad_center_and_scale():
 
 def test_minkowski_certificate_frozen():
     S = segment(0, 2)
-    core, half, body, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
+    core, body, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
     assert core.vertices == ((F(0),), (F(2),))
     assert normalized_volume(body) == 4
-    assert normalized_volume(half) == 2
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
     assert all(c.passed for c in checks)
 
@@ -302,7 +301,7 @@ def test_minkowski_certificate_flags_non_unique_body():
     # [0, 4] still holds three interior lattice points, so both the interior
     # uniqueness and the empty-pyramid checks must fail
     S = segment(0, 4)
-    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
+    _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
     assert not by_name["pyramid-interior-empty"]
@@ -342,6 +341,18 @@ def test_pyramid_volume_rule_pinned():
     assert lemma_vo_check(3, square, coarse).passed
     with pytest.raises(InvalidParameters):
         lemma_vo_check(0, square)
+
+
+def test_pyramid_volume_rule_in_a_sublattice():
+    """Measured in the index-2 sublattice L, the square [0, 2]^2 has volume
+    2, and its pyramid of height 3 in ℤ×L volume 2 too; a rank-deficient L
+    has no finite index."""
+    big = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    halved = SublatticeBasis(2, ((2, 0), (0, 1)))
+    check = lemma_vo_check(3, big, halved)
+    assert check.passed and check.detail == "2 vs 2"
+    with pytest.raises(InvalidParameters):
+        lemma_vo_check(3, big, SublatticeBasis(2, ((1, 0),)))
 
 
 def test_difference_floor_pinned():
