@@ -62,8 +62,10 @@ class RatPolytope:
     ``vertices`` is a read-only :class:`~fractions.Fraction` view of the
     rows in the same order.  ``_incidence`` holds, per
     facet, the bitmask of the rows it is tight on (bit ``i`` for
-    ``rows[i]``).  A zero-dimensional polytope is the single empty row with
-    no facets.
+    ``rows[i]``).  ``_basis`` is the walk basis ``(U, U⁻¹)`` and, once a
+    walk has picked it, the cache holds the frame ``U·P`` as ``_reduced``
+    (:func:`_reduced_frame`).  A zero-dimensional polytope is the single
+    empty row with no facets.
     """
 
     dim: int
@@ -87,8 +89,8 @@ class RatPolytope:
         return _projection_levels(self)
 
     @cached_property
-    def _frame(self) -> tuple[IntMatrix, IntMatrix, RatPolytope] | None:
-        return _reduced_frame(self)
+    def _basis(self) -> tuple[IntMatrix, IntMatrix] | None:
+        return _scatter_basis(self)
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         if len(point) != self.dim:
@@ -325,10 +327,12 @@ def difference_body(P: RatPolytope) -> RatPolytope:
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
     ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
-    projection levels and a walk frame that ``P`` has built carry over (same
-    ``U``).  A decision to walk ``P`` itself is not carried: it depends on
-    how many lattice points the vertex boxes hold, which a scale changes,
-    so the image decides for itself."""
+    projection levels and reduced frame that ``P`` has built carry over.
+    The basis ``U`` is carried whenever ``P`` has taken it: it depends only
+    on the vertex scatter, which a translate leaves as it is and a positive
+    homothet multiplies by a square, and LLL reduction is blind to a
+    positive factor of the Gram matrix.  Whether to walk in ``U·P`` is
+    decided per walk, at the walked scale (:func:`_reduced_frame`)."""
 
     def image(facets, g=1):
         return tuple((u, (a * c + b * sum(map(mul, u, w))) // g) for u, c in facets)
@@ -338,9 +342,11 @@ def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> Rat
     Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
-    if cache.get("_frame"):
-        U, Ui, F = cache["_frame"]
-        vars(Q)["_frame"] = (U, Ui, _affine_image(F, a, b, tuple(dot(r, w) for r in U), den))
+    if "_basis" in cache:
+        vars(Q)["_basis"] = cache["_basis"]
+    if "_reduced" in cache:
+        Uw = tuple(dot(r, w) for r in cache["_basis"][0])
+        vars(Q)["_reduced"] = _affine_image(cache["_reduced"], a, b, Uw, den)
     return Q
 
 
@@ -546,32 +552,60 @@ def _lll(G: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     return tuple(map(tuple, B[1:])), tuple(zip(*C[1:]))
 
 
-def _reduced_frame(P: RatPolytope) -> tuple[IntMatrix, IntMatrix, RatPolytope] | None:
-    """``(U, U⁻¹, U·P)`` to walk in place of ``P``, or ``None`` to walk ``P``.
-    The rows of ``U``, LLL-reduced under the vertex scatter ``Σ (n·row −
-    Σ rows)(…)ᵀ``, are directions in which ``P`` is thin, so few lattice points
-    of the leading projections of ``U·P`` lead nowhere (Lenstra 1983).  ``P``
-    is kept when the vertex bounding box of ``U·P`` holds no fewer of them."""
-    d, rows, den = P.dim, P.rows, P.den
-    if d <= 1 or not P.int_facets:
+def _scatter_basis(P: RatPolytope) -> tuple[IntMatrix, IntMatrix] | None:
+    """``(U, U⁻¹)``, the rows of ``U`` LLL-reduced under the vertex scatter
+    ``Σ (n·row − Σ rows)(…)ᵀ``: directions in which ``P`` is thin, so few
+    lattice points of the leading projections of ``U·P`` lead nowhere
+    (Lenstra 1983).  ``None`` below dimension 2 or without facets."""
+    if P.dim <= 1 or not P.int_facets:
         return None
-    n, cols = len(rows), list(zip(*rows))
+    n, cols = len(P.rows), list(zip(*P.rows))
     cen = [[n * x - s for x in c] for c, s in zip(cols, map(sum, cols))]
-    U, Ui = _lll([[sum(map(mul, x, y)) for y in cen] for x in cen])
-    ucols = [[sum(map(mul, u, r)) for r in rows] for u in U]
-    new, old = (
-        math.prod(max(0, max(c) // den + (-min(c)) // den + 1) for c in cs) for cs in (ucols, cols)
-    )
-    if new >= old:
+    return _lll([[sum(map(mul, x, y)) for y in cen] for x in cen])
+
+
+# A 2D walk in place takes one clip per value of its first coordinate, and
+# taking U and building U·P costs about as much as 60 such clips, so a
+# polygon whose first coordinate takes at most this many values at the
+# walked scale is walked as it is.  Above 2D a clip's work grows with the
+# facets of each projection level, and frames pay on far smaller boxes.
+_PLANE_IN_PLACE = 64
+
+
+def _reduced_frame(P: RatPolytope, scale: int) -> tuple[IntMatrix, RatPolytope] | None:
+    """``(U⁻¹, U·P)`` to walk ``scale·P`` in, or ``None`` to walk ``P``.
+    ``U·P`` is walked when the vertex bounding box of ``scale·U·P`` holds
+    fewer lattice points than that of ``scale·P``, except for a polygon
+    whose first coordinate takes at most ``_PLANE_IN_PLACE`` values.  A
+    dilate's box is not the dilate of the box (a cross-section's holds about
+    one point at scale 1 and many at the threshold), so this is decided at
+    the walked scale.  ``U·P``, rows ``U·row`` and facets ``(u·U⁻¹, c)``, is
+    built only when a walk picks it, and then kept in ``P``'s cache as
+    ``_reduced``."""
+    rows, den, cache = P.rows, P.den, vars(P)
+
+    def span(c) -> int:
+        return max(0, (scale * max(c)) // den + (-scale * min(c)) // den + 1)
+
+    cols = list(zip(*rows))
+    if (P.dim == 2 and span(cols[0]) <= _PLANE_IN_PLACE) or P._basis is None:
         return None
-    facets = sorted((tuple(sum(map(mul, u, col)) for col in zip(*Ui)), c) for u, c in P.int_facets)
-    return U, Ui, RatPolytope(d, den, tuple(sorted(zip(*ucols))), tuple(facets))
+    U, Ui = P._basis
+    R = cache.get("_reduced")
+    ucols = list(zip(*R.rows)) if R else [[sum(map(mul, u, r)) for r in rows] for u in U]
+    if math.prod(map(span, ucols)) >= math.prod(map(span, cols)):
+        return None
+    if R is None:
+        uicols = list(zip(*Ui))
+        facets = sorted((tuple(sum(map(mul, u, c)) for c in uicols), b) for u, b in P.int_facets)
+        R = cache["_reduced"] = RatPolytope(P.dim, den, tuple(sorted(zip(*ucols))), tuple(facets))
+    return Ui, R
 
 
 def _iter_points(P: RatPolytope, scale: int, strict: bool, w: IntVector | None = None):
     """The one lattice-point walk, over ``scale·P`` or its interior; with an
     objective ``w`` only the points that beat every earlier one under it.
-    When ``P`` has a reduced frame ``(U, U⁻¹, U·P)`` the walk runs in
+    When :func:`_reduced_frame` picks ``U·P`` at this scale the walk runs in
     ``U·P`` under ``w·U⁻¹`` and yields its points mapped back by ``U⁻¹``,
     so every point is in ``P``'s coordinates."""
     if not isinstance(scale, int) or scale < 1:
@@ -583,8 +617,9 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool, w: IntVector | None =
     if not P.int_facets:
         raise UnboundedRegion("polytope carries no facet description")
     M: IntMatrix = ()
-    if P._frame:
-        _, M, P = P._frame
+    frame = _reduced_frame(P, scale)
+    if frame:
+        M, P = frame
         if w is not None:
             w = tuple(dot(w, col) for col in zip(*M))
     den = P.den
@@ -697,9 +732,11 @@ def enumerate_points(
     walk fixes one coordinate at a time within the exact projections of
     ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
     coordinates, taken once per polytope, with offsets rescaled per dilate.
-    It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when that frame's
-    vertex bounding box holds fewer lattice points, then maps the points
-    back by ``U⁻¹`` and sorts them.
+    It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when the vertex
+    bounding box of ``scale·U·P`` holds fewer lattice points than that of
+    ``scale·P`` (a polygon whose first coordinate takes few values is walked
+    as it is), then maps the points back by ``U⁻¹`` and sorts them; ``U`` is
+    taken once per polytope and shared by its homothets.
     """
     return tuple(sorted(_iter_points(P, scale, strict)))
 
@@ -716,8 +753,8 @@ def minimize(
     box: no two lattice points of ``P`` differ by ``B`` in a coordinate, so
     ``⟨W, ·⟩`` orders them by ``(⟨w, y⟩, y_0, …, y_(d−1))`` and its
     minimiser is unique and the answer.  Like :func:`enumerate_points` it
-    walks the reduced frame ``U·P`` when there is one, under ``W·U⁻¹``, and
-    maps each record back by ``U⁻¹``.
+    walks the reduced frame ``U·P`` when :func:`_reduced_frame` picks it
+    at scale 1, under ``W·U⁻¹``, and maps each record back by ``U⁻¹``.
 
     The walk runs in objective mode (branch and bound): it yields only
     points that strictly beat every earlier one, so the last is the

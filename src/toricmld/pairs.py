@@ -71,6 +71,11 @@ class BoundaryCoefficient:
 
     @classmethod
     def from_value(cls, b) -> "BoundaryCoefficient":
+        """The coefficient of value ``b``, an ``int`` or a ``Fraction``;
+        anything else, a ``bool`` or a ``float`` included, raises
+        :class:`InvalidParameters`."""
+        if type(b) is not int and not isinstance(b, Fraction):
+            raise InvalidParameters(f"coefficient {b!r} is not an int or a Fraction")
         b = Fraction(b)
         if b == 1:
             return cls(None)
@@ -108,9 +113,12 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     ray-shape problems, :class:`LengthMismatch` for a ray/coefficient count
     difference, :class:`NonPrimitiveRay`, :class:`NotFullDimensional`,
     :class:`NotStronglyConvex`, and :class:`RedundantRay` for duplicated or
-    non-extreme rays.
+    non-extreme rays.  A dimension that is not an ``int`` (a ``bool``
+    included) raises :class:`InvalidParameters`.
     """
     d = pair.dim
+    if type(d) is not int:
+        raise InvalidParameters(f"ambient dimension {d!r} is not an integer")
     if d < 1:
         raise InvalidParameters("ambient dimension must be at least 1")
     for e in pair.rays:

@@ -221,12 +221,11 @@ def verify_bullets(
 
     * ``dilation-threshold``: ``j`` is the first dilate of the box whose
       interior contains a lattice point (so ``j/n`` really is the minimum).
-      The dilates ``1 … j−1`` of a segment are tried one by one (each is one
-      clip); a larger box is first searched in one walk: the interior of the
-      pyramid ``j·conv({0} ∪ {1} × box)`` has the interior of ``i·box`` as
-      its section at height ``0 < i < j``, so it holds a lattice point
-      exactly when one of those dilates does, and only then are the dilates
-      tried to name the first.
+      The dilates ``1 … j−1`` are searched in one walk, in every dimension:
+      the interior of the pyramid ``j·conv({0} ∪ {1} × box)`` has the
+      interior of ``i·box`` as its section at height ``0 < i < j``, so it
+      holds a lattice point exactly when one of those dilates does, and only
+      then are the dilates tried one by one to name the first.
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -236,7 +235,7 @@ def verify_bullets(
     if len(levels) != len(box.rows):
         raise InvalidParameters("one level per vertex is required")
     early = None
-    if box.dim == 1 or any_lattice_point(cone_over(1, box), scale=j, strict=True):
+    if any_lattice_point(cone_over(1, box), scale=j, strict=True):
         early = next((i for i in range(1, j) if any_lattice_point(box, scale=i, strict=True)), None)
     attained = any_lattice_point(box, scale=j, strict=True)
     if early is not None:
@@ -279,9 +278,14 @@ def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, Int
     the interior.
 
     The factor is the gauge distance (in ``S − z`` units) from ``z`` to the
-    nearest other (1/q)-point, capped at 1; the search grows a small
-    contraction geometrically instead of enumerating all of ``S``.  Returns
-    ``(factor, shrunk, z)``.
+    nearest other (1/q)-point, capped at 1: the least gauge over the first
+    contraction whose interior holds another (1/q)-point, in a doubling
+    that starts at ``τ = min(1, 2·den/(q·max slack))``, slacks in row units.
+    Every (1/q)-point ``p ≠ z`` has ``⟨u, q·p − q·z⟩ ≥ 1`` for some facet
+    normal ``u``, so its gauge is at least ``den/(q·max slack)`` and the
+    contraction by ``τ/2`` holds none; the first non-empty contraction, at
+    a factor at most twice the answer, holds every point of least gauge.
+    Returns ``(factor, shrunk, z)``.
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameters("denominator scale must be a positive integer")
@@ -301,11 +305,7 @@ def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, Int
         )
 
     qz = tuple(q * x for x in z)
-    span = 1
-    for i in range(S.dim):
-        vals = [r[i] for r in S.rows]
-        span = max(span, (max(vals) - min(vals)) // S.den + 1)
-    tau = Fraction(1, 1 << (q * span).bit_length())
+    tau = min(Fraction(1), Fraction(2 * S.den, q * max(s for _, _, s in slacks)))
     while True:
         region = scale_about(S, tau, z)
         others = [p for p in enumerate_points(region, scale=q, strict=True) if p != qz]

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -338,6 +339,16 @@ def test_enumerate_points_matches_box_scan(P, scale, strict):
     assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(got)
 
 
+# The in-place cut-off for polygons as set, and 0, at which polygons follow
+# the box products alone, as above 2D, so that small skewed polygons take the
+# reduced frame too.
+PLANE_CUTS = (geo._PLANE_IN_PLACE, 0)
+
+
+def plane_cut(cut):
+    return mock.patch.object(geo, "_PLANE_IN_PLACE", cut)
+
+
 def test_minimize_known_values():
     T = geo.convex_hull([(0, 0), (4, 0), (0, 4)])
     assert geo.minimize(T, (1, 1)) == (0, (0, 0))
@@ -347,10 +358,14 @@ def test_minimize_known_values():
     unit = geo.convex_hull([(0, 0), (1, 0), (0, 1)])
     assert geo.minimize(unit, (1, 2), strict=True) is None
     assert geo.minimize(geo.convex_hull([()]), ()) == (0, ())
-    # walked in its reduced frame, where the optimum is one below the first
-    # record under the unique objective and tight on the closed-form cut
+    # walked in place, and in its reduced frame, where the optimum is one
+    # below the first record under the unique objective and tight on the
+    # closed-form cut
     thin = geo.convex_hull([(6, 9), (8, 2), (10, 0)], 2)
-    assert geo.minimize(thin, (2, 0)) == (8, (4, 1))
+    for cut in PLANE_CUTS:
+        with plane_cut(cut):
+            assert (geo._reduced_frame(thin, 1) is None) == (cut > 0)
+            assert geo.minimize(thin, (2, 0)) == (8, (4, 1))
     with pytest.raises(DimensionMismatch):
         geo.minimize(T, (1,))
 
@@ -396,11 +411,17 @@ def skewed_polytopes(draw):
     return U, geo.convex_hull(B), geo.convex_hull([mat_vec(U, v) for v in B])
 
 
-def box_points(P):
-    """Lattice points in the bounding box of the vertices."""
-    return math.prod(
-        max(0, math.floor(max(c)) - math.ceil(min(c)) + 1) for c in zip(*P.vertices)
-    )
+def spans(P, scale=1):
+    """Per coordinate, the integers in the vertex range of ``scale·P``."""
+    return [
+        max(0, math.floor(scale * max(c)) - math.ceil(scale * min(c)) + 1)
+        for c in zip(*P.vertices)
+    ]
+
+
+def box_points(P, scale=1):
+    """Lattice points in the bounding box of the vertices of ``scale·P``."""
+    return math.prod(spans(P, scale))
 
 
 def gram_schmidt(U, M):
@@ -444,9 +465,11 @@ def test_skewed_enumeration_matches_box_scan(data, scale, strict):
     box scan of the unskewed preimage mapped forward."""
     U, B, P = data
     expected = sorted(mat_vec(U, x) for x in box_scan(B, scale, strict))
-    got = geo.enumerate_points(P, scale=scale, strict=strict)
-    assert list(got) == expected
-    assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(expected)
+    for cut in PLANE_CUTS:
+        with plane_cut(cut):
+            got = geo.enumerate_points(P, scale=scale, strict=strict)
+            assert list(got) == expected
+            assert geo.any_lattice_point(P, scale=scale, strict=strict) == bool(expected)
 
 
 @st.composite
@@ -488,23 +511,39 @@ def test_minimize_matches_enumeration(data, strict):
     if pts:
         best = min(pts, key=lambda y: (dot(w, y), y))
         expected = (dot(w, best), best)
-    assert geo.minimize(P, w, strict=strict) == expected
+    for cut in PLANE_CUTS:
+        with plane_cut(cut):
+            assert geo.minimize(P, w, strict=strict) == expected
 
 
-@given(skewed_polytopes())
+@given(skewed_polytopes(), st.lists(st.integers(1, 12), min_size=1, max_size=4))
 @settings(deadline=None, max_examples=60)
-def test_frame_is_lll_reduced_and_pays(data):
-    """The frame's U is unimodular, size-reduced and meets the Lovász
-    condition under the vertex scatter, and is used only when its vertex
-    bounding box holds fewer lattice points."""
+def test_frame_is_lll_reduced_and_pays(data, scales):
+    """The basis U is unimodular, size-reduced and meets the Lovász
+    condition under the vertex scatter, and a walk of ``scale·P`` takes the
+    frame ``U·P`` exactly when its vertex bounding box holds fewer lattice
+    points at that scale, unless ``P`` is a polygon whose first coordinate
+    takes at most the cut-off's number of values there; the frame is then
+    ``U·P``, built once."""
     P = data[2]
     M = vertex_scatter(P)
     U, Ui = geo._lll(M)
     assert_lll_reduced(U, Ui, M)
-    frame = P._frame
-    if frame is not None:
-        assert frame[:2] == (U, Ui)
-        assert box_points(frame[2]) < box_points(P)
+    assert P._basis == (U, Ui)
+    image = geo.convex_hull([mat_vec(U, v) for v in P.vertices])
+    built = None
+    for scale, cut in itertools.product(scales, PLANE_CUTS):
+        with plane_cut(cut):
+            frame = geo._reduced_frame(P, scale)
+        in_place = P.dim == 2 and spans(P, scale)[0] <= cut
+        pays = box_points(image, scale) < box_points(P, scale)
+        assert (frame is not None) == (pays and not in_place)
+        if frame is not None:
+            assert frame[0] == Ui
+            assert (frame[1].dim, frame[1].den, frame[1].rows) == (P.dim, image.den, image.rows)
+            assert sorted(frame[1].int_facets) == sorted(image.int_facets)
+            assert built is None or frame[1] is built
+            built = frame[1]
 
 
 @given(st.data())
@@ -522,25 +561,67 @@ def test_lll_of_random_gram_matrices(data):
 @given(skewed_polytopes(), st.data(), st.booleans())
 @settings(deadline=None, max_examples=60)
 def test_images_keep_frame_and_levels(data, draws, strict):
-    """``translate`` and ``scale_about`` carry a frame that a walked polytope
-    has built, but not a decision to walk it in place; the images list the
-    same points as hulls rebuilt from their vertices."""
+    """``translate`` and ``scale_about`` carry the basis U to every image,
+    and the frame ``U·P`` and projection levels when a walk has built them;
+    the images list the same points as hulls rebuilt from their vertices,
+    which take U afresh from their own scatter."""
     P = data[2]
     d = P.dim
     small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     z = draws.draw(st.tuples(*[small] * d))
     t = draws.draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
-    geo.enumerate_points(P)
-    frame = P._frame
-    (P if frame is None else frame[2])._levels
-    for image in (geo.translate(P, z), geo.scale_about(P, t, z)):
-        assert ("_frame" in vars(image)) == (frame is not None)
-        rebuilt = geo.convex_hull(image.vertices)
-        assert rebuilt == image
-        for scale in (1, 2):
-            got = geo.enumerate_points(image, scale=scale, strict=strict)
-            assert got == geo.enumerate_points(rebuilt, scale=scale, strict=strict)
-            assert geo.any_lattice_point(image, scale=scale, strict=strict) == bool(got)
+    walked = draws.draw(st.integers(1, 6))
+    cut = draws.draw(st.sampled_from(PLANE_CUTS))
+    with plane_cut(cut):
+        geo.enumerate_points(P, scale=walked)
+        frame = geo._reduced_frame(P, walked)
+        (P if frame is None else frame[1])._levels
+        basis = P._basis
+        for image in (geo.translate(P, z), geo.scale_about(P, t, z)):
+            assert vars(image)["_basis"] == basis
+            assert ("_reduced" in vars(image)) == ("_reduced" in vars(P))
+            rebuilt = geo.convex_hull(image.vertices)
+            assert rebuilt == image
+            assert rebuilt._basis == basis
+            for scale in (1, 2, walked):
+                got = geo.enumerate_points(image, scale=scale, strict=strict)
+                assert got == geo.enumerate_points(rebuilt, scale=scale, strict=strict)
+                assert geo.any_lattice_point(image, scale=scale, strict=strict) == bool(got)
+                if "_reduced" in vars(image) and geo._reduced_frame(image, scale):
+                    reduced = geo._reduced_frame(image, scale)[1]
+                    assert reduced == geo.convex_hull(
+                        [mat_vec(basis[0], v) for v in image.vertices]
+                    )
+
+
+@given(st.one_of(rational_polytopes(), skewed_polytopes().map(lambda t: t[2])), st.data())
+@settings(deadline=None, max_examples=60)
+def test_homothets_share_the_scatter_basis(P, draws):
+    """A translate leaves the vertex scatter as it is and a positive homothet
+    multiplies it by a square, so LLL gives the same U for every homothet:
+    the basis carried to an image is the one its own scatter gives."""
+    d = P.dim
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    z = draws.draw(st.tuples(*[small] * d))
+    t = draws.draw(st.fractions(min_value=Fraction(1, 7), max_value=40, max_denominator=7))
+    U = geo._lll(vertex_scatter(P))
+    for image in (geo.scale_about(P, t, z), geo.translate(P, z)):
+        assert geo._lll(vertex_scatter(image)) == U
+
+
+@given(st.one_of(rational_polytopes(), skewed_polytopes().map(lambda t: t[2])), st.data())
+@settings(deadline=None, max_examples=100)
+def test_walk_at_a_scale_is_the_walk_of_the_dilate(P, draws):
+    """``scale·P`` walked at scale ``s`` and the dilate ``scale_about(P, s,
+    0)`` walked at scale 1 decide their frames from the same boxes and list
+    the same points."""
+    s = draws.draw(st.integers(1, 9))
+    strict = draws.draw(st.booleans())
+    D = geo.scale_about(P, s, (0,) * P.dim)
+    got = geo.enumerate_points(P, scale=s, strict=strict)
+    assert got == geo.enumerate_points(D, strict=strict)
+    assert got == geo.enumerate_points(geo.convex_hull(D.vertices), strict=strict)
+    assert geo.any_lattice_point(P, scale=s, strict=strict) == bool(got)
 
 
 def test_image_offsets_are_divided_by_the_content():
@@ -548,17 +629,20 @@ def test_image_offsets_are_divided_by_the_content():
     # content 2 in common with the denominator; the carried offsets must be
     # divided by it like the facet offsets
     half = Fraction(1, 2)
-    T = geo.convex_hull([(half, half), (3 * half, half), (7 * half, 5 * half)])
-    geo.enumerate_points(T)
-    (T if T._frame is None else T._frame[2])._levels
-    image = geo.translate(T, (half, half))
-    assert image.den == 1
-    rebuilt = geo.convex_hull(image.vertices)
-    for scale in (1, 2, 3):
-        for strict in (False, True):
-            got = geo.enumerate_points(image, scale, strict)
-            assert got == geo.enumerate_points(rebuilt, scale, strict)
-    assert geo.enumerate_points(image) == ((1, 1), (2, 1), (3, 2), (4, 3))
+    for cut in PLANE_CUTS:
+        with plane_cut(cut):
+            T = geo.convex_hull([(half, half), (3 * half, half), (7 * half, 5 * half)])
+            geo.enumerate_points(T)
+            frame = geo._reduced_frame(T, 1)
+            (T if frame is None else frame[1])._levels
+            image = geo.translate(T, (half, half))
+            assert image.den == 1
+            rebuilt = geo.convex_hull(image.vertices)
+            for scale in (1, 2, 3):
+                for strict in (False, True):
+                    got = geo.enumerate_points(image, scale, strict)
+                    assert got == geo.enumerate_points(rebuilt, scale, strict)
+            assert geo.enumerate_points(image) == ((1, 1), (2, 1), (3, 2), (4, 3))
 
 
 # --- incidence, closed-form pyramids, pulling volumes -------------------------------

@@ -79,6 +79,26 @@ def test_coefficient_rejects_non_integer_levels(level):
         tp.BoundaryCoefficient(level)
 
 
+@pytest.mark.parametrize("value", [True, False, 0.5, 0.0, "1/2"])
+def test_coefficient_from_value_takes_only_int_and_fraction(value):
+    """``Fraction(b)`` alone would make ``True``, ``False`` and ``0.5`` the
+    coefficients 1, 0 and 1/2."""
+    with pytest.raises(InvalidParameters):
+        tp.BoundaryCoefficient.from_value(value)
+    with pytest.raises(InvalidParameters):
+        tp.standard_coefficients([0, value])
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "2", None])
+def test_validate_rejects_non_integer_dimension(dim):
+    """Unchecked, ``2.0`` ends in a ``TypeError`` and ``True`` validates as
+    dimension 1."""
+    rays = ((1,),) if dim is True else ((0, 1), (3, -1))
+    pair = tp.ToricLogPair(dim, rays, tp.standard_coefficients([0] * len(rays)))
+    with pytest.raises(InvalidParameters):
+        tp.validate_pair(pair)
+
+
 @pytest.mark.parametrize("entry", [0.9, Fraction(1, 2), True])
 def test_pair_rejects_non_integer_rays(entry):
     """A cast would silently make ``(0.9, 1)`` the ray ``(0, 1)``."""

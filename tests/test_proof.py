@@ -26,6 +26,7 @@ from toricmld.errors import (
 import toricmld.geometry as geometry
 import toricmld.pairs as pairs
 import toricmld.proof as proof
+from toricmld.families import FamilySpec, _instances
 from toricmld.geometry import convex_hull, difference_body, normalized_volume
 from toricmld.lattice import SublatticeBasis, base_point, kernel_sublattice
 from toricmld.pairs import ToricLogPair, compute_mld, standard_coefficients
@@ -212,7 +213,8 @@ def test_verify_bullets_detects_wrong_threshold():
     threshold, _, _ = verify_bullets(box, (3, 3), 3, 4, 3)
     assert not threshold.passed
     assert "dilate 2" in threshold.detail
-    # a square box takes the one-walk pyramid search before the dilates
+    # every box, a segment too, is searched in one pyramid walk before the
+    # dilates are tried one by one
     square = convex_hull([(F(a, 3), F(b, 3)) for a in (1, 2) for b in (1, 2)])
     threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 3, 3)
     assert threshold.detail == "interior lattice point at dilate 2 < 3"
@@ -486,11 +488,11 @@ def test_higher_dimensional_traces_pinned(rays, values, digest):
 
 
 def test_prove_six_dim_index_444_is_fast_and_pinned():
-    """``scale_about`` images decide their walk frame for themselves: when the
-    shrink search's contractions of the 6D dilated section inherited the
-    section's decision to walk in place (taken at scale 1/n, where its vertex
-    boxes hold almost no lattice points), this proof took about 15 s.  The
-    trace is pinned from that implementation."""
+    """Every walk decides its frame at the scale it walks: when the shrink
+    search's contractions of the 6D dilated section inherited the section's
+    decision to walk in place (taken at scale 1/n, where its vertex boxes
+    hold almost no lattice points), this proof took about 15 s.  The trace
+    is pinned from that implementation."""
     start = time.perf_counter()
     trace = prove(SIX_D_444)
     assert time.perf_counter() - start < 2
@@ -524,3 +526,82 @@ def test_prove_hull_calls_are_bounded(monkeypatch):
     )
     assert prove(pair).all_passed
     assert len(calls) <= 15
+
+
+def test_threshold_walk_of_a_wide_5d_section_is_fast():
+    """Row d5i11 of the 5D sweep (seed 20261018, ``max_entry`` 6, L = 3):
+    n = 18,138 and j = 5,625.  Its cross-section's vertex boxes hold about
+    one lattice point at scale 1, so a frame decided there would walk
+    ``j·box`` in raw coordinates, over ranges of 454 × 6,412 × 7 × 8 (about
+    9 s).  Decided at scale j, the walk takes milliseconds."""
+    spec = FamilySpec("random_cone", dims=(5,), count=12, max_entry=6, L=3, seed=20261018)
+    pair = dict(_instances(spec))["d5i11"]
+    report = compute_mld(pair)
+    n, j = report.index, int(report.mld * report.index)
+    assert (n, j) == (18138, 5625)
+    box, _ = build_box(pair, report.w, n, base_point(report.w), kernel_sublattice(report.w, 5))
+    start = time.perf_counter()
+    assert geometry.any_lattice_point(box, scale=j, strict=True)
+    assert not geometry.any_lattice_point(geometry.cone_over(1, box), scale=j, strict=True)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.fixture(scope="module")
+def sections():
+    """``(box, levels, n, j, q)`` for the klt rows with every coefficient
+    below 1 of cyclic r <= 20 (L = 3) and of a seeded 3D corpus."""
+    specs = [
+        FamilySpec("cyclic2d", max_r=20, L=3),
+        FamilySpec("random_cone", dims=(3,), count=60, max_entry=4, L=3, seed=5),
+    ]
+    out = []
+    for spec in specs:
+        for _, pair in _instances(spec):
+            report = compute_mld(pair)
+            if not report.klt or any(c.level is None for c in pair.coefficients):
+                continue
+            n = report.index
+            box, verts = build_box(
+                pair, report.w, n, base_point(report.w), kernel_sublattice(report.w, pair.dim)
+            )
+            level = {v: n // c.level for v, c in zip(verts, pair.coefficients)}
+            levels = tuple(level[v] for v in box.vertices)
+            out.append((box, levels, n, int(report.mld * n), report.mld_denominator))
+    return out
+
+
+def brute_shrink_factor(S, q):
+    """Oracle: the least gauge ``max_u ⟨u, p − z⟩ / (c − ⟨u, z⟩)`` over every
+    (1/q)-point ``p ≠ z`` inside ``S`` (1 when there is none), ``z`` the
+    lex-least interior lattice point, on the ``Fraction`` facets."""
+    z = geometry.enumerate_points(S, strict=True)[0]
+    facets = [(u, F(c, S.den) - sum(x * w for x, w in zip(u, z))) for u, c in S.int_facets]
+
+    def gauge(p):
+        return max(sum(x * (F(y, q) - w) for x, y, w in zip(u, p, z)) / s for u, s in facets)
+
+    qz = tuple(q * x for x in z)
+    points = geometry.enumerate_points(S, scale=q, strict=True)
+    return min((gauge(p) for p in points if p != qz), default=F(1)), z
+
+
+def test_shrink_factor_is_the_brute_force_least_gauge(sections):
+    assert len(sections) > 1000
+    for box, _, _, j, q in sections:
+        S = geometry.scale_about(box, j, (0,) * box.dim)
+        t, _, z = shrink_to_unique(S, q)
+        assert (t, z) == brute_shrink_factor(S, q)
+
+
+def test_pyramid_search_matches_the_dilates_one_by_one(sections):
+    """The one pyramid walk of ``verify_bullets`` agrees with a loop over the
+    dilates 1 … J−1 at the threshold J = j (none) and past it (J = j + 1,
+    2j: dilate j has one), and the threshold check passes at j only."""
+    for box, levels, n, j, q in sections:
+        pyramid = geometry.cone_over(1, box)
+        for J in (j, j + 1, 2 * j):
+            loop = any(geometry.any_lattice_point(box, scale=i, strict=True) for i in range(1, J))
+            assert geometry.any_lattice_point(pyramid, scale=J, strict=True) == loop == (J > j)
+        assert verify_bullets(box, levels, n, j, q)[0].passed
+        if j > 1:
+            assert not verify_bullets(box, levels, n, j - 1, q)[0].passed
