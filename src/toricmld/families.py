@@ -157,14 +157,22 @@ def _csv_fields(row: SweepRow) -> tuple[str, ...]:
     )
 
 
+def _need_int(**values) -> None:
+    """Reject each value that is not an ``int``, a ``bool`` included: a
+    float would end in a builtin ``TypeError`` or ``ValueError`` inside a
+    generator, and ``True`` would pass as 1."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise InvalidParameters(f"{name} must be an integer, got {v!r}")
+
+
 def cyclic_quotient_cone(
     r: int, s: int, coefficients: Sequence = (0, 0)
 ) -> ToricLogPair:
     """The 2D germ 1/r(1,s) as ``cone((0,1),(r,-s))``, boundary 0 unless
     ``coefficients`` says otherwise.  Requires ``0 <= s < r`` coprime
     (``s = 0`` only for the smooth ``r = 1``)."""
-    if not isinstance(r, int) or not isinstance(s, int):
-        raise InvalidParameters("r and s must be integers")
+    _need_int(r=r, s=s)
     if r < 1 or not 0 <= s < r:
         raise InvalidParameters(f"need 0 <= s < r with r >= 1, got r={r} s={s}")
     if gcd(r, s) != 1:
@@ -178,6 +186,7 @@ def coefficient_grid(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """All k-tuples over {0, 1/2, ..., (L-1)/L} (plus 1 when asked), in
     lexicographic order."""
+    _need_int(k=k, L=L)
     if k < 1 or L < 1:
         raise InvalidParameters("need k >= 1 and L >= 1")
     values = [Fraction(l - 1, l) for l in range(1, L + 1)]
@@ -190,6 +199,7 @@ def random_simplicial_cone(d: int, max_entry: int, seed) -> ToricLogPair:
     """A valid pair on ``d`` primitive rays with entries drawn uniformly
     from [-max_entry, max_entry], boundary 0.  Rejection-resamples draws
     that fail validation; deterministic for a given seed."""
+    _need_int(d=d, max_entry=max_entry)
     if d < 2:
         raise InvalidParameters("dimension must be at least 2")
     if max_entry < 1:
@@ -219,12 +229,22 @@ def _check_spec(spec: FamilySpec) -> None:
         raise InvalidParameters(f"unknown family kind {spec.kind!r}")
     if spec.kind == "random_cone" and spec.seed is None:
         raise InvalidParameters(f"kind {spec.kind!r} needs a seed")
+    if spec.kind == "explicit_list":
+        for pair in spec.pairs:
+            if not isinstance(pair, ToricLogPair):
+                raise InvalidParameters(
+                    f"explicit_list entry {pair!r} is not a ToricLogPair"
+                )
     if spec.kind == "cyclic2d":
+        _need_int(max_r=spec.max_r, L=spec.L)
         if spec.max_r < 1:
             raise InvalidParameters("max_r must be positive")
         if spec.L < 1:
             raise InvalidParameters("L must be positive")
     if spec.kind == "random_cone":
+        _need_int(count=spec.count, max_entry=spec.max_entry, L=spec.L)
+        for d in spec.dims:
+            _need_int(dimension=d)
         if spec.count < 1:
             raise InvalidParameters("count must be positive")
         if spec.max_entry < 1:
@@ -335,6 +355,7 @@ def _random_lattice_polytope(rng: random.Random, d: int, spread: int) -> RatPoly
 def lemma_lv_suite(dim: int, count: int, seed) -> tuple[RatPolytope, ...]:
     """Seeded random full-dimensional lattice polytopes for the
     difference-body floor check."""
+    _need_int(dim=dim, count=count)
     if dim < 1 or count < 1:
         raise InvalidParameters("need dim >= 1 and count >= 1")
     out = []
@@ -350,6 +371,7 @@ def lemma_vo_suite(
     """Seeded random (height, base, sublattice) triples for the pyramid
     volume rule.  Every third triple measures against a non-standard
     full-rank sublattice; the base's vertices are drawn from it."""
+    _need_int(dim=dim, count=count)
     if dim < 1 or count < 1:
         raise InvalidParameters("need dim >= 1 and count >= 1")
     out = []
@@ -376,6 +398,7 @@ def lemma_vo_suite(
 def minkowski_suite(dim: int, count: int, seed) -> tuple[ToricLogPair, ...]:
     """Seeded klt pairs (coefficients below 1) whose certificate bodies
     exercise the symmetry / unique-interior-point verification."""
+    _need_int(dim=dim, count=count)
     if dim < 2 or count < 1:
         raise InvalidParameters("need dim >= 2 and count >= 1")
     values = [v for (v,) in coefficient_grid(1, 3)]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +40,6 @@ from .lattice import (
     content,
     dot,
     independent_rows,
-    matrix_rank,
     quotient_lattice,
     solve,
     vec_add,
@@ -73,16 +72,22 @@ class BoundaryCoefficient:
     def from_value(cls, b) -> "BoundaryCoefficient":
         """The coefficient of value ``b``, an ``int`` or a ``Fraction``;
         anything else, a ``bool`` or a ``float`` included, raises
-        :class:`InvalidParameters`."""
-        if type(b) is not int and not isinstance(b, Fraction):
+        :class:`InvalidParameters`.  Decided on ``b = p/q`` in lowest
+        terms: the value 1 when ``p == q``, level ``q`` when ``q − p == 1``
+        (so ``p ≥ 0``, as ``q ≥ 1``), otherwise
+        :class:`NonStandardCoefficient`."""
+        if type(b) is int:
+            p, q = b, 1
+        elif isinstance(b, Fraction):
+            p, q = b.numerator, b.denominator
+        else:
             raise InvalidParameters(f"coefficient {b!r} is not an int or a Fraction")
-        b = Fraction(b)
-        if b == 1:
+        if p == q:
             return cls(None)
-        gap = 1 - b
-        if gap.numerator != 1 or b < 0:
-            raise NonStandardCoefficient(f"{b} is not of the form (l-1)/l or 1")
-        return cls(gap.denominator)
+        if q - p != 1:
+            shown = p if q == 1 else f"{p}/{q}"
+            raise NonStandardCoefficient(f"{shown} is not of the form (l-1)/l or 1")
+        return cls(q)
 
 
 def standard_coefficients(values: Sequence) -> tuple[BoundaryCoefficient, ...]:
@@ -113,8 +118,15 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     ray-shape problems, :class:`LengthMismatch` for a ray/coefficient count
     difference, :class:`NonPrimitiveRay`, :class:`NotFullDimensional`,
     :class:`NotStronglyConvex`, and :class:`RedundantRay` for duplicated or
-    non-extreme rays.  A dimension that is not an ``int`` (a ``bool``
-    included) raises :class:`InvalidParameters`.
+    non-extreme rays (a duplicate is reported before a line in the cone).
+    A dimension that is not an ``int`` (a ``bool`` included) raises
+    :class:`InvalidParameters`.
+
+    The geometry is read from the cone's cached :class:`_ConeRecord`.  Of
+    distinct primitive rays of a pointed cone, one is extreme exactly when
+    no other ray's mask of tight facet normals contains its own: the rays
+    on its minimal face generate that face (Ziegler, *Lectures on
+    Polytopes*, 1995).
     """
     d = pair.dim
     if type(d) is not int:
@@ -134,39 +146,64 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     for e in pair.rays:
         if content(e) != 1:
             raise NonPrimitiveRay(f"ray {e} is not primitive")
-    if matrix_rank(pair.rays) < d:
-        raise NotFullDimensional("rays do not span the ambient space")
+    cone = _cone_record(pair.rays, d)
     if len(set(pair.rays)) != len(pair.rays):
         raise RedundantRay("a ray is listed twice")
-    normals = cone_facets(pair)
-    for e in pair.rays:
-        tight = [u for u in normals if dot(u, e) == 0]
-        if matrix_rank(tight) != d - 1:
+    if not cone.pointed:
+        raise NotStronglyConvex("the cone contains a line")
+    masks = cone.masks
+    for e, mask in zip(pair.rays, masks):
+        if sum((m & mask) == mask for m in masks) > 1:
             raise RedundantRay(f"ray {e} is not an extreme ray of the cone")
     return pair
 
 
+class _ConeRecord(NamedTuple):
+    """What the pairs layer knows of a cone from its one hull: whether it
+    is pointed, its outer facet normals (through the origin) and, per
+    generator, the bitmask of the normals tight on it (bit ``k`` for
+    ``normals[k]``).  Normals and masks are empty when the cone contains a
+    line.  Of distinct primitive generators of a pointed cone, one is
+    extreme exactly when no other generator's mask contains its own.
+    :func:`validate_pair` builds the record after its primitivity check and
+    reads it in this order of precedence: spanning, then repeated rays,
+    then a line in the cone, then extremality."""
+
+    pointed: bool
+    normals: tuple[IntVector, ...]
+    masks: tuple[int, ...]
+
+
 @lru_cache(maxsize=4096)
-def _cone_facet_normals(
-    generators: Sequence[Sequence[int]], dim: int
-) -> tuple[IntVector, ...] | None:
-    """Outer facet normals of the full-dimensional cone spanned by the
-    generators: the zero-offset facets of ``conv({0} ∪ generators)``, or
-    ``None`` when the origin is not a vertex of that hull (the cone
-    contains a line).  Cached: sweeps validate and solve the same cone once
-    per coefficient choice, and this is its only hull."""
-    hull = convex_hull([(0,) * dim, *generators])
+def _cone_record(generators: Sequence[Sequence[int]], dim: int) -> _ConeRecord:
+    """The record of the cone spanned by the generators, from the hull of
+    ``{0} ∪ generators``: the generators span the space exactly when that
+    hull is full-dimensional (otherwise :class:`NotFullDimensional`, in the
+    words of :func:`validate_pair`), the cone is pointed exactly when the
+    origin is a vertex of the hull, and its facets are then the hull's
+    facets through the origin.  Cached: sweeps validate, solve and certify
+    the same cone once per coefficient choice, and this is the only
+    per-cone cache."""
+    try:
+        hull = convex_hull([(0,) * dim, *generators])
+    except NotFullDimensional:
+        raise NotFullDimensional("rays do not span the ambient space") from None
     if (0,) * dim not in hull.rows:
-        return None
-    return tuple(u for u, c in hull.int_facets if c == 0)
+        return _ConeRecord(False, (), ())
+    normals = tuple(u for u, c in hull.int_facets if c == 0)
+    masks = tuple(
+        sum(1 << k for k, u in enumerate(normals) if dot(u, e) == 0)
+        for e in generators
+    )
+    return _ConeRecord(True, normals, masks)
 
 
 def cone_facets(pair: ToricLogPair) -> tuple[IntVector, ...]:
     """Facet normals ``u`` of the pair's cone, as ``⟨u, x⟩ ≤ 0`` inequalities."""
-    normals = _cone_facet_normals(pair.rays, pair.dim)
-    if normals is None:
+    cone = _cone_record(pair.rays, pair.dim)
+    if not cone.pointed:
         raise NotStronglyConvex("the cone contains a line")
-    return normals
+    return cone.normals
 
 
 def solve_psi(pair: ToricLogPair) -> tuple[IntVector, int]:

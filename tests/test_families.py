@@ -312,6 +312,55 @@ def test_sweep_json_carries_aggregates():
     assert doc["rows"][2]["key"] == "r3s1c0" and doc["rows"][2]["a"] == "2/3"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coefficient_grid(2, 2.5),
+        lambda: coefficient_grid(True, 2),
+        lambda: random_simplicial_cone(2.0, 2, 1),
+        lambda: random_simplicial_cone(2, 2.5, 1),
+        lambda: lemma_lv_suite(2.0, 1, 1),
+        lambda: lemma_vo_suite(2, 1.0, 1),
+        lambda: minkowski_suite(2, 1.5, 1),
+        lambda: sweep(FamilySpec(kind="cyclic2d", max_r=3.0)),
+        lambda: sweep(FamilySpec(kind="cyclic2d", max_r=3, L=2.0)),
+        lambda: sweep(FamilySpec(kind="random_cone", dims=(2,), count=1.0, seed=1)),
+        lambda: sweep(FamilySpec(kind="random_cone", dims=(2.0,), count=1, seed=1)),
+        lambda: sweep(
+            FamilySpec(kind="random_cone", dims=(2,), count=1, max_entry=2.5, seed=1)
+        ),
+        lambda: sweep(FamilySpec(kind="explicit_list", pairs=((1, 2),))),
+    ],
+    ids=[
+        "grid-L-float", "grid-k-bool", "cone-d-float", "cone-entry-float",
+        "lv-dim-float", "vo-count-float", "minkowski-count-float",
+        "spec-max_r-float", "spec-L-float", "spec-count-float", "spec-dims-float",
+        "spec-max_entry-float", "spec-pairs-not-pairs",
+    ],
+)
+def test_families_reject_non_integer_parameters(call):
+    """Each call ended in a builtin ``TypeError``, ``ValueError`` or
+    ``AttributeError`` (or, for ``True``, passed as 1) before its
+    parameters were type-checked."""
+    with pytest.raises(InvalidParameters):
+        call()
+
+
+def test_cyclic_sweep_hulls_each_cone_once():
+    """The cone record is built once per cone: every coefficient choice of
+    a cone, and its validation, solve and certificate, read the cached
+    record, so a second per-cone hull or rank pass would show as a miss."""
+    from math import gcd
+
+    from toricmld.pairs import _cone_record
+
+    _cone_record.cache_clear()
+    report = sweep(FamilySpec(kind="cyclic2d", max_r=12, L=2, include_one=True))
+    cones = sum(1 for r in range(1, 13) for s in range(r) if gcd(r, s) == 1)
+    assert len(report.rows) == 9 * cones
+    assert _cone_record.cache_info().misses == cones
+
+
 def test_lemma_lv_suite_polytopes_are_lattice_and_full_dim():
     suite = lemma_lv_suite(3, 8, 5)
     assert len(suite) == 8

@@ -26,7 +26,8 @@ from toricmld.errors import (
     NotStronglyConvex,
     RedundantRay,
 )
-from toricmld.lattice import dot, int_inverse, smith_normal_form
+from toricmld.geometry import convex_hull
+from toricmld.lattice import dot, int_inverse, matrix_rank, smith_normal_form
 from toricmld.proof import fmt_rat
 
 
@@ -89,6 +90,36 @@ def test_coefficient_from_value_takes_only_int_and_fraction(value):
         tp.standard_coefficients([0, value])
 
 
+def _fraction_rule(b):
+    """The level ``from_value`` gave by ``Fraction`` arithmetic before it
+    decided on the numerator and denominator (``None`` for the value 1)."""
+    b = Fraction(b)
+    if b == 1:
+        return None
+    gap = 1 - b
+    if gap.numerator != 1 or b < 0:
+        raise NonStandardCoefficient(f"{b} is not of the form (l-1)/l or 1")
+    return gap.denominator
+
+
+def test_coefficient_from_value_matches_the_fraction_rule():
+    values = list(range(-3, 4)) + [
+        Fraction(p, q) for p in range(-12, 13) for q in range(1, 13)
+    ]
+    levels = set()
+    for b in values:
+        try:
+            level = _fraction_rule(b)
+        except NonStandardCoefficient as err:
+            with pytest.raises(NonStandardCoefficient) as got:
+                tp.BoundaryCoefficient.from_value(b)
+            assert str(got.value) == str(err), b
+        else:
+            assert tp.BoundaryCoefficient.from_value(b).level == level, b
+            levels.add(level)
+    assert levels == {None, *range(1, 13)}
+
+
 @pytest.mark.parametrize("dim", [2.0, True, "2", None])
 def test_validate_rejects_non_integer_dimension(dim):
     """Unchecked, ``2.0`` ends in a ``TypeError`` and ``True`` validates as
@@ -137,6 +168,67 @@ def test_validate_accepts_non_simplicial_cone():
 def test_validate_rejects_bad_pairs(dim, rays, values, err):
     with pytest.raises(err):
         tp.validate_pair(make_pair(dim, rays, values))
+
+
+def _rank_rule(dim, rays):
+    """Error class and message of the geometric checks ``validate_pair``
+    made with rank eliminations before its cone record: the rays span, no
+    ray repeats, the origin is a vertex of ``conv({0} ∪ rays)``, and the
+    facet normals tight on each ray have rank ``dim − 1``."""
+    if matrix_rank(rays) < dim:
+        return NotFullDimensional, "rays do not span the ambient space"
+    if len(set(rays)) != len(rays):
+        return RedundantRay, "a ray is listed twice"
+    hull = convex_hull([(0,) * dim, *rays])
+    if (0,) * dim not in hull.rows:
+        return NotStronglyConvex, "the cone contains a line"
+    normals = [u for u, c in hull.int_facets if c == 0]
+    for e in rays:
+        if matrix_rank([u for u in normals if dot(u, e) == 0]) != dim - 1:
+            return RedundantRay, f"ray {e} is not an extreme ray of the cone"
+    return None, None
+
+
+def _oracle_rays(rng, d, kind):
+    """Primitive rays of a seeded cone in dimension ``d``: pointed (all
+    with positive last entry, often with non-extreme rays), with a sum of
+    two rays added, with a ray repeated, with a ray's negative added, or
+    inside the hyperplane of zero first entry."""
+    rays, count = [], d + rng.randrange(4)
+    while len(rays) < count:
+        v = [rng.randint(-3, 3) for _ in range(d - 1)] + [rng.randint(1, 3)]
+        if kind == "flat":
+            v[0] = 0
+        g = gcd(*v)
+        rays.append(tuple(x // g for x in v))
+    if kind == "sum":
+        v = [a + b for a, b in zip(*rng.sample(rays, 2))]
+        rays.append(tuple(x // gcd(*v) for x in v))
+    elif kind == "repeat":
+        rays.append(rng.choice(rays))
+    elif kind == "line":
+        rays.append(tuple(-x for x in rng.choice(rays)))
+    rng.shuffle(rays)
+    return rays
+
+
+def test_validate_extremality_matches_the_rank_rule():
+    rng = random.Random(20261018)
+    seen = {}
+    for d in (2, 3, 4, 5):
+        for i in range(50):
+            kind = ("pointed", "sum", "repeat", "line", "flat")[i % 5]
+            rays = _oracle_rays(rng, d, kind)
+            want = _rank_rule(d, rays)
+            try:
+                tp.validate_pair(make_pair(d, rays, [0] * len(rays)))
+                got = None, None
+            except (NotFullDimensional, NotStronglyConvex, RedundantRay) as err:
+                got = type(err), str(err)
+            assert got == want, (d, rays)
+            seen[want[0]] = seen.get(want[0], 0) + 1
+    assert min(seen.get(c, 0) for c in (None, NotFullDimensional, NotStronglyConvex)) >= 20
+    assert seen[RedundantRay] >= 40, seen
 
 
 def test_validate_rejects_raw_coefficient_values():
