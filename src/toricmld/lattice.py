@@ -211,25 +211,8 @@ def solve(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntVector, int]
 def independent_rows(M: Sequence[Sequence[int]], k: int) -> list[int]:
     """Indices of the first ``k`` rows, taken greedily in order, each
     linearly independent of those taken before it (fewer when the rows
-    span less).  One incremental fraction-free reduction: a candidate is
-    reduced against the rows taken so far, each eliminating its own pivot
-    column, and taken when a nonzero entry is left."""
-    taken: list[int] = []
-    basis: list[tuple[int, list[int]]] = []
-    for i, row in enumerate(M):
-        if len(taken) == k:
-            break
-        r = list(row)
-        for c, b in basis:
-            if r[c]:
-                p, f = b[c], r[c]
-                r = [p * x - f * y for x, y in zip(r, b)]
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is not None:
-            g = gcd(*r)
-            basis.append((piv, [x // g for x in r]))
-            taken.append(i)
-    return taken
+    span less): the pivot columns of the transpose's elimination."""
+    return _bareiss([list(col) for col in zip(*_int_rows(M))])[0][:k]
 
 
 # --- normal form ------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -40,8 +40,8 @@ from .lattice import (
     content,
     dot,
     independent_rows,
+    int_inverse,
     quotient_lattice,
-    solve,
     vec_add,
     vec_scale,
 )
@@ -146,10 +146,10 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     for e in pair.rays:
         if content(e) != 1:
             raise NonPrimitiveRay(f"ray {e} is not primitive")
-    cone = _cone_record(pair.rays, d)
+    cone = _spanning_record(pair)
     if len(set(pair.rays)) != len(pair.rays):
         raise RedundantRay("a ray is listed twice")
-    if not cone.pointed:
+    if not cone.normals:
         raise NotStronglyConvex("the cone contains a line")
     masks = cone.masks
     for e, mask in zip(pair.rays, masks):
@@ -158,50 +158,71 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     return pair
 
 
-class _ConeRecord(NamedTuple):
-    """What the pairs layer knows of a cone from its one hull: whether it
-    is pointed, its outer facet normals (through the origin) and, per
-    generator, the bitmask of the normals tight on it (bit ``k`` for
-    ``normals[k]``).  Normals and masks are empty when the cone contains a
-    line.  Of distinct primitive generators of a pointed cone, one is
-    extreme exactly when no other generator's mask contains its own.
-    :func:`validate_pair` builds the record after its primitivity check and
-    reads it in this order of precedence: spanning, then repeated rays,
-    then a line in the cone, then extremality."""
+@dataclass(frozen=True)
+class _ConeRecord:
+    """What the pairs layer knows of a cone from its one hull: whether its
+    generators span the space, its outer facet normals (through the origin)
+    and, per generator, the bitmask of the normals tight on it (bit ``k``
+    for ``normals[k]``).  Normals and masks are empty when the generators
+    do not span or the cone contains a line.  Of distinct primitive
+    generators of a pointed cone, one is extreme exactly when no other
+    generator's mask contains its own.  :func:`validate_pair` builds the
+    record after its primitivity check and reads it in this order of
+    precedence: spanning, then repeated rays, then a line in the cone, then
+    extremality."""
 
-    pointed: bool
+    generators: IntMatrix
+    dim: int
+    spans: bool
     normals: tuple[IntVector, ...]
     masks: tuple[int, ...]
+
+    @cached_property
+    def solver(self) -> tuple[list[int], IntMatrix, int]:
+        """The indices of the first independent generators of a spanning
+        cone and ``(B, D)`` with ``G·B = D·I`` for the generators ``G`` at
+        those indices: the cone's one elimination, taken on first use, as
+        validation does not need it."""
+        basis = independent_rows(self.generators, self.dim)
+        return (basis, *int_inverse([self.generators[i] for i in basis]))
 
 
 @lru_cache(maxsize=4096)
 def _cone_record(generators: Sequence[Sequence[int]], dim: int) -> _ConeRecord:
     """The record of the cone spanned by the generators, from the hull of
     ``{0} ∪ generators``: the generators span the space exactly when that
-    hull is full-dimensional (otherwise :class:`NotFullDimensional`, in the
-    words of :func:`validate_pair`), the cone is pointed exactly when the
-    origin is a vertex of the hull, and its facets are then the hull's
-    facets through the origin.  Cached: sweeps validate, solve and certify
-    the same cone once per coefficient choice, and this is the only
-    per-cone cache."""
+    hull is full-dimensional (a cone that does not span is recorded so, not
+    raised inside the cache), the cone is pointed exactly when the origin
+    is a vertex of the hull, and its facets are then the hull's facets
+    through the origin.  Cached: sweeps validate, solve and certify the
+    same cone once per coefficient choice, and this is the only per-cone
+    cache."""
     try:
         hull = convex_hull([(0,) * dim, *generators])
     except NotFullDimensional:
-        raise NotFullDimensional("rays do not span the ambient space") from None
+        return _ConeRecord(generators, dim, False, (), ())
     if (0,) * dim not in hull.rows:
-        return _ConeRecord(False, (), ())
+        return _ConeRecord(generators, dim, True, (), ())
     normals = tuple(u for u, c in hull.int_facets if c == 0)
     masks = tuple(
         sum(1 << k for k, u in enumerate(normals) if dot(u, e) == 0)
         for e in generators
     )
-    return _ConeRecord(True, normals, masks)
+    return _ConeRecord(generators, dim, True, normals, masks)
+
+
+def _spanning_record(pair: ToricLogPair) -> _ConeRecord:
+    """The pair's cone record; :class:`NotFullDimensional` unless its rays span."""
+    cone = _cone_record(pair.rays, pair.dim)
+    if not cone.spans:
+        raise NotFullDimensional("rays do not span the ambient space")
+    return cone
 
 
 def cone_facets(pair: ToricLogPair) -> tuple[IntVector, ...]:
     """Facet normals ``u`` of the pair's cone, as ``⟨u, x⟩ ≤ 0`` inequalities."""
-    cone = _cone_record(pair.rays, pair.dim)
-    if not cone.pointed:
+    cone = _spanning_record(pair)
+    if not cone.normals:
         raise NotStronglyConvex("the cone contains a line")
     return cone.normals
 
@@ -213,17 +234,17 @@ def solve_psi(pair: ToricLogPair) -> tuple[IntVector, int]:
     ``n = 1`` for the zero functional).
 
     Solved fraction-free on the first independent rays, with the integer
-    targets ``lcm(l)/l_i``, and then verified on the rest; an inconsistent
-    system raises :class:`NotLogQGorenstein`.
+    targets ``lcm(l)/l_i``, through the inverse kept in the cone record,
+    and then verified on the rest; an inconsistent system raises
+    :class:`NotLogQGorenstein`.
     """
-    d = pair.dim
+    cone = _spanning_record(pair)
     levels = [c.level for c in pair.coefficients]
     m = math.lcm(*(l for l in levels if l is not None))
     targets = [0 if l is None else m // l for l in levels]
-    chosen = independent_rows(pair.rays, d)
-    if len(chosen) < d:
-        raise NotFullDimensional("rays do not span the ambient space")
-    v, D = solve([pair.rays[i] for i in chosen], [targets[i] for i in chosen])
+    basis, B, D = cone.solver
+    chosen = [targets[i] for i in basis]
+    v = tuple(dot(row, chosen) for row in B)
     # psi = v/(D·m); divide out the common factor, sign included
     g = math.gcd(D * m, *v) * (1 if D > 0 else -1)
     w, n = tuple(x // g for x in v), D * m // g

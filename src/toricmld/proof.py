@@ -61,7 +61,6 @@ from .lattice import (
     dot,
     independent_rows,
     kernel_sublattice,
-    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -107,8 +106,8 @@ class ProofTrace:
     of the cone at functional value ``1/index`` (one vertex per ray, in ray
     order in ``ray_vertices``), ``dilated`` its ``threshold``-fold dilate,
     ``shrunk`` the contraction of the dilate around ``center``, and
-    ``certificate`` the symmetric body in ℤ×kernel whose volume drives the
-    bound.
+    ``certificate`` the symmetric body in ℤ×kernel whose normalized volume
+    ``certificate_volume`` drives the bound.
     """
 
     pair: ToricLogPair
@@ -125,6 +124,7 @@ class ProofTrace:
     shrunk: RatPolytope
     gamma: Fraction
     certificate: RatPolytope
+    certificate_volume: Fraction
     checks: tuple[CheckResult, ...]
     bound: BoundVerdict
 
@@ -147,9 +147,9 @@ def build_box(
     is ``c/level`` for the integer kernel coordinates ``c`` of ``ray −
     level·base``, and the hull is taken on these over the lcm of the
     levels.  The vertices are returned in ray order alongside the polytope.
-    Two consistency checks are performed: the exact identity ``ray =
-    c + level·base`` per ray, and agreement of the vertex hull with the
-    direct halfspace slice of the cone.
+    The coordinates are exact, as :meth:`SublatticeBasis.to_coords` checks
+    that they map back to ``ray − level·base``, and the vertex hull is
+    checked against the direct halfspace slice of the cone.
     """
     d = pair.dim
     if d < 2:
@@ -167,14 +167,8 @@ def build_box(
             raise NotKlt("functional must be positive on every ray")
         if level * coeff.level != n:
             raise InvalidParameters("functional does not match the coefficients")
-        shift = vec_scale(level, base)
-        c = kernel.to_coords(vec_sub(ray, shift))
-        if vec_add(kernel.from_coords(c), shift) != ray:
-            raise CheckFailed(
-                "box-reconstruction", f"ray {ray} is not recovered from its vertex"
-            )
         levels.append(level)
-        coords.append(c)
+        coords.append(kernel.to_coords(vec_sub(ray, vec_scale(level, base))))
     den = lcm(*levels)
     box = convex_hull([vec_scale(den // m, c) for m, c in zip(levels, coords)], den)
     vertices = [tuple(Fraction(x, m) for x in c) for m, c in zip(levels, coords)]
@@ -215,13 +209,15 @@ def _cross_check_halfspaces(
 
 
 def verify_bullets(
-    box: RatPolytope, levels: Sequence[int], n: int, j: int, q: int
+    box: RatPolytope, levels: Sequence[int], n: int, j: int, q: int, interior: Sequence[IntVector]
 ) -> tuple[CheckResult, ...]:
-    """The three structural facts tying the cross-section to the invariants.
+    """The three structural facts tying the cross-section to the invariants;
+    ``interior`` lists the interior lattice points of ``j·box``.
 
     * ``dilation-threshold``: ``j`` is the first dilate of the box whose
-      interior contains a lattice point (so ``j/n`` really is the minimum).
-      The dilates ``1 … j−1`` are searched in one walk, in every dimension:
+      interior contains a lattice point (so ``j/n`` really is the minimum):
+      ``interior`` is not empty, and the dilates ``1 … j−1`` hold none.
+      Those are searched in one walk, in every dimension:
       the interior of the pyramid ``j·conv({0} ∪ {1} × box)`` has the
       interior of ``i·box`` as its section at height ``0 < i < j``, so it
       holds a lattice point exactly when one of those dilates does, and only
@@ -237,19 +233,13 @@ def verify_bullets(
     early = None
     if any_lattice_point(cone_over(1, box), scale=j, strict=True):
         early = next((i for i in range(1, j) if any_lattice_point(box, scale=i, strict=True)), None)
-    attained = any_lattice_point(box, scale=j, strict=True)
     if early is not None:
-        threshold = CheckResult(
-            "dilation-threshold", False, f"interior lattice point at dilate {early} < {j}"
-        )
+        detail = f"interior lattice point at dilate {early} < {j}"
+    elif interior:
+        detail = f"first interior lattice point at dilate {j}"
     else:
-        threshold = CheckResult(
-            "dilation-threshold",
-            attained,
-            f"first interior lattice point at dilate {j}"
-            if attained
-            else f"no interior lattice point at dilate {j}",
-        )
+        detail = f"no interior lattice point at dilate {j}"
+    threshold = CheckResult("dilation-threshold", early is None and bool(interior), detail)
     den = box.den
     bad_orders = []
     for i, (r, m) in enumerate(zip(box.rows, levels)):
@@ -272,10 +262,13 @@ def verify_bullets(
     return threshold, orders, denominators
 
 
-def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, IntVector]:
+def shrink_to_unique(
+    S: RatPolytope, q: int, interior: Sequence[IntVector]
+) -> tuple[Fraction, RatPolytope, IntVector]:
     """Contract ``S`` toward its lexicographically least interior lattice
     point ``z`` until ``z`` is the only point of the (1/q)-lattice left in
-    the interior.
+    the interior; ``interior`` lists the interior lattice points of ``S``
+    in lexicographic order, as :func:`enumerate_points` gives them.
 
     The factor is the gauge distance (in ``S − z`` units) from ``z`` to the
     nearest other (1/q)-point, capped at 1: the least gauge over the first
@@ -289,10 +282,9 @@ def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, Int
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameters("denominator scale must be a positive integer")
-    pts = enumerate_points(S, strict=True)
-    if not pts:
+    if not interior:
         raise NoInteriorPoint("body has no interior lattice point")
-    z = pts[0]
+    z = interior[0]
     slacks = []  # per facet (u, c): (u, ⟨u, z⟩, slack) in row units
     for u, c in S.int_facets:
         uz = dot(u, z)
@@ -327,7 +319,7 @@ def shrink_to_unique(S: RatPolytope, q: int) -> tuple[Fraction, RatPolytope, Int
 
 def minkowski_certificate(
     shrunk: RatPolytope, z: Sequence[int], j: int, gamma: Fraction, diff: RatPolytope
-) -> tuple[RatPolytope, RatPolytope, tuple[CheckResult, ...]]:
+) -> tuple[RatPolytope, RatPolytope, Fraction, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
     ``diff`` is the difference body ``shrunk − shrunk``.  The core ``K = z +
@@ -335,11 +327,11 @@ def minkowski_certificate(
     the certificate is the bipyramid over ``{j}×K`` with apexes at the
     origin and at ``2·(j, z)``, and its volume is triangulated from the body
     itself, independently of the half-cone's, the cone over ``{j}×K``.
-    Returns ``(K, certificate, checks)``.  Checks: vertexwise central
-    symmetry, the center is the only interior lattice point, volume at most
-    ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension), the two
-    half-cones tile the body, and the pyramid over the shrunk body itself
-    has empty interior lattice set.
+    Returns ``(K, certificate, its normalized volume, checks)``.  Checks:
+    vertexwise central symmetry, the center is the only interior lattice
+    point, volume at most ``2^D`` (Minkowski's theorem, ``D`` the
+    certificate dimension), the two half-cones tile the body, and the
+    pyramid over the shrunk body itself has empty interior lattice set.
     """
     if not isinstance(j, int) or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
@@ -397,7 +389,7 @@ def minkowski_certificate(
             else "pyramid over the shrunk body contains an interior lattice point",
         )
     )
-    return core, body, tuple(checks)
+    return core, body, vol, tuple(checks)
 
 
 def chain_verify(
@@ -534,8 +526,9 @@ def prove(
     """Run the full certificate pipeline for a klt pair of dimension ≥ 2
     whose coefficients are all below 1.
 
-    Builds the cross-section, verifies the structural facts, shrinks to a
-    unique (1/q)-point, assembles the symmetric certificate and the
+    Builds the cross-section, enumerates the interior lattice points of its
+    threshold dilate once for the structural facts and the shrink, shrinks
+    to a unique (1/q)-point, assembles the symmetric certificate and the
     inequality chain, and evaluates the final index bound.  With ``strict``
     the first failed verification raises :class:`CheckFailed`; otherwise
     failures are collected in the returned trace, except for the checks
@@ -567,9 +560,10 @@ def prove(
         raise CheckFailed("threshold-integrality", f"n·mld = {threshold}")
     j = int(threshold)
     q = report.mld_denominator
-    checks = list(verify_bullets(section, levels, n, j, q))
     dilated = scale_about(section, j, (0,) * (d - 1))
-    t, shrunk, center = shrink_to_unique(dilated, q)
+    interior = enumerate_points(dilated, strict=True)
+    checks = list(verify_bullets(section, levels, n, j, q, interior))
+    t, shrunk, center = shrink_to_unique(dilated, q, interior)
     checks.append(
         CheckResult(
             "shrink-uniqueness", True, f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
@@ -584,7 +578,7 @@ def prove(
     # shrunk − shrunk = t·(dilated − dilated): one hull for both
     diff_dilated = difference_body(dilated)
     diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
-    core, body, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
+    core, body, volume, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
     checks.extend(mk_checks)
     checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk))
     bound = bound_check(report) if d <= 2 else bound_check(report, gamma)
@@ -603,6 +597,7 @@ def prove(
         shrunk=shrunk,
         gamma=gamma,
         certificate=body,
+        certificate_volume=volume,
         checks=tuple(checks),
         bound=bound,
     )
@@ -657,7 +652,7 @@ def serialize_trace(trace: ProofTrace) -> str:
         "shrink-factor: " + fmt_rat(trace.shrink_factor),
         "gamma: " + fmt_rat(trace.gamma),
         "certificate-vertices: " + _fmt_vecs(trace.certificate.vertices),
-        "certificate-volume: " + fmt_rat(normalized_volume(trace.certificate)),
+        "certificate-volume: " + fmt_rat(trace.certificate_volume),
     ]
     for c in trace.checks:
         status = "pass" if c.passed else "FAIL"

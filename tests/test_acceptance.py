@@ -21,6 +21,7 @@ from toricmld.families import (
     sweep,
 )
 from toricmld.geometry import convex_hull, normalized_volume
+from toricmld.lattice import det
 from toricmld.pairs import (
     ToricLogPair,
     bound_check,
@@ -43,6 +44,19 @@ def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def shokurov_equality(row) -> bool:
+    """Shokurov's bound, for toric germs Ambro 1999: mld <= d, with
+    equality exactly when the cone is smooth (d rays, |det| = 1) and every
+    coefficient is 0.  Asserts it and returns whether equality holds."""
+    pair, mld = row.pair, row.report.mld
+    assert mld <= pair.dim, row.key
+    equal = all(c.level == 1 for c in pair.coefficients) and (
+        len(pair.rays) == pair.dim and abs(det(pair.rays)) == 1
+    )
+    assert (mld == pair.dim) == equal, row.key
+    return equal
 
 
 @pytest.fixture(scope="session")
@@ -82,15 +96,18 @@ def test_criterion_2_dimension_two_constant_is_two(cyclic_sweep):
     report, elapsed = cyclic_sweep
     assert len(report.rows) == CONES_2D * GRID_SIZE
     assert not any(row.error for row in report.rows)
+    equalities = 0
     for row in report.rows:
         rep = row.report
         assert rep.index <= 2 * rep.mld_denominator**2
+        equalities += shokurov_equality(row)
     ok = report.counterexamples == () and elapsed < 300
     verdict(
         2,
         "c_2 = 2 over all cyclic quotients r <= 60, grids L <= 5 plus b = 1",
         ok,
-        f"{len(report.rows)} instances, max n/q^2 = {report.max_ratio}, {elapsed:.0f}s",
+        f"{len(report.rows)} instances, max n/q^2 = {report.max_ratio}, "
+        f"mld = 2 on {equalities}, {elapsed:.0f}s",
     )
 
 
@@ -103,15 +120,18 @@ def test_criterion_3_oracle_equivalence(cyclic_sweep, random3d_sweep):
             assert value == row.report.mld, row.key
             checked += 1
     assert checked == 35 * CONES_2D  # only the all-ones grid point is not klt
+    equalities = 0
     for row in random3d_sweep.rows:
         assert row.report.klt
         value, _ = mld_oracle(row.pair)
         assert value == row.report.mld, row.key
+        equalities += shokurov_equality(row)
     verdict(
         3,
         "compute_mld agrees with the enumeration oracle",
         True,
-        f"{checked} 2D + {len(random3d_sweep.rows)} 3D instances, exact",
+        f"{checked} 2D + {len(random3d_sweep.rows)} 3D instances, exact; "
+        f"mld = 3 on {equalities} 3D",
     )
 
 

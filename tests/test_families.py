@@ -9,6 +9,7 @@ draw validates.
 import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from toricmld.families import (
     random_simplicial_cone,
     sweep,
 )
+from toricmld.geometry import difference_body, normalized_volume
 from toricmld.pairs import (
     ToricLogPair,
     compute_mld,
@@ -89,7 +91,9 @@ def test_random_cone_is_valid_and_deterministic():
 def test_random_cone_sweep_in_five_and_six_dimensions():
     """Dimensions above 4 run the whole pipeline: seeded 5D and 6D cones
     (coefficients below 1) each get a passing trace, with no error rows and
-    no counterexamples."""
+    no counterexamples.  The dilated sections are simplices, so each
+    difference body the proof measures has the Rogers–Shephard volume
+    C(2k, k)·vol (Rogers & Shephard 1957, the equality case)."""
     for d, count in ((5, 60), (6, 30)):
         spec = FamilySpec(
             kind="random_cone", dims=(d,), count=count, max_entry=2, L=3, seed=20261018
@@ -99,6 +103,11 @@ def test_random_cone_sweep_in_five_and_six_dimensions():
         assert [r.key for r in report.rows if r.error] == []
         assert all(r.trace is not None for r in report.rows)
         assert report.counterexamples == ()
+        for r in report.rows:
+            S = r.trace.dilated
+            assert len(S.rows) == d
+            vol = normalized_volume(S)
+            assert normalized_volume(difference_body(S)) == comb(2 * d - 2, d - 1) * vol
 
 
 def test_random_cone_resampling_budget(monkeypatch):
@@ -346,19 +355,31 @@ def test_families_reject_non_integer_parameters(call):
         call()
 
 
-def test_cyclic_sweep_hulls_each_cone_once():
+def test_cyclic_sweep_hulls_each_cone_once(monkeypatch):
     """The cone record is built once per cone: every coefficient choice of
     a cone, and its validation, solve and certificate, read the cached
-    record, so a second per-cone hull or rank pass would show as a miss."""
+    record, so a second per-cone hull or rank pass would show as a miss.
+    The record keeps the inverse of the chosen rays, so the pairs layer
+    inverts once per cone, not once per row."""
     from math import gcd
 
+    import toricmld.pairs as pairs
+    from toricmld.lattice import int_inverse
     from toricmld.pairs import _cone_record
 
+    inversions = []
+
+    def counted(M):
+        inversions.append(M)
+        return int_inverse(M)
+
+    monkeypatch.setattr(pairs, "int_inverse", counted, raising=False)
     _cone_record.cache_clear()
     report = sweep(FamilySpec(kind="cyclic2d", max_r=12, L=2, include_one=True))
     cones = sum(1 for r in range(1, 13) for s in range(r) if gcd(r, s) == 1)
     assert len(report.rows) == 9 * cones
     assert _cone_record.cache_info().misses == cones
+    assert len(inversions) == cones
 
 
 def test_lemma_lv_suite_polytopes_are_lattice_and_full_dim():

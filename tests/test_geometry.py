@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -164,6 +165,26 @@ def test_difference_body_of_triangle_is_hexagon():
         (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)
     }
     assert geo.normalized_volume(D) == 3
+
+
+def test_difference_body_volume_of_simplices_is_rogers_shephard():
+    """Oracle (Rogers & Shephard 1957, the equality case): a k-simplex S
+    has vol(S − S) = C(2k, k)·vol(S).  Eight seeded rational simplices
+    for each k = 1..6."""
+    rng = random.Random(1957)
+    for k in range(1, 7):
+        for _ in range(8):
+            while True:
+                pts = [
+                    tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k))
+                    for _ in range(k + 1)
+                ]
+                if det([[int(6 * (a - b)) for a, b in zip(p, pts[0])] for p in pts[1:]]):
+                    break
+            S = geo.convex_hull(pts)
+            assert len(S.rows) == k + 1
+            vol = geo.normalized_volume(S)
+            assert geo.normalized_volume(geo.difference_body(S)) == math.comb(2 * k, k) * vol
 
 
 # --- rigid transforms -----------------------------------------------------------

@@ -231,6 +231,18 @@ def test_validate_extremality_matches_the_rank_rule():
     assert seen[RedundantRay] >= 40, seen
 
 
+def test_non_spanning_cone_is_recorded_once():
+    """A cone whose rays do not span is recorded, not raised inside the
+    cache: three validations make one record miss and raise alike."""
+    tp._cone_record.cache_clear()
+    pair = make_pair(2, [(1, 0), (-1, 0)], [0, 0])
+    for _ in range(3):
+        with pytest.raises(NotFullDimensional, match="^rays do not span the ambient space$"):
+            tp.validate_pair(pair)
+    info = tp._cone_record.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def test_validate_rejects_raw_coefficient_values():
     pair = tp.ToricLogPair(2, ((1, 0), (0, 1)), (Fraction(1, 2), 0))
     with pytest.raises(NonStandardCoefficient):

@@ -70,6 +70,12 @@ def segment(a, b):
     return convex_hull([(F(a),), (F(b),)])
 
 
+def walk(P, scale=1):
+    """The interior lattice points of ``scale·P``, as ``prove`` hands them
+    to ``verify_bullets`` and ``shrink_to_unique``."""
+    return geometry.enumerate_points(P, scale=scale, strict=True)
+
+
 def section_length(trace):
     (v1,), (v2,) = trace.section.vertices
     return abs(v2 - v1)
@@ -204,29 +210,29 @@ def test_build_box_input_validation():
 
 def test_verify_bullets_frozen_pass():
     box = convex_hull([(F(1, 3),), (F(2, 3),)])
-    threshold, orders, denominators = verify_bullets(box, (3, 3), 3, 2, 3)
+    threshold, orders, denominators = verify_bullets(box, (3, 3), 3, 2, 3, walk(box, 2))
     assert threshold.passed and orders.passed and denominators.passed
 
 
 def test_verify_bullets_detects_wrong_threshold():
     box = convex_hull([(F(1, 3),), (F(2, 3),)])
-    threshold, _, _ = verify_bullets(box, (3, 3), 3, 4, 3)
+    threshold, _, _ = verify_bullets(box, (3, 3), 3, 4, 3, walk(box, 4))
     assert not threshold.passed
     assert "dilate 2" in threshold.detail
     # every box, a segment too, is searched in one pyramid walk before the
     # dilates are tried one by one
     square = convex_hull([(F(a, 3), F(b, 3)) for a in (1, 2) for b in (1, 2)])
-    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 3, 3)
+    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 3, 3, walk(square, 3))
     assert threshold.detail == "interior lattice point at dilate 2 < 3"
-    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 2, 3)
+    threshold, _, _ = verify_bullets(square, (3,) * 4, 3, 2, 3, walk(square, 2))
     assert threshold.passed
 
 
 def test_verify_bullets_detects_wrong_levels_and_denominators():
     box = convex_hull([(F(1, 3),), (F(2, 3),)])
-    _, orders, _ = verify_bullets(box, (2, 3), 3, 2, 3)
+    _, orders, _ = verify_bullets(box, (2, 3), 3, 2, 3, walk(box, 2))
     assert not orders.passed
-    _, _, denominators = verify_bullets(box, (3, 3), 3, 2, 1)
+    _, _, denominators = verify_bullets(box, (3, 3), 3, 2, 1, walk(box, 2))
     assert not denominators.passed
 
 
@@ -257,44 +263,47 @@ def test_verify_bullets_searches_the_dilates_in_one_walk():
     )
     level = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
     start = time.perf_counter()
-    checks = verify_bullets(box, [level[v] for v in box.vertices], n, j, report.mld_denominator)
+    checks = verify_bullets(
+        box, [level[v] for v in box.vertices], n, j, report.mld_denominator, walk(box, j)
+    )
     assert time.perf_counter() - start < 2
     assert all(c.passed for c in checks)
     assert checks[0].detail == "first interior lattice point at dilate 445"
 
 
 def test_shrink_default_center_is_lex_least():
-    t, shrunk, z = shrink_to_unique(segment(0, 4), 1)
+    t, shrunk, z = shrink_to_unique(segment(0, 4), 1, walk(segment(0, 4)))
     assert z == (1,)
     assert t == F(1, 3)
     assert shrunk.vertices == ((F(2, 3),), (F(2),))
 
 
 def test_shrink_with_denominator():
-    t, shrunk, z = shrink_to_unique(segment(0, 2), 2)
+    t, shrunk, z = shrink_to_unique(segment(0, 2), 2, walk(segment(0, 2)))
     assert z == (1,)
     assert t == F(1, 2)
     assert shrunk.vertices == ((F(1, 2),), (F(3, 2),))
 
 
 def test_shrink_noop_when_already_unique():
-    t, shrunk, z = shrink_to_unique(segment(0, 2), 1)
+    t, shrunk, z = shrink_to_unique(segment(0, 2), 1, walk(segment(0, 2)))
     assert t == 1 and z == (1,)
     assert shrunk.vertices == segment(0, 2).vertices
 
 
 def test_shrink_rejects_bad_center_and_scale():
     with pytest.raises(NoInteriorPoint):
-        shrink_to_unique(segment(0, 1), 1)  # no interior lattice point to shrink to
+        # no interior lattice point to shrink to
+        shrink_to_unique(segment(0, 1), 1, walk(segment(0, 1)))
     with pytest.raises(InvalidParameters):
-        shrink_to_unique(segment(0, 4), 0)
+        shrink_to_unique(segment(0, 4), 0, walk(segment(0, 4)))
 
 
 def test_minkowski_certificate_frozen():
     S = segment(0, 2)
-    core, body, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
+    core, body, volume, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
     assert core.vertices == ((F(0),), (F(2),))
-    assert normalized_volume(body) == 4
+    assert normalized_volume(body) == volume == 4
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
     assert all(c.passed for c in checks)
 
@@ -303,7 +312,7 @@ def test_minkowski_certificate_flags_non_unique_body():
     # [0, 4] still holds three interior lattice points, so both the interior
     # uniqueness and the empty-pyramid checks must fail
     S = segment(0, 4)
-    _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
+    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
     assert not by_name["pyramid-interior-empty"]
@@ -430,7 +439,7 @@ def test_certificate_invariants_on_cyclic_quotients(pair):
 )
 def test_shrink_postcondition_on_segments(a, length, q):
     S = segment(a, a + length)
-    t, shrunk, z = shrink_to_unique(S, q)
+    t, shrunk, z = shrink_to_unique(S, q, walk(S))
     assert 0 < t <= 1
     assert S.contains(z, strict=True)
     assert all(S.contains(v) for v in shrunk.vertices)
@@ -511,6 +520,30 @@ def test_prove_builds_the_kernel_once(monkeypatch):
     assert calls == [((2, 3), 2)]
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_prove_walks_the_threshold_dilate_once(monkeypatch, dim):
+    """``prove`` enumerates the interior of ``j·box`` once and hands the
+    points to both the threshold check and the shrink, on the first row
+    of a seeded sweep (parent: two walks, one in each)."""
+    spec = FamilySpec("random_cone", dims=(dim,), count=1, max_entry=3, L=3, seed=5)
+    (_, pair), = _instances(spec)
+    report = compute_mld(pair)
+    first = prove(pair, report=report)
+    j = first.threshold
+    target = {tuple(j * x for x in v) for v in first.section.vertices}
+    walk_points, walks = geometry._iter_points, []
+
+    def spy(P, scale, strict, w=None):
+        if strict and {tuple(scale * x for x in v) for v in P.vertices} == target:
+            walks.append(scale)
+        return walk_points(P, scale, strict, w)
+
+    monkeypatch.setattr(geometry, "_iter_points", spy)
+    trace = prove(pair, report=report)
+    assert serialize_trace(trace) == serialize_trace(first)
+    assert len(walks) == 1
+
+
 def test_prove_hull_calls_are_bounded(monkeypatch):
     """The proof of a pinned 4D pair takes at most 15 convex hulls, all for
     the cone, its slab, the cross-section, the difference body and walk
@@ -589,7 +622,7 @@ def test_shrink_factor_is_the_brute_force_least_gauge(sections):
     assert len(sections) > 1000
     for box, _, _, j, q in sections:
         S = geometry.scale_about(box, j, (0,) * box.dim)
-        t, _, z = shrink_to_unique(S, q)
+        t, _, z = shrink_to_unique(S, q, walk(S))
         assert (t, z) == brute_shrink_factor(S, q)
 
 
@@ -602,6 +635,6 @@ def test_pyramid_search_matches_the_dilates_one_by_one(sections):
         for J in (j, j + 1, 2 * j):
             loop = any(geometry.any_lattice_point(box, scale=i, strict=True) for i in range(1, J))
             assert geometry.any_lattice_point(pyramid, scale=J, strict=True) == loop == (J > j)
-        assert verify_bullets(box, levels, n, j, q)[0].passed
+        assert verify_bullets(box, levels, n, j, q, walk(box, j))[0].passed
         if j > 1:
-            assert not verify_bullets(box, levels, n, j - 1, q)[0].passed
+            assert not verify_bullets(box, levels, n, j - 1, q, walk(box, j - 1))[0].passed
