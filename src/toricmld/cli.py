@@ -257,7 +257,7 @@ def _run_lemma_minkowski(dim: int, samples: int, seed: int) -> int:
         2, ((1, 0), (0, 1)), (BoundaryCoefficient(1), BoundaryCoefficient(1))
     )
     trace = prove(quadrant)
-    volume = normalized_volume(trace.certificate)
+    volume = trace.certificate_volume
     print(f"pinned: smooth quadrant certificate volume {fmt_rat(volume)} = 4"
           + (" ok" if volume == 4 else " FAIL"))
     if volume != 4:

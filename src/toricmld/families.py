@@ -25,11 +25,12 @@ from .errors import (
     DimensionTooSmall,
     ExhaustedResampling,
     InvalidParameters,
+    NotFullDimensional,
     NotKlt,
     ToricMldError,
 )
 from .geometry import RatPolytope, convex_hull
-from .lattice import SublatticeBasis, content, matrix_rank
+from .lattice import SublatticeBasis, content
 from .pairs import (
     BoundVerdict,
     LogCanonicalReport,
@@ -346,10 +347,10 @@ def _random_lattice_polytope(rng: random.Random, d: int, spread: int) -> RatPoly
             tuple(rng.randint(-spread, spread) for _ in range(d))
             for _ in range(d + 1 + rng.randrange(3))
         ]
-        first = pts[0]
-        diffs = [tuple(a - b for a, b in zip(p, first)) for p in pts[1:]]
-        if matrix_rank(diffs) == d:
+        try:
             return convex_hull(pts)
+        except NotFullDimensional:
+            pass  # the points do not affinely span: draw again
 
 
 def lemma_lv_suite(dim: int, count: int, seed) -> tuple[RatPolytope, ...]:
@@ -379,15 +380,15 @@ def lemma_vo_suite(
         rng = random.Random(f"{seed}:vo:{dim}:{i}")
         height = rng.randint(1, 6)
         sub = None
-        if i % 3 == 2:
-            while True:
-                rows = [
-                    tuple(rng.randint(-3, 3) for _ in range(dim))
-                    for _ in range(dim)
-                ]
-                if matrix_rank(rows) == dim:
-                    sub = SublatticeBasis(dim, tuple(rows))
-                    break
+        while i % 3 == 2 and sub is None:
+            rows = [
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(dim)
+            ]
+            try:
+                sub = SublatticeBasis(dim, tuple(rows))
+            except InvalidParameters:
+                pass  # dependent rows: draw again
         base = _random_lattice_polytope(rng, dim, 3)
         if sub is not None:
             base = convex_hull([sub.from_coords(v) for v in base.vertices])

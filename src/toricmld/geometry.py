@@ -41,9 +41,8 @@ from .lattice import (
     _identity,
     det,
     dot,
-    independent_rows,
-    int_inverse,
     matrix_rank,
+    pivot_inverse,
     primitive_vector,
     vec_sub,
 )
@@ -140,18 +139,18 @@ def _double_description(
     simplicial cone whose rays are refined one constraint at a time, with
     adjacency decided combinatorially from the tight-set bitmasks.
     """
-    seed = independent_rows(cons, n)
+    seed, B, D = pivot_inverse(tuple(zip(*cons)))
     if len(seed) < n:
         raise NotFullDimensional("points do not affinely span the ambient space")
     seeds = set(seed)
     order = seed + [i for i in range(len(cons)) if i not in seeds]
-    adj, D = int_inverse([cons[i] for i in seed])
     sign = 1 if D > 0 else -1
     rays: list[IntVector] = []
     zeros: list[int] = []
     full = sum(1 << i for i in seed)
     for j in range(n):
-        rays.append(primitive_vector([sign * adj[i][j] for i in range(n)]))
+        # ⟨cons[seed[i]], B[j]⟩ = D·[i = j]
+        rays.append(primitive_vector([sign * x for x in B[j]]))
         zeros.append(full ^ (1 << seed[j]))
     for idx in order[n:]:
         c = cons[idx]
@@ -272,14 +271,12 @@ def convex_hull(points: Sequence[Sequence], den: int = 1) -> RatPolytope:
 
 def _pulling(face: int, facets: Sequence[int], k: int):
     """Bitmasks of the simplices of a pulling triangulation of the
-    ``k``-dimensional face ``face``, given the bitmasks of its facets: a
-    simplex is itself; any other face is its lowest vertex coned over the
-    triangulations of its facets that miss that vertex.  The facets of a
+    ``k``-dimensional face ``face``, not a simplex, given the bitmasks of
+    its facets: the face is its lowest vertex coned over the
+    triangulations of its facets that miss that vertex, a facet with ``k``
+    vertices being a simplex already.  The facets of a
     facet ``G`` are the inclusion-maximal sets ``G ∩ H`` with at least ``k −
     1`` vertices, ``H`` another facet."""
-    if face.bit_count() == k + 1:
-        yield face
-        return
     low = face & -face
     for g in facets:
         if g & low:

@@ -176,12 +176,17 @@ def matrix_rank(M: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(_int_rows(M))[0])
 
 
-def _augmented(M: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Gauss–Jordan on ``[M | I]``: the pivot columns and the rows.  The
-    ``I`` part ends as ``B`` with ``B·M`` equal to the last pivot times the
-    identity on the pivot columns."""
-    a = [row + [int(i == j) for j in range(len(M))] for i, row in enumerate(_int_rows(M))]
-    return _bareiss(a, full=True)[0], a
+def pivot_inverse(M: Sequence[Sequence[int]]) -> tuple[list[int], IntMatrix, int]:
+    """One fraction-free Gauss–Jordan pass on ``[M | I]``: the pivot
+    columns ``P`` of ``M``, taken greedily in order, each independent of
+    those before it, and ``(B, D)`` with ``B·M[:, P] = D·I``, where ``|D|
+    = |det M[:, P]|`` when that block is square.  On a transpose, ``P``
+    picks the first independent rows and ``Bᵀ`` inverts them."""
+    m, n = _check_rect(M)
+    a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(_int_rows(M))]
+    pivots = [c for c in _bareiss(a, full=True)[0] if c < n]
+    B = tuple(tuple(row[n:]) for row in a[: len(pivots)])
+    return pivots, B, a[0][pivots[0]] if pivots else 1
 
 
 def int_inverse(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
@@ -190,12 +195,10 @@ def int_inverse(M: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     m, n = _check_rect(M)
     if m != n:
         raise InvalidParameters(f"inverse of a {m}x{n} matrix")
-    if n == 0:
-        return (), 1
-    pivots, a = _augmented(M)
-    if pivots != list(range(n)):
+    pivots, B, D = pivot_inverse(M)
+    if len(pivots) != n:
         raise InvalidParameters("matrix is singular")
-    return tuple(tuple(row[n:]) for row in a), a[0][0]
+    return B, D
 
 
 def solve(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntVector, int]:
@@ -206,13 +209,6 @@ def solve(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntVector, int]
     if len(b) != len(B):
         raise DimensionMismatch("right-hand side has the wrong length")
     return tuple(dot(row, b) for row in B), D
-
-
-def independent_rows(M: Sequence[Sequence[int]], k: int) -> list[int]:
-    """Indices of the first ``k`` rows, taken greedily in order, each
-    linearly independent of those taken before it (fewer when the rows
-    span less): the pivot columns of the transpose's elimination."""
-    return _bareiss([list(col) for col in zip(*_int_rows(M))])[0][:k]
 
 
 # --- normal form ------------------------------------------------------------
@@ -353,7 +349,7 @@ class SublatticeBasis:
                 raise DimensionMismatch(
                     f"basis row of length {len(row)} in ambient dimension {self.ambient_dim}"
                 )
-        if rows and matrix_rank(rows) != len(rows):
+        if len(self._solver[0]) != len(rows):
             raise InvalidParameters("basis rows are linearly dependent")
 
     @property
@@ -361,25 +357,22 @@ class SublatticeBasis:
         return len(self.rows)
 
     @cached_property
-    def _solver(self) -> tuple[tuple[int, ...], IntMatrix, int]:
+    def _solver(self) -> tuple[list[int], IntMatrix, int]:
         """Pivot columns ``cols`` of the rows and ``(B, D)`` with ``B·S =
-        D·I`` for the rows ``S`` cut to those columns."""
-        cols, a = _augmented(self.rows)
-        B = tuple(tuple(row[self.ambient_dim :]) for row in a)
-        return tuple(cols), B, a[0][cols[0]]
+        D·I`` for the rows ``S`` cut to those columns: the basis's one
+        elimination, which also shows whether its rows are independent."""
+        return pivot_inverse(self.rows)
 
     def to_coords(self, point: Sequence) -> IntVector:
         """Integer coordinates of ``point`` in this basis; the point must lie
         in the sublattice (otherwise :class:`InvalidParameters`)."""
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("point has the wrong length")
-        coords: tuple = ()
-        if self.rank:
-            cols, B, D = self._solver
-            nums = [sum(point[c] * x for c, x in zip(cols, col)) for col in zip(*B)]
-            if any(v % D for v in nums):
-                raise InvalidParameters("point lies outside the sublattice")
-            coords = tuple(v // D for v in nums)
+        cols, B, D = self._solver
+        nums = [sum(point[c] * x for c, x in zip(cols, col)) for col in zip(*B)]
+        if any(v % D for v in nums):
+            raise InvalidParameters("point lies outside the sublattice")
+        coords = tuple(v // D for v in nums)
         if self.from_coords(coords) != tuple(point):
             raise InvalidParameters("point lies outside the sublattice")
         return coords

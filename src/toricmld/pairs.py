@@ -39,8 +39,7 @@ from .lattice import (
     _int_rows,
     content,
     dot,
-    independent_rows,
-    int_inverse,
+    pivot_inverse,
     quotient_lattice,
     vec_add,
     vec_scale,
@@ -111,6 +110,13 @@ class ToricLogPair:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
 
+def _check_lengths(pair: ToricLogPair) -> None:
+    if len(pair.rays) != len(pair.coefficients):
+        raise LengthMismatch(
+            f"{len(pair.rays)} rays but {len(pair.coefficients)} coefficients"
+        )
+
+
 def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     """Check the pair data and return it unchanged.
 
@@ -136,10 +142,7 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     for e in pair.rays:
         if len(e) != d:
             raise DimensionMismatch(f"ray {e} does not have length {d}")
-    if len(pair.rays) != len(pair.coefficients):
-        raise LengthMismatch(
-            f"{len(pair.rays)} rays but {len(pair.coefficients)} coefficients"
-        )
+    _check_lengths(pair)
     for c in pair.coefficients:
         if not isinstance(c, BoundaryCoefficient):
             raise NonStandardCoefficient(f"coefficient {c!r} is not standard")
@@ -180,11 +183,10 @@ class _ConeRecord:
     @cached_property
     def solver(self) -> tuple[list[int], IntMatrix, int]:
         """The indices of the first independent generators of a spanning
-        cone and ``(B, D)`` with ``G·B = D·I`` for the generators ``G`` at
+        cone and ``(B, D)`` with ``B·Gᵀ = D·I`` for the generators ``G`` at
         those indices: the cone's one elimination, taken on first use, as
         validation does not need it."""
-        basis = independent_rows(self.generators, self.dim)
-        return (basis, *int_inverse([self.generators[i] for i in basis]))
+        return pivot_inverse(tuple(zip(*self.generators)))
 
 
 @lru_cache(maxsize=4096)
@@ -236,16 +238,18 @@ def solve_psi(pair: ToricLogPair) -> tuple[IntVector, int]:
     Solved fraction-free on the first independent rays, with the integer
     targets ``lcm(l)/l_i``, through the inverse kept in the cone record,
     and then verified on the rest; an inconsistent system raises
-    :class:`NotLogQGorenstein`.
+    :class:`NotLogQGorenstein`, and a coefficient count other than the ray
+    count :class:`LengthMismatch`, as in :func:`validate_pair`.
     """
+    _check_lengths(pair)
     cone = _spanning_record(pair)
     levels = [c.level for c in pair.coefficients]
     m = math.lcm(*(l for l in levels if l is not None))
     targets = [0 if l is None else m // l for l in levels]
     basis, B, D = cone.solver
     chosen = [targets[i] for i in basis]
-    v = tuple(dot(row, chosen) for row in B)
-    # psi = v/(D·m); divide out the common factor, sign included
+    v = tuple(dot(chosen, col) for col in zip(*B))
+    # psi = chosen·B/(D·m); divide out the common factor, sign included
     g = math.gcd(D * m, *v) * (1 if D > 0 else -1)
     w, n = tuple(x // g for x in v), D * m // g
     for e, t in zip(pair.rays, targets):

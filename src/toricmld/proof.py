@@ -59,8 +59,8 @@ from .lattice import (
     content,
     det,
     dot,
-    independent_rows,
     kernel_sublattice,
+    pivot_inverse,
     vec_scale,
     vec_sub,
 )
@@ -104,9 +104,9 @@ class ProofTrace:
 
     Geometry lives in kernel coordinates: ``section`` is the cross-section
     of the cone at functional value ``1/index`` (one vertex per ray, in ray
-    order in ``ray_vertices``), ``dilated`` its ``threshold``-fold dilate,
-    ``shrunk`` the contraction of the dilate around ``center``, and
-    ``certificate`` the symmetric body in ℤ×kernel whose normalized volume
+    order in ``ray_vertices``), whose ``threshold``-fold dilate is shrunk
+    by ``shrink_factor`` around ``center``, and ``certificate`` the
+    symmetric body in ℤ×kernel whose normalized volume
     ``certificate_volume`` drives the bound.
     """
 
@@ -118,10 +118,8 @@ class ProofTrace:
     ray_vertices: tuple[RatVector, ...]
     vertex_levels: tuple[int, ...]
     threshold: int
-    dilated: RatPolytope
     center: IntVector
     shrink_factor: Fraction
-    shrunk: RatPolytope
     gamma: Fraction
     certificate: RatPolytope
     certificate_volume: Fraction
@@ -476,10 +474,11 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
         v = next(v for v in Q.vertices if any(x.denominator != 1 for x in v))
         raise NotLatticePolytope(f"vertex {v} is not a lattice point")
     diffs = [vec_sub(w, Q.rows[0]) for w in Q.rows[1:]]
-    spanning = [diffs[i] for i in independent_rows(diffs, k)]
-    if len(spanning) < k:
+    chosen, _, D = pivot_inverse(tuple(zip(*diffs)))  # |D| = |det| of the chosen
+    if len(chosen) < k:
         raise InvalidParameters("polytope vertices do not span the space")
-    index = abs(det(spanning))
+    spanning = [diffs[i] for i in chosen]
+    index = abs(D)
     cross = convex_hull([vec_scale(s, v) for v in spanning for s in (1, -1)])
     diff = difference_body(Q)
     inscribed = all(diff.contains(v) for v in cross.rows)
@@ -591,10 +590,8 @@ def prove(
         ray_vertices=ray_vertices,
         vertex_levels=levels,
         threshold=j,
-        dilated=dilated,
         center=center,
         shrink_factor=t,
-        shrunk=shrunk,
         gamma=gamma,
         certificate=body,
         certificate_volume=volume,

@@ -27,7 +27,7 @@ from toricmld.families import (
     random_simplicial_cone,
     sweep,
 )
-from toricmld.geometry import difference_body, normalized_volume
+from toricmld.geometry import difference_body, normalized_volume, scale_about
 from toricmld.pairs import (
     ToricLogPair,
     compute_mld,
@@ -104,7 +104,7 @@ def test_random_cone_sweep_in_five_and_six_dimensions():
         assert all(r.trace is not None for r in report.rows)
         assert report.counterexamples == ()
         for r in report.rows:
-            S = r.trace.dilated
+            S = scale_about(r.trace.section, r.trace.threshold, (0,) * (d - 1))
             assert len(S.rows) == d
             vol = normalized_volume(S)
             assert normalized_volume(difference_body(S)) == comb(2 * d - 2, d - 1) * vol
@@ -364,16 +364,16 @@ def test_cyclic_sweep_hulls_each_cone_once(monkeypatch):
     from math import gcd
 
     import toricmld.pairs as pairs
-    from toricmld.lattice import int_inverse
+    from toricmld.lattice import pivot_inverse
     from toricmld.pairs import _cone_record
 
     inversions = []
 
     def counted(M):
         inversions.append(M)
-        return int_inverse(M)
+        return pivot_inverse(M)
 
-    monkeypatch.setattr(pairs, "int_inverse", counted, raising=False)
+    monkeypatch.setattr(pairs, "pivot_inverse", counted, raising=False)
     _cone_record.cache_clear()
     report = sweep(FamilySpec(kind="cyclic2d", max_r=12, L=2, include_one=True))
     cones = sum(1 for r in range(1, 13) for s in range(r) if gcd(r, s) == 1)

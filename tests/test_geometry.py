@@ -130,6 +130,20 @@ def test_hull_3d_consistency(pts):
         assert matrix_rank(normals) == 3
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_double_description_hull_eliminates_once(d):
+    """The seed of a double-description hull is chosen and inverted by one
+    elimination: hulling a simplex plus an interior point runs the Bareiss
+    kernel once."""
+    import toricmld.lattice as lattice
+
+    pts = [(0,) * d] + [tuple(4 * (i == j) for j in range(d)) for i in range(d)]
+    with mock.patch.object(lattice, "_bareiss", wraps=lattice._bareiss) as spy:
+        P = geo.convex_hull(pts + [(1,) * d])
+    assert P.vertices == tuple(tuple(map(Fraction, p)) for p in sorted(pts))
+    assert spy.call_count == 1
+
+
 # --- volume -------------------------------------------------------------------
 
 

@@ -181,15 +181,45 @@ def test_solve_satisfies_the_system(M, b):
     assert [lat.dot(row, x) for row in M] == [D * y for y in b]
 
 
-@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=6), st.integers(0, 3))
-def test_independent_rows_is_the_greedy_rank_choice(M, k):
-    """Oracle: a row is taken exactly when it raises the rank of the rows
-    taken before it, until ``k`` are taken."""
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=6))
+def test_pivot_inverse_chooses_greedily_and_inverts_the_choice(M):
+    """On the transpose, a row of ``M`` is a pivot exactly when it raises
+    the rank of the rows taken before it (oracle: ``matrix_rank``); ``B``
+    inverts the pivot block up to ``D``, and ``|D|`` is the block's
+    ``|det|`` when it is square."""
     expected: list[int] = []
     for i, row in enumerate(M):
-        if len(expected) < k and lat.matrix_rank([M[j] for j in expected] + [row]) > len(expected):
+        if lat.matrix_rank([M[j] for j in expected] + [row]) > len(expected):
             expected.append(i)
-    assert lat.independent_rows(M, k) == expected
+    T = [list(col) for col in zip(*M)]
+    pivots, B, D = lat.pivot_inverse(T)
+    assert pivots == expected
+    block = [[row[c] for c in pivots] for row in T]
+    r = len(pivots)
+    assert [
+        [sum(B[i][k] * block[k][j] for k in range(len(T))) for j in range(r)]
+        for i in range(r)
+    ] == [[D * (i == j) for j in range(r)] for i in range(r)]
+    if r == len(T):
+        assert abs(D) == abs(laplace_det(block))
+
+
+def test_kernel_lattice_is_eliminated_once(monkeypatch):
+    """A sublattice basis is validated and solved by one elimination: the
+    kernel lattice of a functional, asked for coordinates twice, runs
+    the Bareiss kernel once."""
+    calls = []
+    bareiss = lat._bareiss
+
+    def counted(a, full=False):
+        calls.append(full)
+        return bareiss(a, full)
+
+    monkeypatch.setattr(lat, "_bareiss", counted)
+    K = lat.kernel_sublattice((3, 5, 7), 3)
+    for coords in ((1, 0), (2, -3)):
+        assert K.to_coords(K.from_coords(coords)) == coords
+    assert len(calls) == 1
 
 
 # --- Smith normal form ------------------------------------------------------

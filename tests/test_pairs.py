@@ -28,7 +28,7 @@ from toricmld.errors import (
 )
 from toricmld.geometry import convex_hull
 from toricmld.lattice import dot, int_inverse, matrix_rank, smith_normal_form
-from toricmld.proof import fmt_rat
+from toricmld.proof import fmt_rat, prove
 
 
 def make_pair(dim, rays, values):
@@ -168,6 +168,18 @@ def test_validate_accepts_non_simplicial_cone():
 def test_validate_rejects_bad_pairs(dim, rays, values, err):
     with pytest.raises(err):
         tp.validate_pair(make_pair(dim, rays, values))
+
+
+@pytest.mark.parametrize("values", [[0], [0, 0, 0]])
+def test_unvalidated_coefficient_count_must_match_the_rays(values):
+    """Every entry point that solves psi rejects an unvalidated pair with
+    too few or too many coefficients as ``validate_pair`` does; extra
+    coefficients are not dropped into an answer."""
+    pair = make_pair(2, [(1, 0), (0, 1)], values)
+    message = f"2 rays but {len(values)} coefficients"
+    for solve in (tp.solve_psi, tp.compute_mld, tp.mld_oracle, prove):
+        with pytest.raises(LengthMismatch, match=message):
+            solve(pair)
 
 
 def _rank_rule(dim, rays):

