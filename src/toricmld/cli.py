@@ -30,17 +30,12 @@ from .pairs import (
     BoundaryCoefficient,
     LogCanonicalReport,
     ToricLogPair,
-    bound_check,
     compute_mld,
     validate_pair,
 )
-from .proof import fmt_rat, lemma_lv_check, lemma_vo_check, prove, serialize_trace
+from .proof import fmt_rat, fmt_row, lemma_lv_check, lemma_vo_check, prove, serialize_trace
 
 __all__ = ["main", "load_instance"]
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(fmt_rat(x) for x in v)
 
 
 def load_instance(path: str) -> ToricLogPair:
@@ -125,11 +120,11 @@ def _report_text(report: LogCanonicalReport) -> str:
     return "\n".join(
         [
             f"dim: {report.dim}",
-            "psi: " + _fmt_vec(report.psi),
+            "psi: " + fmt_row(report.psi),
             f"n: {report.index}",
             "a: " + fmt_rat(report.mld),
             f"q: {report.mld_denominator}",
-            "witness: " + _fmt_vec(report.witness),
+            "witness: " + fmt_row(report.witness),
             f"klt: {'yes' if report.klt else 'no'}",
         ]
     )
@@ -223,29 +218,22 @@ def _run_lemma_vo(dim: int, samples: int, seed: int) -> int:
         check = lemma_vo_check(height, base, sub)
         if not check.passed:
             print(f"violation: height {height}, base vertices "
-                  f"{[_fmt_vec(v) for v in base.vertices]}, {check.detail}")
+                  f"{[fmt_row(v) for v in base.vertices]}, {check.detail}")
             return 1
     print(f"vo: {samples} samples at dimension {dim} all exact")
     return 0
 
 
 def _run_lemma_lv(dim: int, samples: int, seed: int) -> int:
-    segment = convex_hull([(0,), (1,)])
-    check = lemma_lv_check(segment)
-    print(f"pinned: unit segment -> {check.detail}"
-          + (" ok" if check.passed else " FAIL"))
-    if not check.passed:
-        return 1
-    triangle = convex_hull([(0, 0), (1, 0), (0, 1)])
-    check = lemma_lv_check(triangle)
-    print(f"pinned: unit triangle -> {check.detail}"
-          + (" ok" if check.passed else " FAIL"))
-    if not check.passed:
-        return 1
+    for name, points in (("segment", [(0,), (1,)]), ("triangle", [(0, 0), (1, 0), (0, 1)])):
+        check = lemma_lv_check(convex_hull(points))
+        print(f"pinned: unit {name} -> {check.detail}" + (" ok" if check.passed else " FAIL"))
+        if not check.passed:
+            return 1
     for Q in lemma_lv_suite(dim, samples, seed):
         check = lemma_lv_check(Q)
         if not check.passed:
-            print(f"violation: vertices {[_fmt_vec(v) for v in Q.vertices]}, "
+            print(f"violation: vertices {[fmt_row(v) for v in Q.vertices]}, "
                   f"{check.detail}")
             return 1
     print(f"lv: {samples} samples at dimension {dim} all above the floor")

@@ -40,7 +40,7 @@ from .pairs import (
     standard_coefficients,
     validate_pair,
 )
-from .proof import ProofTrace, fmt_rat, prove
+from .proof import ProofTrace, fmt_rat, fmt_row, prove
 
 __all__ = [
     "FamilySpec",
@@ -133,10 +133,6 @@ class SweepReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt_rays(rays) -> str:
-    return ";".join(" ".join(str(x) for x in ray) for ray in rays)
-
-
 def _csv_fields(row: SweepRow) -> tuple[str, ...]:
     rep, trace = row.report, row.trace
     if row.error:
@@ -146,7 +142,7 @@ def _csv_fields(row: SweepRow) -> tuple[str, ...]:
     return (
         row.key,
         str(row.pair.dim),
-        _fmt_rays(row.pair.rays),
+        ";".join(map(fmt_row, row.pair.rays)),
         ";".join(fmt_rat(c.value) for c in row.pair.coefficients),
         str(rep.index) if rep else "",
         fmt_rat(rep.mld) if rep else "",
@@ -225,6 +221,15 @@ def random_simplicial_cone(d: int, max_entry: int, seed) -> ToricLogPair:
     )
 
 
+def _random_pair(d: int, max_entry: int, values: Sequence, key: str) -> ToricLogPair:
+    """The random simplicial cone drawn under ``key`` with each coefficient
+    drawn from ``values`` under ``key:b``."""
+    pair = random_simplicial_cone(d, max_entry, key)
+    rng = random.Random(f"{key}:b")
+    coeffs = [rng.choice(values) for _ in range(d)]
+    return replace(pair, coefficients=standard_coefficients(coeffs))
+
+
 def _check_spec(spec: FamilySpec) -> None:
     if spec.kind not in _KINDS:
         raise InvalidParameters(f"unknown family kind {spec.kind!r}")
@@ -277,14 +282,7 @@ def _instances(spec: FamilySpec) -> Iterator[tuple[str, ToricLogPair]]:
         values = [v for (v,) in coefficient_grid(1, spec.L, spec.include_one)]
         for d in spec.dims:
             for i in range(spec.count):
-                pair = random_simplicial_cone(
-                    d, spec.max_entry, f"{spec.seed}:{d}:{i}"
-                )
-                rng = random.Random(f"{spec.seed}:{d}:{i}:b")
-                coeffs = [rng.choice(values) for _ in range(d)]
-                yield f"d{d}i{i}", replace(
-                    pair, coefficients=standard_coefficients(coeffs)
-                )
+                yield f"d{d}i{i}", _random_pair(d, spec.max_entry, values, f"{spec.seed}:{d}:{i}")
 
 
 def _run_instance(key: str, pair: ToricLogPair) -> SweepRow:
@@ -403,10 +401,4 @@ def minkowski_suite(dim: int, count: int, seed) -> tuple[ToricLogPair, ...]:
     if dim < 2 or count < 1:
         raise InvalidParameters("need dim >= 2 and count >= 1")
     values = [v for (v,) in coefficient_grid(1, 3)]
-    out = []
-    for i in range(count):
-        pair = random_simplicial_cone(dim, 4, f"{seed}:mk:{dim}:{i}")
-        rng = random.Random(f"{seed}:mk:{dim}:{i}:b")
-        coeffs = [rng.choice(values) for _ in range(dim)]
-        out.append(replace(pair, coefficients=standard_coefficients(coeffs)))
-    return tuple(out)
+    return tuple(_random_pair(dim, 4, values, f"{seed}:mk:{dim}:{i}") for i in range(count))

@@ -155,11 +155,6 @@ def _double_description(
     for idx in order[n:]:
         c = cons[idx]
         vals = [dot(c, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            for t, v in enumerate(vals):
-                if v == 0:
-                    zeros[t] |= 1 << idx
-            continue
         keep = [t for t, v in enumerate(vals) if v >= 0]
         pos = [t for t, v in enumerate(vals) if v > 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
@@ -571,26 +566,27 @@ _PLANE_IN_PLACE = 64
 
 def _reduced_frame(P: RatPolytope, scale: int) -> tuple[IntMatrix, RatPolytope] | None:
     """``(U⁻¹, U·P)`` to walk ``scale·P`` in, or ``None`` to walk ``P``.
-    ``U·P`` is walked when the vertex bounding box of ``scale·U·P`` holds
-    fewer lattice points than that of ``scale·P``, except for a polygon
-    whose first coordinate takes at most ``_PLANE_IN_PLACE`` values.  A
-    dilate's box is not the dilate of the box (a cross-section's holds about
-    one point at scale 1 and many at the threshold), so this is decided at
-    the walked scale.  ``U·P``, rows ``U·row`` and facets ``(u·U⁻¹, c)``, is
-    built only when a walk picks it, and then kept in ``P``'s cache as
-    ``_reduced``."""
+    ``U·P`` is walked when the leading box of ``scale·U·P``, the vertex
+    bounding box over every coordinate but the last (which the walk takes
+    as one run), holds fewer lattice points than that of ``scale·P``,
+    except for a polygon whose first coordinate takes at most
+    ``_PLANE_IN_PLACE`` values.  A dilate's box is not the dilate of the box
+    (a cross-section's holds about one point at scale 1 and many at the
+    threshold), so this is decided at the walked scale.  ``U·P``, rows
+    ``U·row`` and facets ``(u·U⁻¹, c)``, is built only when a walk picks
+    it, and then kept in ``P``'s cache as ``_reduced``."""
     rows, den, cache = P.rows, P.den, vars(P)
 
     def span(c) -> int:
         return max(0, (scale * max(c)) // den + (-scale * min(c)) // den + 1)
 
-    cols = list(zip(*rows))
-    if (P.dim == 2 and span(cols[0]) <= _PLANE_IN_PLACE) or P._basis is None:
+    lead = math.prod(map(span, list(zip(*rows))[:-1]))
+    if (P.dim == 2 and lead <= _PLANE_IN_PLACE) or P._basis is None:
         return None
     U, Ui = P._basis
     R = cache.get("_reduced")
     ucols = list(zip(*R.rows)) if R else [[sum(map(mul, u, r)) for r in rows] for u in U]
-    if math.prod(map(span, ucols)) >= math.prod(map(span, cols)):
+    if math.prod(map(span, ucols[:-1])) >= lead:
         return None
     if R is None:
         uicols = list(zip(*Ui))
@@ -730,10 +726,11 @@ def enumerate_points(
     ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
     coordinates, taken once per polytope, with offsets rescaled per dilate.
     It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when the vertex
-    bounding box of ``scale·U·P`` holds fewer lattice points than that of
-    ``scale·P`` (a polygon whose first coordinate takes few values is walked
-    as it is), then maps the points back by ``U⁻¹`` and sorts them; ``U`` is
-    taken once per polytope and shared by its homothets.
+    bounding box of ``scale·U·P`` over every coordinate but the last holds
+    fewer lattice points than that of ``scale·P`` (a polygon whose first
+    coordinate takes few values is walked as it is), then maps the points
+    back by ``U⁻¹`` and sorts them; ``U`` is taken once per polytope and
+    shared by its homothets.
     """
     return tuple(sorted(_iter_points(P, scale, strict)))
 

@@ -46,6 +46,7 @@ from .geometry import (
     difference_body,
     enumerate_points,
     max_gamma,
+    minimize,
     normalized_volume,
     scale_about,
     translate,
@@ -86,6 +87,7 @@ __all__ = [
     "prove",
     "serialize_trace",
     "fmt_rat",
+    "fmt_row",
 ]
 
 
@@ -146,8 +148,9 @@ def build_box(
     level·base``, and the hull is taken on these over the lcm of the
     levels.  The vertices are returned in ray order alongside the polytope.
     The coordinates are exact, as :meth:`SublatticeBasis.to_coords` checks
-    that they map back to ``ray − level·base``, and the vertex hull is
-    checked against the direct halfspace slice of the cone.
+    that they map back to ``ray − level·base``, and the hull's facets must
+    be exactly the cone's facets read in kernel coordinates (otherwise
+    :class:`CheckFailed` ``box-halfspaces``).
     """
     d = pair.dim
     if d < 2:
@@ -172,38 +175,17 @@ def build_box(
     vertices = [tuple(Fraction(x, m) for x in c) for m, c in zip(levels, coords)]
     if set(box.vertices) != set(vertices):
         raise InvalidParameters("rays must be exactly the extreme rays of the cone")
-    _cross_check_halfspaces(pair, base, kernel, box)
-    return box, tuple(vertices)
-
-
-def _cross_check_halfspaces(
-    pair: ToricLogPair, base: Sequence[int], kernel: SublatticeBasis, box: RatPolytope
-) -> None:
-    """The section must equal the slice of the cone by the kernel's affine
-    span through ``base``: every cone facet transforms to a halfspace in
-    kernel coordinates, the box must satisfy all of them, and every facet of
-    the box must appear among them."""
-    den = box.den
-    transformed = set()
+    # each cone facet ⟨u, x⟩ ≤ 0 reads ⟨u·K, c⟩ ≤ −⟨u, base⟩ in kernel
+    # coordinates; no facet has u·K = 0 (u vanishes on a ray, where w does
+    # not), and such a u would never match
+    sliced = set()
     for u in cone_facets(pair):
-        w = tuple(dot(u, row) for row in kernel.rows)
-        c = -dot(u, base)
-        m = content(w)
-        if m == 0:
-            continue
-        # ⟨w, x⟩ ≤ c in row units: ⟨w/m, row⟩ ≤ c·den/m
-        if c * den % m == 0:
-            transformed.add((tuple(x // m for x in w), c * den // m))
-        for i, r in enumerate(box.rows):
-            if dot(w, r) > c * den:
-                raise CheckFailed(
-                    "box-halfspaces", f"vertex {box.vertices[i]} violates a cone facet"
-                )
-    for facet in box.int_facets:
-        if facet not in transformed:
-            raise CheckFailed(
-                "box-halfspaces", "box facet is not a transformed cone facet"
-            )
+        v = tuple(dot(u, row) for row in kernel.rows)
+        m, c = content(v) or 1, -dot(u, base) * box.den
+        sliced.add((tuple(x // m for x in v), c // m if c % m == 0 else None))
+    if set(box.int_facets) != sliced:
+        raise CheckFailed("box-halfspaces", "the section's facets are not the cone's facets")
+    return box, tuple(vertices)
 
 
 def verify_bullets(
@@ -219,7 +201,7 @@ def verify_bullets(
       the interior of the pyramid ``j·conv({0} ∪ {1} × box)`` has the
       interior of ``i·box`` as its section at height ``0 < i < j``, so it
       holds a lattice point exactly when one of those dilates does, and only
-      then are the dilates tried one by one to name the first.
+      then is the least height of such a point taken, which names the first.
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -229,8 +211,11 @@ def verify_bullets(
     if len(levels) != len(box.rows):
         raise InvalidParameters("one level per vertex is required")
     early = None
-    if any_lattice_point(cone_over(1, box), scale=j, strict=True):
-        early = next((i for i in range(1, j) if any_lattice_point(box, scale=i, strict=True)), None)
+    pyramid = cone_over(1, box)
+    if any_lattice_point(pyramid, scale=j, strict=True):
+        # the least height of an interior point of j·pyramid names the dilate
+        height = (1,) + (0,) * box.dim
+        early, _ = minimize(scale_about(pyramid, j, (0,) * pyramid.dim), height, strict=True)
     if early is not None:
         detail = f"interior lattice point at dilate {early} < {j}"
     elif interior:
@@ -243,7 +228,7 @@ def verify_bullets(
     for i, (r, m) in enumerate(zip(box.rows, levels)):
         order = den // gcd(den, *r)
         if order != m:
-            bad_orders.append(f"vertex {box.vertices[i]} has order {order}, level {m}")
+            bad_orders.append(f"vertex {_fmt_vec(box.vertices[i])} has order {order}, level {m}")
     orders = CheckResult(
         "vertex-orders",
         not bad_orders,
@@ -472,7 +457,7 @@ def lemma_lv_check(Q: RatPolytope) -> CheckResult:
     k = Q.dim
     if Q.den != 1:
         v = next(v for v in Q.vertices if any(x.denominator != 1 for x in v))
-        raise NotLatticePolytope(f"vertex {v} is not a lattice point")
+        raise NotLatticePolytope(f"vertex {_fmt_vec(v)} is not a lattice point")
     diffs = [vec_sub(w, Q.rows[0]) for w in Q.rows[1:]]
     chosen, _, D = pivot_inverse(tuple(zip(*diffs)))  # |D| = |det| of the chosen
     if len(chosen) < k:
@@ -580,7 +565,7 @@ def prove(
     core, body, volume, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
     checks.extend(mk_checks)
     checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk))
-    bound = bound_check(report) if d <= 2 else bound_check(report, gamma)
+    bound = bound_check(report, gamma)
     trace = ProofTrace(
         pair=pair,
         report=report,
@@ -612,10 +597,12 @@ def prove(
 def fmt_rat(x) -> str:
     """Exact text of a rational: ``p/q``, or ``p`` for an integer; ``None``
     (a missing value) gives the empty string."""
-    if x is None:
-        return ""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return "" if x is None else str(Fraction(x))
+
+
+def fmt_row(v: Sequence) -> str:
+    """Exact text of a vector: its entries, space-separated."""
+    return " ".join(fmt_rat(x) for x in v)
 
 
 def _fmt_vec(v: Sequence) -> str:

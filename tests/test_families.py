@@ -7,7 +7,6 @@ draw validates.
 """
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 

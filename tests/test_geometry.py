@@ -454,9 +454,10 @@ def spans(P, scale=1):
     ]
 
 
-def box_points(P, scale=1):
-    """Lattice points in the bounding box of the vertices of ``scale·P``."""
-    return math.prod(spans(P, scale))
+def lead_points(P, scale=1):
+    """Lattice points in the leading box of ``scale·P``: the bounding box of
+    its vertices over every coordinate but the last."""
+    return math.prod(spans(P, scale)[:-1])
 
 
 def gram_schmidt(U, M):
@@ -493,11 +494,27 @@ def assert_lll_reduced(U, Ui, M):
             assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
 
 
-@given(skewed_polytopes(), st.sampled_from([1, 2, 3]), st.booleans())
+@st.composite
+def thin_simplices(draw):
+    """``(U, B, U·B)`` as in :func:`skewed_polytopes`, for a simplex ``B``
+    in 3D or 4D that is wide in one coordinate other than the last, the
+    shape of a threshold dilate whose leading box decides its frame."""
+    d = draw(st.sampled_from([3, 4]))
+    wide = draw(st.integers(0, d - 2))
+    lo = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    steps = [draw(st.integers(20, 60)) if i == wide else 1 for i in range(d)]
+    pts = [lo] + [tuple(x + steps[i] * (i == j) for j, x in enumerate(lo)) for i in range(d)]
+    B = [tuple(map(Fraction, p)) for p in pts]
+    U = draw(unimodular_matrices(d))
+    return U, geo.convex_hull(B), geo.convex_hull([mat_vec(U, v) for v in B])
+
+
+@given(st.one_of(skewed_polytopes(), thin_simplices()), st.sampled_from([1, 2, 3]), st.booleans())
 @settings(deadline=None, max_examples=80)
 def test_skewed_enumeration_matches_box_scan(data, scale, strict):
     """The walk in the reduced frame lists the same lex-sorted points as a
-    box scan of the unskewed preimage mapped forward."""
+    box scan of the unskewed preimage mapped forward, on boxes and simplices
+    and on thin simplices whose wide coordinate is not the last."""
     U, B, P = data
     expected = sorted(mat_vec(U, x) for x in box_scan(B, scale, strict))
     for cut in PLANE_CUTS:
@@ -556,8 +573,8 @@ def test_minimize_matches_enumeration(data, strict):
 def test_frame_is_lll_reduced_and_pays(data, scales):
     """The basis U is unimodular, size-reduced and meets the Lovász
     condition under the vertex scatter, and a walk of ``scale·P`` takes the
-    frame ``U·P`` exactly when its vertex bounding box holds fewer lattice
-    points at that scale, unless ``P`` is a polygon whose first coordinate
+    frame ``U·P`` exactly when its leading box holds fewer lattice points
+    at that scale, unless ``P`` is a polygon whose first coordinate
     takes at most the cut-off's number of values there; the frame is then
     ``U·P``, built once."""
     P = data[2]
@@ -571,7 +588,7 @@ def test_frame_is_lll_reduced_and_pays(data, scales):
         with plane_cut(cut):
             frame = geo._reduced_frame(P, scale)
         in_place = P.dim == 2 and spans(P, scale)[0] <= cut
-        pays = box_points(image, scale) < box_points(P, scale)
+        pays = lead_points(image, scale) < lead_points(P, scale)
         assert (frame is not None) == (pays and not in_place)
         if frame is not None:
             assert frame[0] == Ui

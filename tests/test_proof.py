@@ -208,6 +208,40 @@ def test_build_box_input_validation():
         build_box(redundant, (1, 1), 2, (1, 0), kernel_sublattice((1, 1), 2))
 
 
+SMOOTH_3D = ToricLogPair(
+    3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), standard_coefficients([0, F(1, 2), F(2, 3)])
+)
+
+
+def smooth_3d_box_args():
+    report = compute_mld(SMOOTH_3D)
+    w = report.w
+    return SMOOTH_3D, w, report.index, base_point(w), kernel_sublattice(w, 3)
+
+
+def test_build_box_rejects_a_redundant_cone_facet(monkeypatch):
+    """The section's facets must be exactly the cone's facets: a valid cone
+    inequality that is no facet, the sum of two facet normals, is caught
+    (the parent's row-by-row check accepted it)."""
+    args = smooth_3d_box_args()
+    assert build_box(*args)[0].dim == 2
+    normals = pairs.cone_facets(SMOOTH_3D)
+    redundant = tuple(a + b for a, b in zip(normals[0], normals[1]))
+    monkeypatch.setattr(proof, "cone_facets", lambda pair: normals + (redundant,))
+    with pytest.raises(CheckFailed) as err:
+        build_box(*args)
+    assert err.value.name == "box-halfspaces"
+
+
+def test_build_box_rejects_a_missing_cone_facet(monkeypatch):
+    args = smooth_3d_box_args()
+    normals = pairs.cone_facets(SMOOTH_3D)
+    monkeypatch.setattr(proof, "cone_facets", lambda pair: normals[1:])
+    with pytest.raises(CheckFailed) as err:
+        build_box(*args)
+    assert err.value.name == "box-halfspaces"
+
+
 def test_verify_bullets_frozen_pass():
     box = convex_hull([(F(1, 3),), (F(2, 3),)])
     threshold, orders, denominators = verify_bullets(box, (3, 3), 3, 2, 3, walk(box, 2))
@@ -232,6 +266,7 @@ def test_verify_bullets_detects_wrong_levels_and_denominators():
     box = convex_hull([(F(1, 3),), (F(2, 3),)])
     _, orders, _ = verify_bullets(box, (2, 3), 3, 2, 3, walk(box, 2))
     assert not orders.passed
+    assert orders.detail == "vertex (1/3) has order 3, level 2"
     _, _, denominators = verify_bullets(box, (3, 3), 3, 2, 1, walk(box, 2))
     assert not denominators.passed
 
@@ -269,6 +304,33 @@ def test_verify_bullets_searches_the_dilates_in_one_walk():
     assert time.perf_counter() - start < 2
     assert all(c.passed for c in checks)
     assert checks[0].detail == "first interior lattice point at dilate 445"
+
+
+def sylvester_germ(d):
+    """The smooth germ on e_1 … e_d with levels s_1, …, s_(d−1), s_d − 1,
+    where s = 2, 3, 7, 43, … (s_(k+1) = s_k² − s_k + 1), and ``s_d``."""
+    s = [2]
+    while len(s) < d:
+        s.append(s[-1] ** 2 - s[-1] + 1)
+    levels = s[:-1] + [s[-1] - 1]
+    rays = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    return ToricLogPair(d, rays, standard_coefficients([F(l - 1, l) for l in levels])), s[-1]
+
+
+def test_verify_bullets_names_the_first_dilate_past_a_wrong_threshold():
+    """With j one above the threshold of the 6D Sylvester section (n =
+    3,263,442) the pyramid walk finds a point, and one minimisation of the
+    height names the first dilate (a loop over the dilates did not finish)."""
+    pair, _ = sylvester_germ(6)
+    report = compute_mld(pair)
+    n, j = report.index, int(report.mld * report.index)
+    box, ray_vertices = build_box(pair, report.w, n, base_point(report.w), kernel_sublattice(report.w, 6))
+    level = {v: n // c.level for v, c in zip(ray_vertices, pair.coefficients)}
+    start = time.perf_counter()
+    threshold, _, _ = verify_bullets(box, [level[v] for v in box.vertices], n, j + 1, 1, ())
+    assert time.perf_counter() - start < 2
+    assert not threshold.passed
+    assert threshold.detail == "interior lattice point at dilate 3263442 < 3263443"
 
 
 def test_shrink_default_center_is_lex_least():
@@ -376,7 +438,7 @@ def test_difference_floor_pinned():
     segment = convex_hull([(0,), (1,)])
     check = lemma_lv_check(segment)
     assert check.passed and "vol 2 vs floor 2" in check.detail
-    with pytest.raises(NotLatticePolytope):
+    with pytest.raises(NotLatticePolytope, match=r"vertex \(1/2,0\) is not"):
         lemma_lv_check(convex_hull([(F(1, 2), F(0)), (F(3, 2), F(0)), (F(0), F(1))]))
 
 
@@ -509,6 +571,37 @@ def test_prove_six_dim_index_444_is_fast_and_pinned():
     trace = prove(SIX_D_444)
     assert time.perf_counter() - start < 2
     digest = "dc532921450b677056c3042b6cc3efda96f3ba391ae319448fd8d8033c72995c"
+    assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
+
+
+# (d, sha256 of the trace-v1 text, time bound in seconds): the Sylvester
+# germs, which attain the largest n/q^d known in each dimension.  Their
+# threshold dilates are up to about 3.3·10^6 (7D) and 1.1·10^13 (8D) lattice
+# points wide in one coordinate.
+SYLVESTER_PINS = [
+    (2, "e2c1fb6cbeae008aa22cab89929f83d996497507576fa6bd89754d33bb017512", 5),
+    (3, "f6b04f9e516e4b4236d9630518615883d83484792b34a3641d11e520397a9a62", 5),
+    (4, "1e4711eceefbcab8bb26db7195c28e8d8419fe0620da96ea610dcdf0b9593280", 5),
+    (5, "b2457c8b2445a2527411fc16d27ed3226d8c303595045867e8a32f17aed11ac6", 5),
+    (6, "835193b7c7ff88446a8f7ad96572914a1178246d8c79da8953f85cf313759359", 5),
+    (7, "6860acfbab030064e44cb459de2b59ebf188544f86d967c446f65cb02ff4930f", 5),
+    (8, "d5a8fecc2700ecd36144d155c42db17a38432a8e442b425676389ed18da2e815", 20),
+]
+
+
+@pytest.mark.parametrize("d, digest, seconds", SYLVESTER_PINS, ids=[f"d{d}" for d, *_ in SYLVESTER_PINS])
+def test_sylvester_germs_are_proved_and_pinned(d, digest, seconds):
+    """n = s_d − 1 with mld 1 and q = 1, proved strictly.  The walk frame is
+    decided on the leading box, every coordinate but the last: on whole
+    boxes the 7D threshold dilate and its frame tied, and its walk ran the
+    3,263,443-wide coordinate under four others without finishing."""
+    pair, s_d = sylvester_germ(d)
+    start = time.perf_counter()
+    trace = prove(pair, strict=True)
+    assert time.perf_counter() - start < seconds
+    report = trace.report
+    assert (report.index, report.mld, report.mld_denominator) == (s_d - 1, 1, 1)
+    assert trace.all_passed
     assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
 
 

@@ -1,0 +1,35 @@
+"""Source hygiene: every module under ``src/`` reads each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(path):
+    """The names that ``path`` imports and never reads, with their lines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_sees_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport os, sys\nfrom a import b as c\nsys.exit(c)\n")
+    assert unused_imports(module) == [(2, "os")]
