@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import CheckFailed, InvalidParameters, NotLogQGorenstein, ToricMldError
 from .families import FamilySpec, lemma_lv_suite, lemma_vo_suite, minkowski_suite, sweep
-from .geometry import convex_hull, normalized_volume
+from .geometry import cone_over, convex_hull, normalized_volume
 from .pairs import (
     BoundaryCoefficient,
     LogCanonicalReport,
@@ -65,7 +65,7 @@ def load_instance(path: str) -> ToricLogPair:
         if key not in doc:
             raise InvalidParameters(f"{key}: missing field")
     dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InvalidParameters("dim: must be a positive integer")
     rays = doc["rays"]
     if not isinstance(rays, list) or not rays:
@@ -75,7 +75,7 @@ def load_instance(path: str) -> ToricLogPair:
         if not isinstance(ray, list) or len(ray) != dim:
             raise InvalidParameters(f"rays[{i}]: must be a list of {dim} integers")
         for j, x in enumerate(ray):
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int:
                 raise InvalidParameters(f"rays[{i}][{j}]: must be an integer")
         parsed_rays.append(tuple(ray))
     coeffs_doc = doc["coefficients"]
@@ -93,7 +93,7 @@ def load_instance(path: str) -> ToricLogPair:
             if set(c) != {"type", "l"}:
                 raise InvalidParameters(f"coefficients[{i}]: needs exactly 'type' and 'l'")
             l = c["l"]
-            if not isinstance(l, int) or isinstance(l, bool) or l < 1:
+            if type(l) is not int or l < 1:
                 raise InvalidParameters(f"coefficients[{i}].l: must be a positive integer")
             coeffs.append(BoundaryCoefficient(l))
         else:
@@ -209,7 +209,7 @@ def _run_lemma_vo(dim: int, samples: int, seed: int) -> int:
     pinned = lemma_vo_check(2, square)
     print(
         "pinned: unit square at height 2 -> pyramid volume "
-        + fmt_rat(normalized_volume(convex_hull([(0, 0, 0)] + [(2,) + v for v in square.vertices])))
+        + fmt_rat(normalized_volume(cone_over(2, square)))
         + (" ok" if pinned.passed else " FAIL")
     )
     if not pinned.passed:

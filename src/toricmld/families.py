@@ -100,10 +100,9 @@ class SweepRow:
         """True/False for evaluated rows, None when a stage errored."""
         if self.error:
             return None
-        ok = self.bound is not None and self.bound.passed
         if self.trace is not None:
-            ok = ok and self.trace.all_passed
-        return ok
+            return self.trace.all_passed  # the bound included
+        return self.bound.passed
 
 
 @dataclass(frozen=True)
@@ -286,36 +285,27 @@ def _instances(spec: FamilySpec) -> Iterator[tuple[str, ToricLogPair]]:
 
 
 def _run_instance(key: str, pair: ToricLogPair) -> SweepRow:
+    report = None
     try:
         validate_pair(pair)
         report = compute_mld(pair)
-    except ToricMldError as err:
-        return SweepRow(key, pair, None, None, None, type(err).__name__)
-    trace = None
-    if report.klt and pair.dim >= 2:
         try:
             trace = prove(pair, strict=False, report=report)
         except (NotKlt, DimensionTooSmall):
-            pass  # outside the pipeline's scope (a coefficient equal to 1)
-        except ToricMldError as err:
-            return SweepRow(key, pair, report, None, None, type(err).__name__)
-    if trace is not None:
-        bound = trace.bound
-    else:
-        try:
-            bound = bound_check(report)
-        except ToricMldError as err:
-            return SweepRow(key, pair, report, None, None, type(err).__name__)
-    return SweepRow(key, pair, report, trace, bound)
+            return SweepRow(key, pair, report, None, bound_check(report))
+        return SweepRow(key, pair, report, trace, trace.bound)
+    except ToricMldError as err:
+        return SweepRow(key, pair, report, None, None, type(err).__name__)
 
 
 def sweep(spec: FamilySpec) -> SweepReport:
     """Evaluate every instance of the family.
 
-    Each row gets the invariant report, a full certificate trace when the
-    pipeline applies (klt, d >= 2, coefficients below 1), and the index
-    bound verdict.  Rows whose computation raises record the error class
-    and never abort the sweep.  Aggregates: the largest observed n/q^d,
+    Each row gets the invariant report, the trace of :func:`prove` when
+    it accepts the pair (klt, d >= 2, coefficients below 1), and the index
+    bound verdict, from :func:`bound_check` when it declines.  A row that
+    raises records the error class, keeps its report once there is one,
+    and never aborts the sweep.  Aggregates: the largest observed n/q^d,
     the smallest certificate gamma, and the keys of all failed rows.
     """
     _check_spec(spec)

@@ -102,13 +102,22 @@ class RatPolytope:
         return True
 
 
+def _exact(x) -> Fraction:
+    """``x``, an ``int`` or a ``Fraction``, as a ``Fraction``; anything else,
+    a ``bool``, a ``float`` or a ``str`` included, raises
+    :class:`InvalidParameters` rather than being rounded or parsed."""
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise InvalidParameters(f"{x!r} is not an int or a Fraction")
+
+
 def _clear_rows(points) -> tuple[list[IntVector], int]:
     """The points as integer rows over the least common denominator of all
-    their coordinates."""
+    their coordinates, each an ``int`` or a ``Fraction`` (:func:`_exact`)."""
     pts = [tuple(p) for p in points]
     if all(type(x) is int for p in pts for x in p):
         return pts, 1
-    fracs = [[Fraction(x) for x in p] for p in pts]
+    fracs = [[_exact(x) for x in p] for p in pts]
     den = math.lcm(*(x.denominator for p in fracs for x in p))
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in fracs], den
 
@@ -228,6 +237,8 @@ def convex_hull(points: Sequence[Sequence], den: int = 1) -> RatPolytope:
     sets of its facets as its incidence, and a point is a vertex exactly
     when the facets tight at it meet in it alone.
     """
+    if type(den) is not int or den < 1:
+        raise InvalidParameters(f"den must be a positive integer, got {den!r}")
     rows, m = _clear_rows(points)
     den *= m
     if not rows:
@@ -352,7 +363,7 @@ def translate(P: RatPolytope, w: Sequence) -> RatPolytope:
 
 def scale_about(P: RatPolytope, t, z: Sequence) -> RatPolytope:
     """Dilation ``x ↦ z + t(x − z)`` with a positive rational factor."""
-    t = Fraction(t)
+    t = _exact(t)
     if t <= 0:
         raise InvalidParameters("scale factor must be positive")
     if len(z) != P.dim:
@@ -441,7 +452,7 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     Q`` and one through the apex per facet of ``Q`` (for a point ``Q``, the
     apex itself), checked against the vertices as in :func:`bipyramid`.
     """
-    h = Fraction(height)
+    h = _exact(height)
     if h <= 0:
         raise InvalidParameters("cone height must be positive")
     top, k = h.numerator * Q.den, Q.dim
@@ -464,7 +475,7 @@ def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
     affinely spanning set that no other facet shares, every vertex is one),
     so a ``z`` that is not interior to ``Q`` raises :class:`CheckFailed`.
     """
-    h = Fraction(height)
+    h = _exact(height)
     if h <= 0:
         raise InvalidParameters("bipyramid height must be positive")
     if len(z) != Q.dim:
@@ -601,7 +612,7 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool, w: IntVector | None =
     When :func:`_reduced_frame` picks ``U·P`` at this scale the walk runs in
     ``U·P`` under ``w·U⁻¹`` and yields its points mapped back by ``U⁻¹``,
     so every point is in ``P``'s coordinates."""
-    if not isinstance(scale, int) or scale < 1:
+    if type(scale) is not int or scale < 1:
         raise InvalidParameters("scale must be a positive integer")
     d = P.dim
     if d == 0:
@@ -765,6 +776,8 @@ def minimize(
     """
     if len(w) != P.dim:
         raise DimensionMismatch("objective has the wrong length")
+    if not all(type(x) is int for x in w):
+        raise InvalidParameters("objective must be an integer vector")
     w, d = tuple(w), P.dim
     B = 1 + max((max(c) - min(c) for c in zip(*P.rows)), default=0) // P.den
     W = tuple(B**d * x + B ** (d - 1 - i) for i, x in enumerate(w))

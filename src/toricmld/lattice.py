@@ -60,13 +60,14 @@ def vec_scale(c, v: Sequence) -> tuple:
 
 
 def as_int_vector(v: Sequence) -> IntVector:
-    """Cast a vector of integral values to ints, rejecting fractional entries."""
+    """Cast a vector of integral ``int``s and ``Fraction``s to ints; any other
+    entry, a fractional one, a ``bool`` or a ``float`` included, raises
+    :class:`InvalidParameters`."""
     out = []
     for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise InvalidParameters(f"entry {x} is not an integer")
-        out.append(f.numerator)
+        if not (type(x) is int or isinstance(x, Fraction) and x.denominator == 1):
+            raise InvalidParameters(f"entry {x!r} is not an integer")
+        out.append(int(x))
     return tuple(out)
 
 

@@ -393,8 +393,11 @@ def bound_check(report: LogCanonicalReport, gamma: Fraction | None = None) -> Bo
 
     In dimensions 1 and 2 the constant is the sharp 1 resp. 2.  In higher
     dimensions the per-instance constant ``d!/γ^{d−1}`` needs the certified
-    shrink factor γ of the instance (:class:`MissingGamma` otherwise).
+    shrink factor γ of the instance (:class:`MissingGamma` otherwise), a
+    ``Fraction``.
     """
+    if gamma is not None and not isinstance(gamma, Fraction):
+        raise InvalidParameters(f"gamma must be a Fraction, got {gamma!r}")
     d = report.dim
     if d == 1:
         c = Fraction(1)

@@ -157,7 +157,7 @@ def build_box(
         raise DimensionTooSmall("the certificate construction needs dimension >= 2")
     if any(c.level is None for c in pair.coefficients):
         raise NotKlt("a coefficient equal to 1 makes the cross-section unbounded")
-    if not isinstance(n, int) or n < 1 or dot(w, base) != 1:
+    if type(n) is not int or n < 1 or dot(w, base) != 1:
         raise InvalidParameters("base point must have functional value 1/index")
     if kernel.rank != d - 1:
         raise InvalidParameters("functional must vanish on a corank-one lattice")
@@ -263,7 +263,7 @@ def shrink_to_unique(
     a factor at most twice the answer, holds every point of least gauge.
     Returns ``(factor, shrunk, z)``.
     """
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise InvalidParameters("denominator scale must be a positive integer")
     if not interior:
         raise NoInteriorPoint("body has no interior lattice point")
@@ -316,10 +316,10 @@ def minkowski_certificate(
     certificate dimension), the two half-cones tile the body, and the
     pyramid over the shrunk body itself has empty interior lattice set.
     """
-    if not isinstance(j, int) or j < 1:
+    if type(j) is not int or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
-    if not 0 < gamma <= Fraction(1, 2):
-        raise InvalidParameters("inscription factor must lie in (0, 1/2]")
+    if not isinstance(gamma, Fraction) or not 0 < gamma <= Fraction(1, 2):
+        raise InvalidParameters("inscription factor must be a Fraction in (0, 1/2]")
     k = shrunk.dim
     z = as_int_vector(z)
     core = translate(scale_about(diff, gamma, (0,) * k), z)
@@ -397,6 +397,8 @@ def chain_verify(
     4. ``j ≤ D!·q^{D-1}/γ^{D-1}``
     5. ``n ≤ j·q ≤ D!·q^D/γ^{D-1}``
     """
+    if not isinstance(gamma, Fraction):
+        raise InvalidParameters(f"gamma must be a Fraction, got {gamma!r}")
     k = core.dim
     D = k + 1
     vol_core = normalized_volume(core)
@@ -436,7 +438,7 @@ def lemma_vo_check(
     and the cone in ℤ×L: both volumes are divided by the index ``|det
     sub|``, which is also the index of ℤ×L.
     """
-    if not isinstance(height, int) or height < 1:
+    if type(height) is not int or height < 1:
         raise InvalidParameters("height must be a positive integer")
     k, index = base.dim, 1
     if sub is not None:

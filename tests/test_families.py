@@ -181,6 +181,42 @@ def test_sweep_captures_errors_per_row():
     assert "error:NotLogQGorenstein" in csv and "error:NonPrimitiveRay" in csv
 
 
+def test_sweep_row_outcomes_pinned():
+    """One row per outcome of the row runner: a validation error, a pair no
+    functional fits (neither keeps a report), the pairs ``prove`` declines
+    (not klt, dimension 1, a coefficient 1) with the ``bound_check``
+    verdict or its ``MissingGamma`` (these keep the report, not a trace),
+    and two proved rows."""
+    cases = [
+        (2, [(2, 0), (0, 1)], [0, 0]),
+        (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [F(1, 2), 0, 0, 0]),
+        (2, [(1, 0), (0, 1)], [1, 1]),
+        (1, [(1,)], [0]),
+        (2, [(1, 0), (0, 1)], [1, 0]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [1, 0, 0]),
+        (2, [(0, 1), (3, -1)], [0, 0]),
+        (3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)], [0, F(1, 2), 0]),
+    ]
+    pairs = tuple(ToricLogPair(d, tuple(rays), standard_coefficients(b)) for d, rays, b in cases)
+    report = sweep(FamilySpec(kind="explicit_list", pairs=pairs))
+    assert [(r.report is not None, r.trace is not None) for r in report.rows] == (
+        [(False, False)] * 2 + [(True, False)] * 4 + [(True, True)] * 2
+    )
+    assert [r.passed for r in report.rows] == [None, None, True, True, True, None, True, True]
+    assert report.counterexamples == ()
+    assert report.to_csv() == (
+        "key,d,rays,coeffs,n,a,q,j,gamma,n_over_qd,pass\n"
+        "x0,2,2 0;0 1,0;0,,,,,,,error:NonPrimitiveRay\n"
+        "x1,3,1 0 1;0 1 1;-1 0 1;0 -1 1,1/2;0;0;0,,,,,,,error:NotLogQGorenstein\n"
+        "x2,2,1 0;0 1,1;1,1,0,1,,,1,1\n"
+        "x3,1,1,0,1,1,1,,,1,1\n"
+        "x4,2,1 0;0 1,1;0,1,1,1,,,1,1\n"
+        "x5,3,1 0 0;0 1 0;0 0 1,1;0;0,1,2,1,,,1,error:MissingGamma\n"
+        "x6,2,0 1;3 -1,0;0,3,2/3,3,2,1/2,1/3,1\n"
+        "x7,3,1 0 0;0 1 0;1 1 2,0;1/2;0,4,5/4,4,5,1/5,1/16,1\n"
+    )
+
+
 def test_sweep_records_failed_proof_check_as_error_row(monkeypatch):
     def fail(*args, **kwargs):
         raise CheckFailed("shrink-uniqueness", "forced")

@@ -545,6 +545,44 @@ def test_mld_matches_the_age_formula():
         assert tp.compute_mld(pair).mld == _age_mld(pair), (rays, coeffs)
 
 
+def _quotient_3d(r, a, b):
+    """1/r(1, a, b) as the cone on (r, -a, -b), e_2, e_3 with boundary 0:
+    e_1 is (1/r)(1, a, b) in ray coordinates and generates Z^3 modulo the
+    rays."""
+    return tp.validate_pair(make_pair(3, [(r, -a, -b), (0, 1, 0), (0, 0, 1)], [0, 0, 0]))
+
+
+def test_terminal_quotients_of_type_one_minus_one_have_mld_one_plus_one_over_r():
+    """Kawamata (1996): 1/r(1, -1, a) with gcd(a, r) = 1 has mld 1 + 1/r;
+    all 489 germs with 2 <= r <= 40."""
+    start = time.perf_counter()
+    count = 0
+    for r in range(2, 41):
+        for a in range(1, r):
+            if gcd(a, r) == 1:
+                assert tp.compute_mld(_quotient_3d(r, -1, a)).mld == 1 + Fraction(1, r), (r, a)
+                count += 1
+    assert count == 489
+    assert time.perf_counter() - start < 15
+
+
+def test_isolated_3d_quotients_are_terminal_by_the_terminal_lemma():
+    """Morrison and Stevens (1984): an isolated 1/r(1, a, b) has mld > 1
+    exactly when 1 + a, 1 + b or a + b is 0 mod r; all 2,083 germs with
+    2 <= r <= 30 and 1 <= a <= b < r."""
+    start = time.perf_counter()
+    count = 0
+    for r in range(2, 31):
+        for a in range(1, r):
+            for b in range(a, r):
+                if gcd(a, r) == gcd(b, r) == 1:
+                    terminal = any(x % r == 0 for x in (1 + a, 1 + b, a + b))
+                    assert (tp.compute_mld(_quotient_3d(r, a, b)).mld > 1) == terminal, (r, a, b)
+                    count += 1
+    assert count == 2083
+    assert time.perf_counter() - start < 15
+
+
 # --- the oracle --------------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ import toricmld.pairs as pairs
 import toricmld.proof as proof
 from toricmld.families import FamilySpec, _instances
 from toricmld.geometry import convex_hull, difference_body, normalized_volume
-from toricmld.lattice import SublatticeBasis, base_point, kernel_sublattice
+from toricmld.lattice import SublatticeBasis, as_int_vector, base_point, kernel_sublattice
 from toricmld.pairs import ToricLogPair, compute_mld, standard_coefficients
 from toricmld.proof import (
     build_box,
@@ -440,6 +440,55 @@ def test_difference_floor_pinned():
     assert check.passed and "vol 2 vs floor 2" in check.detail
     with pytest.raises(NotLatticePolytope, match=r"vertex \(1/2,0\) is not"):
         lemma_lv_check(convex_hull([(F(1, 2), F(0)), (F(3, 2), F(0)), (F(0), F(1))]))
+
+
+UNIT_SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+TWO = segment(0, 2)
+INEXACT = (0.5, True, "1/2")
+
+# Each call takes an inexact value where the API wants an int (a ``bool`` is
+# not one) or a Fraction, and the values to try there.
+EXACT_INPUTS = [
+    pytest.param(lambda x: convex_hull([(0, 0), (1, 0), (0, 1)], x), INEXACT + (0, -1), id="convex_hull-den"),
+    pytest.param(lambda x: convex_hull([(x, 0), (1, 0), (0, 1)]), INEXACT, id="convex_hull-point"),
+    pytest.param(lambda x: geometry.translate(UNIT_SQUARE, (x, 0)), INEXACT, id="translate"),
+    pytest.param(lambda x: geometry.scale_about(UNIT_SQUARE, x, (0, 0)), INEXACT, id="scale_about-factor"),
+    pytest.param(lambda x: geometry.scale_about(UNIT_SQUARE, 2, (x, 0)), INEXACT, id="scale_about-centre"),
+    pytest.param(lambda x: geometry.cone_over(x, UNIT_SQUARE), INEXACT, id="cone_over"),
+    pytest.param(lambda x: geometry.bipyramid(x, UNIT_SQUARE, (F(1, 2),) * 2), INEXACT, id="bipyramid-height"),
+    pytest.param(lambda x: geometry.bipyramid(1, UNIT_SQUARE, (x, F(1, 2))), INEXACT, id="bipyramid-centre"),
+    pytest.param(lambda x: geometry.max_gamma(UNIT_SQUARE, (x, F(1, 2))), INEXACT, id="max_gamma"),
+    pytest.param(lambda x: UNIT_SQUARE.contains((x, 0)), INEXACT, id="contains"),
+    pytest.param(lambda x: geometry.minimize(UNIT_SQUARE, (x, 1)), INEXACT, id="minimize"),
+    pytest.param(lambda x: geometry.enumerate_points(UNIT_SQUARE, scale=x), INEXACT, id="enumerate_points-scale"),
+    pytest.param(lambda x: as_int_vector((x, 2)), (1.0, True, "1"), id="as_int_vector"),
+    pytest.param(lambda x: pairs.bound_check(compute_mld(SMOOTH_3D), x), INEXACT, id="bound_check-gamma"),
+    pytest.param(
+        lambda x: minkowski_certificate(TWO, (1,), 2, x, difference_body(TWO)), INEXACT, id="minkowski-gamma"
+    ),
+    pytest.param(
+        lambda x: minkowski_certificate(TWO, (1,), x, F(1, 2), difference_body(TWO)), INEXACT, id="minkowski-j"
+    ),
+    pytest.param(
+        lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), difference_body(TWO)),
+        INEXACT,
+        id="chain_verify-gamma",
+    ),
+    pytest.param(
+        lambda x: build_box(QUADRANT, (1, 1), x, (1, 0), kernel_sublattice((1, 1), 2)), INEXACT, id="build_box-n"
+    ),
+    pytest.param(lambda x: shrink_to_unique(TWO, x, walk(TWO)), INEXACT, id="shrink_to_unique-q"),
+    pytest.param(lambda x: lemma_vo_check(x, UNIT_SQUARE), INEXACT, id="lemma_vo_check-height"),
+]
+
+
+@pytest.mark.parametrize("call, values", EXACT_INPUTS)
+def test_inexact_numbers_are_rejected_at_the_api_boundary(call, values):
+    """Floats would be rounded, strings parsed and True read as 1; each
+    must raise InvalidParameters instead of a result or a bare TypeError."""
+    for x in values:
+        with pytest.raises(InvalidParameters):
+            call(x)
 
 
 def test_check_failed_carries_name():

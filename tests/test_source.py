@@ -33,3 +33,34 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from __future__ import annotations\nimport os, sys\nfrom a import b as c\nsys.exit(c)\n")
     assert unused_imports(module) == [(2, "os")]
+
+
+def int_isinstance_lines(path):
+    """The lines of ``path`` that test ``isinstance(x, int)``, alone or in a
+    tuple: that lets ``True`` through as 1, where ``type(x) is int`` does
+    not."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id != "isinstance" or len(node.args) != 2:
+            continue
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_isinstance_int(path):
+    assert int_isinstance_lines(path) == []
+
+
+def test_the_scan_sees_isinstance_int(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "isinstance(a, int)\nisinstance(b, bool)\nisinstance(c, (str, int))\n"
+        "type(d) is int\nisinstance(e, Fraction)\n"
+    )
+    assert int_isinstance_lines(module) == [1, 3]
