@@ -260,6 +260,8 @@ def _check_spec(spec: FamilySpec) -> None:
             raise InvalidParameters("random_cone needs at least one dimension")
         if min(spec.dims) < 2:
             raise InvalidParameters("dimensions must be at least 2")
+        if len(set(spec.dims)) != len(spec.dims):
+            raise InvalidParameters("a dimension is listed twice")
 
 
 def _instances(spec: FamilySpec) -> Iterator[tuple[str, ToricLogPair]]:

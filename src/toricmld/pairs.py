@@ -260,6 +260,22 @@ def solve_psi(pair: ToricLogPair) -> tuple[IntVector, int]:
     return w, n
 
 
+def quotient_pair(pair: ToricLogPair, w: IntVector) -> tuple[ToricLogPair, IntMatrix]:
+    """The pair modulo the saturated span of the rays where ``w`` vanishes,
+    and the lift of :func:`~toricmld.lattice.quotient_lattice` (``w·lift``
+    is the functional there).  Each other ray maps to ``k·p`` with ``p``
+    primitive, and ``p`` gets the level ``k·l`` of the ray's level ``l``."""
+    to_q, lift = quotient_lattice([e for e in pair.rays if dot(w, e) == 0], pair.dim)
+    rays, levels = [], []
+    for e, c in zip(pair.rays, pair.coefficients):
+        if dot(w, e):
+            image = tuple(dot(r, e) for r in to_q)
+            k = content(image)
+            rays.append(tuple(x // k for x in image))
+            levels.append(BoundaryCoefficient(k * c.level))
+    return ToricLogPair(len(lift), rays, levels), lift
+
+
 @dataclass(frozen=True)
 class LogCanonicalReport:
     """Invariants of a pair: the discrepancy functional ``psi = w/index``,
@@ -280,9 +296,7 @@ class LogCanonicalReport:
         return tuple(Fraction(x, self.index) for x in self.w)
 
 
-def _interior_sum(rays: Sequence[IntVector], dim: int) -> IntVector:
-    if not rays:
-        return (0,) * dim
+def _interior_sum(rays: Sequence[IntVector]) -> IntVector:
     return tuple(sum(col) for col in zip(*rays))
 
 
@@ -291,52 +305,50 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
 
     For the all-ones boundary the minimum is 0 (attained in the limit along
     the cone's interior; the reported witness is the sum of the rays) and
-    the pair is not klt.  Otherwise the rays where the functional vanishes
-    span a face; minimizing happens in the torsion-free quotient by that
-    face's span, where the functional is positive on the cone, and the
-    minimizer is lifted back to an interior point of the original cone.
+    the pair is not klt.  Otherwise the minimum is taken on the pair's own
+    rays under ``w`` when no coefficient is 1, and else on the rays of its
+    :func:`quotient_pair` under ``w·lift``, which is positive there; that
+    minimizer is lifted back into the cone's interior by adding multiples
+    of the sum of the coefficient-1 rays.
 
-    In the quotient, with the functional ``wq/m`` over the least common
-    denominator, the sum of the rays is an interior lattice point of value
-    ``level/m``.  The slab ``conv(0, rays scaled to wq = level + 1)`` has as
+    The sum of the rays is an interior lattice point of some value
+    ``level``.  The slab ``conv(0, rays scaled to value level + 1)`` has as
     its interior lattice points exactly the cone's interior lattice points
-    with ``wq ≤ level``, and :func:`~toricmld.geometry.minimize` finds the
-    least ``⟨wq, y⟩`` over them with the lex-least minimizer.
+    of value at most ``level``, and :func:`~toricmld.geometry.minimize`
+    finds the least value over them, the mld times ``n``, with the
+    lex-least minimizer.
     """
     w, n = solve_psi(pair)
     d = pair.dim
     if not any(w):
-        return LogCanonicalReport(
-            d, w, n, Fraction(0), 1, _interior_sum(pair.rays, d), False
-        )
+        return LogCanonicalReport(d, w, n, Fraction(0), 1, _interior_sum(pair.rays), False)
     zero_rays = [e for e in pair.rays if dot(w, e) == 0]
-    pos_rays = [e for e in pair.rays if dot(w, e) != 0]
-    to_q, lift = quotient_lattice(zero_rays, d)
-    proj = [tuple(dot(r, e) for r in to_q) for e in pos_rays]
-    raw = [dot(w, row) for row in lift]
-    g = math.gcd(n, *raw)
-    wq, m = tuple(x // g for x in raw), n // g
-    level = dot(wq, _interior_sum(proj, len(lift)))
-    vals = [dot(wq, p) for p in proj]
+    rays, wq = pair.rays, w
+    if zero_rays:
+        quotient, lift = quotient_pair(pair, w)
+        rays, wq = quotient.rays, tuple(dot(w, row) for row in lift)
+    level = dot(wq, _interior_sum(rays))
+    vals = [dot(wq, p) for p in rays]
     den = math.lcm(*vals)
     slab = convex_hull(
-        [(0,) * len(lift)]
-        + [vec_scale((level + 1) * (den // v), p) for p, v in zip(proj, vals)],
+        [(0,) * len(wq)]
+        + [vec_scale((level + 1) * (den // v), p) for p, v in zip(rays, vals)],
         den,
     )
-    value, w_bar = minimize(slab, wq, strict=True)
-    mld = Fraction(value, m)
-    base = tuple(dot(w_bar, col) for col in zip(*lift))
-    shift = _interior_sum(zero_rays, d)
-    normals = cone_facets(pair)
-    k = 0
-    while True:
-        witness = vec_add(base, vec_scale(k, shift))
-        if all(dot(u, witness) < 0 for u in normals):
-            break
-        k = 1 if k == 0 else 2 * k
-        if k > 1 << 62:  # pragma: no cover - the lift always stabilizes
-            raise NoInteriorPoint("witness lift failed to enter the cone interior")
+    value, witness = minimize(slab, wq, strict=True)
+    mld = Fraction(value, n)
+    if zero_rays:
+        base = tuple(dot(witness, col) for col in zip(*lift))
+        shift = _interior_sum(zero_rays)
+        normals = cone_facets(pair)
+        k = 0
+        while True:
+            witness = vec_add(base, vec_scale(k, shift))
+            if all(dot(u, witness) < 0 for u in normals):
+                break
+            k = 1 if k == 0 else 2 * k
+            if k > 1 << 62:  # pragma: no cover - the lift always stabilizes
+                raise NoInteriorPoint("witness lift failed to enter the cone interior")
     return LogCanonicalReport(d, w, n, mld, mld.denominator, witness, True)
 
 
@@ -355,7 +367,7 @@ def mld_oracle(pair: ToricLogPair) -> tuple[Fraction, IntVector]:
         raise NotKlt("the minimum is 0; the oracle needs a positive functional")
     if len(pair.rays) > 14:
         raise InvalidParameters("oracle zonotope would have too many segments")
-    level = dot(w, _interior_sum(pair.rays, pair.dim))
+    level = dot(w, _interior_sum(pair.rays))
     vals = [dot(w, e) for e in pair.rays]
     den = math.lcm(*(v for v in vals if v > 0))
     corners = [(0,) * pair.dim]

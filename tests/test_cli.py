@@ -286,6 +286,7 @@ def test_sweep_bad_flags_exit_two(tmp_path, capsys):
     assert main(["sweep", "--family", "cyclic2d", "--max-r", "0"]) == 2
     assert main(["sweep", "--family", "random_cone", "--dims", "3"]) == 2  # no seed
     assert main(["sweep", "--family", "random_cone", "--dims", "1", "--seed", "1"]) == 2
+    assert main(["sweep", "--family", "random_cone", "--dims", "3,3", "--seed", "1"]) == 2
     assert main(["sweep", "--family", "nonsense"]) == 2  # argparse choices
     assert main(["sweep"]) == 2
     capsys.readouterr()

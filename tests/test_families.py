@@ -18,6 +18,7 @@ from toricmld.errors import CheckFailed, ExhaustedResampling, InvalidParameters
 from toricmld.families import (
     CSV_COLUMNS,
     FamilySpec,
+    _instances,
     coefficient_grid,
     cyclic_quotient_cone,
     lemma_lv_suite,
@@ -253,6 +254,8 @@ def test_sweep_rejects_bad_specs():
     with pytest.raises(InvalidParameters):
         sweep(FamilySpec(kind="random_cone", dims=(), count=5, seed=1))
     with pytest.raises(InvalidParameters):
+        sweep(FamilySpec(kind="random_cone", dims=(3, 3), count=2, seed=1))
+    with pytest.raises(InvalidParameters):
         sweep(FamilySpec(kind="cyclic2d", max_r=0))
     with pytest.raises(InvalidParameters):
         sweep(FamilySpec(kind="cyclic2d", max_r=5, L=0))
@@ -341,6 +344,33 @@ def test_random_sweep_with_coefficient_one_pinned_digest():
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "934193d7fd8b743c4a3cb2f9e47f0aaef56b20afbb0de031bc3d1ce8976e1651"
+    )
+
+
+def test_coefficient_one_witnesses_pinned_digest():
+    """``key|n|mld|q|witness`` of every row with a coefficient 1 of the
+    cyclic r <= 30 sweep (L = 5) and of the random d = 3–5, seed 2 sweep
+    reproduce a pinned digest.  The witness of such a row is lifted from
+    its quotient pair, and neither the CSV nor any trace shows it."""
+    specs = (
+        FamilySpec(kind="cyclic2d", max_r=30, L=5, include_one=True),
+        FamilySpec(
+            kind="random_cone", dims=(3, 4, 5), count=10, max_entry=3, L=3,
+            include_one=True, seed=2,
+        ),
+    )
+    lines = []
+    for spec in specs:
+        for key, pair in _instances(spec):
+            if any(c.level is None for c in pair.coefficients):
+                rep = compute_mld(pair)
+                lines.append(
+                    f"{key}|{rep.index}|{proof.fmt_rat(rep.mld)}|{rep.mld_denominator}"
+                    f"|{proof.fmt_row(rep.witness)}\n"
+                )
+    assert len(lines) == 3076
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "e0c82bdba2a9f43e5390d9c1ec82adc80d77a318f338ea646d52d80afd5960dc"
     )
 
 

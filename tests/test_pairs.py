@@ -12,7 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricmld import pairs as tp
-from toricmld.families import cyclic_quotient_cone, random_simplicial_cone
+from toricmld.families import (
+    FamilySpec,
+    _instances,
+    cyclic_quotient_cone,
+    random_simplicial_cone,
+)
 from toricmld.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -568,18 +573,55 @@ def test_terminal_quotients_of_type_one_minus_one_have_mld_one_plus_one_over_r()
 
 def test_isolated_3d_quotients_are_terminal_by_the_terminal_lemma():
     """Morrison and Stevens (1984): an isolated 1/r(1, a, b) has mld > 1
-    exactly when 1 + a, 1 + b or a + b is 0 mod r; all 2,083 germs with
-    2 <= r <= 30 and 1 <= a <= b < r."""
+    exactly when 1 + a, 1 + b or a + b is 0 mod r; all 4,681 germs with
+    2 <= r <= 40 and 1 <= a <= b < r."""
     start = time.perf_counter()
     count = 0
-    for r in range(2, 31):
+    for r in range(2, 41):
         for a in range(1, r):
             for b in range(a, r):
                 if gcd(a, r) == gcd(b, r) == 1:
                     terminal = any(x % r == 0 for x in (1 + a, 1 + b, a + b))
                     assert (tp.compute_mld(_quotient_3d(r, a, b)).mld > 1) == terminal, (r, a, b)
                     count += 1
-    assert count == 2083
+    assert count == 4681
+    assert time.perf_counter() - start < 15
+
+
+def test_quotient_pair_keeps_the_index_and_the_mld():
+    """The pair modulo its coefficient-1 face, on every klt row with a
+    coefficient 1 of two seeded simplicial corpora (dims 3–5 and 6D): it
+    validates, its functional is ``w·lift`` over the same index ``n``, its
+    mld is the row's, and ``prove(strict=True)`` passes on it in every
+    quotient dimension d' ≥ 2; at d' = 1, ``n = q``."""
+    specs = (
+        FamilySpec(kind="random_cone", dims=(3, 4, 5), count=40, max_entry=3, L=3,
+                   include_one=True, seed=2),
+        FamilySpec(kind="random_cone", dims=(6,), count=20, max_entry=2, L=3,
+                   include_one=True, seed=11),
+    )
+    start = time.perf_counter()
+    by_dim = {}
+    for spec in specs:
+        for key, pair in _instances(spec):
+            if all(c.level is not None for c in pair.coefficients):
+                continue
+            report = tp.compute_mld(pair)
+            if not report.klt:
+                continue
+            quotient, lift = tp.quotient_pair(pair, report.w)
+            assert tp.validate_pair(quotient) is quotient, key
+            assert all(c.level is not None for c in quotient.coefficients), key
+            w_lift = tuple(dot(report.w, row) for row in lift)
+            assert tp.solve_psi(quotient) == (w_lift, report.index), key
+            assert tp.compute_mld(quotient).mld == report.mld, key
+            if quotient.dim >= 2:
+                assert prove(quotient, strict=True).all_passed, key
+            else:
+                assert report.index == report.mld_denominator, key
+            by_dim[quotient.dim] = by_dim.get(quotient.dim, 0) + 1
+    assert sorted(by_dim) == [1, 2, 3, 4, 5]
+    assert sum(by_dim.values()) == 91 and by_dim[1] == 7
     assert time.perf_counter() - start < 15
 
 

@@ -64,3 +64,34 @@ def test_the_scan_sees_isinstance_int(tmp_path):
         "type(d) is int\nisinstance(e, Fraction)\n"
     )
     assert int_isinstance_lines(module) == [1, 3]
+
+
+def names_quotient_lattice(path):
+    """The lines of ``path`` that name ``quotient_lattice``: as a name, as
+    an attribute or in an import.  Only ``pairs.py`` may, through
+    ``quotient_pair``, so that the package builds one zero-face quotient."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(a.name.split(".")[-1] == "quotient_lattice" for a in node.names)
+        else:
+            named = getattr(node, "id", getattr(node, "attr", None)) == "quotient_lattice"
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pairs.py"], ids=lambda p: p.name)
+def test_only_pairs_names_quotient_lattice(path):
+    assert names_quotient_lattice(path) == []
+
+
+def test_the_scan_sees_quotient_lattice(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .lattice import quotient_lattice as q\nimport lattice\n"
+        "lattice.quotient_lattice(r, 2)\nquotient_lattice(r, 2)\n"
+        "def quotient_lattice(rows, dim):\n    '''quotient_lattice'''\n"
+    )
+    assert names_quotient_lattice(module) == [1, 3, 4]
