@@ -10,7 +10,9 @@ vertex–facet incidence, one bitmask of vertex rows per facet: hulls above
 2D report the tight sets their double description already keeps, and
 volumes are a pulling triangulation over those bitmasks.  Pyramids and the
 bipyramid of the certificate get their facets in closed form, checked
-against their vertices, so neither is ever re-hulled.  Polytopes of
+against their vertices, so neither is ever re-hulled.  A polytope keeps its
+triangulation once taken, and its positive homothets and the pyramids over
+it reuse it.  Polytopes of
 dimension ≥ 1 produced by :func:`convex_hull` are full-dimensional in their
 ambient space; lower-dimensional data should be re-coordinatized (e.g. with
 :class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
@@ -39,7 +41,6 @@ from .lattice import (
     IntVector,
     RatVector,
     _identity,
-    det,
     dot,
     matrix_rank,
     pivot_inverse,
@@ -59,12 +60,14 @@ class RatPolytope:
     sorted pairs ``(u, c)`` of a primitive integer outer normal and an
     integer offset, encoding ``⟨u, row⟩ ≤ c``, i.e. ``⟨u, x⟩ ≤ c/den``.
     ``vertices`` is a read-only :class:`~fractions.Fraction` view of the
-    rows in the same order.  ``_incidence`` holds, per
-    facet, the bitmask of the rows it is tight on (bit ``i`` for
-    ``rows[i]``).  ``_basis`` is the walk basis ``(U, U⁻¹)`` and, once a
-    walk has picked it, the cache holds the frame ``U·P`` as ``_reduced``
-    (:func:`_reduced_frame`).  A zero-dimensional polytope is the single
-    empty row with no facets.
+    rows in the same order.  ``_incidence`` holds, per facet, the bitmask
+    of the rows it is tight on (bit ``i`` for ``rows[i]``),
+    ``_triangulation`` the simplices of its pulling triangulation as
+    bitmasks of rows, and ``_spanning`` the tight sets whose span the
+    pyramids over it take as known (:func:`_lifted`).  ``_basis`` is the
+    walk basis ``(U, U⁻¹)`` and, once a walk has picked it, the cache holds
+    the frame ``U·P`` as ``_reduced`` (:func:`_reduced_frame`).  A
+    zero-dimensional polytope is the single empty row with no facets.
     """
 
     dim: int
@@ -82,6 +85,24 @@ class RatPolytope:
             sum(1 << i for i, r in enumerate(self.rows) if dot(u, r) == c)
             for u, c in self.int_facets
         )
+
+    @cached_property
+    def _triangulation(self) -> tuple[int, ...]:
+        return tuple(_pulling((1 << len(self.rows)) - 1, self._incidence, self.dim))
+
+    @cached_property
+    def _spanning(self) -> frozenset[int]:
+        """The tight sets of the facets whose rows affinely span a hyperplane,
+        and the set of all rows when one of those misses a row: the rows
+        then span the space."""
+        full = (1 << len(self.rows)) - 1
+        out = {
+            m for m in self._incidence
+            if m != full and _spans_hyperplane(
+                [r for i, r in enumerate(self.rows) if m >> i & 1], self.dim
+            )
+        }
+        return frozenset(out | {full} if out else out)
 
     @cached_property
     def _levels(self) -> tuple[tuple[IntFacet, ...], ...]:
@@ -300,23 +321,60 @@ def _pulling(face: int, facets: Sequence[int], k: int):
             yield s | low
 
 
+def _det_sum(rows: Sequence[IntVector], simplices: Sequence[int]) -> int:
+    """``Σ |det(v − v0)|`` over the simplices, bitmasks of ``rows`` whose
+    lowest row is ``v0``.  Consecutive simplices of a pulling triangulation
+    share their leading, pulled rows, so one fraction-free (Bareiss)
+    elimination is carried along the rows a simplex shares with the one
+    before it: ``stack[t]`` is its row ``t + 1`` reduced by the rows before
+    it, with its pivot column and pivot, and a simplex reduces only the
+    rows it does not share.  Its last pivot is ``±det``."""
+    total, prev, stack = 0, [], []
+    for s in simplices:
+        idx = []
+        while s:
+            low = s & -s
+            idx.append(low.bit_length() - 1)
+            s ^= low
+        p = 0
+        while p < len(prev) and prev[p] == idx[p]:
+            p += 1
+        if p == 0:
+            stack, v0 = [], rows[idx[0]]
+            diffs = [[x - y for x, y in zip(r, v0)] for r in rows]
+        del stack[max(p - 1, 0) :]
+        for i in idx[len(stack) + 1 :]:
+            r, last = diffs[i], 1
+            for pr, c, pv in stack:
+                f = r[c]
+                r = [(pv * x - f * y) // last for x, y in zip(r, pr)]
+                last = pv
+            for c, x in enumerate(r):
+                if x:
+                    stack.append((r, c, x))
+                    break
+            else:  # a flat simplex: its rows do not stay on the stack
+                break
+        else:
+            total += abs(stack[-1][2])
+        prev = idx[: len(stack) + 1]
+    return total
+
+
 def normalized_volume(P: RatPolytope) -> Fraction:
     """Volume of ``P`` normalized so a fundamental cell of ℤ^dim has volume
     1.  Zero-dimensional polytopes have volume 1 by convention.  The volume
     is a pulling triangulation over the vertex–facet incidence, found by
-    bitmask intersections alone: only its simplices take a determinant on
-    the integer rows, and their sum is divided once by ``den^dim·dim!``.
+    bitmask intersections alone and kept on ``P`` (a simplex needs none):
+    only its simplices take a determinant on the integer rows
+    (:func:`_det_sum`), and their sum is divided once by ``den^dim·dim!``.
     """
     k = P.dim
     if k == 0:
         return Fraction(1)
     rows = P.rows
-    full = (1 << len(rows)) - 1
-    total = 0
-    for s in _pulling(full, P._incidence, k) if len(rows) != k + 1 else (full,):
-        v0, *rest = (r for i, r in enumerate(rows) if s >> i & 1)
-        total += abs(det([vec_sub(v, v0) for v in rest]))
-    return Fraction(total, P.den**k * math.factorial(k))
+    simplices = ((1 << len(rows)) - 1,) if len(rows) == k + 1 else P._triangulation
+    return Fraction(_det_sum(rows, simplices), P.den**k * math.factorial(k))
 
 
 # --- polytope arithmetic --------------------------------------------------------
@@ -330,7 +388,8 @@ def difference_body(P: RatPolytope) -> RatPolytope:
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
     ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
-    projection levels and reduced frame that ``P`` has built carry over.
+    triangulation, spanning tight sets, projection levels and reduced frame
+    that ``P`` has built carry over.
     The basis ``U`` is carried whenever ``P`` has taken it: it depends only
     on the vertex scatter, which a translate leaves as it is and a positive
     homothet multiplies by a square, and LLL reduction is blind to a
@@ -345,8 +404,9 @@ def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> Rat
     Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
-    if "_basis" in cache:
-        vars(Q)["_basis"] = cache["_basis"]
+    for name in ("_triangulation", "_spanning", "_basis"):
+        if name in cache:
+            vars(Q)[name] = cache[name]
     if "_reduced" in cache:
         Uw = tuple(dot(r, w) for r in cache["_basis"][0])
         vars(Q)["_reduced"] = _affine_image(cache["_reduced"], a, b, Uw, den)
@@ -414,13 +474,23 @@ def _apex_facets(apex: IntVector, top: int, facets) -> list[IntFacet]:
     return out
 
 
-def _checked(dim: int, den: int, rows, facets) -> RatPolytope:
+def _spans_hyperplane(tight: Sequence[IntVector], dim: int) -> bool:
+    """Whether the distinct rows ``tight`` affinely span a hyperplane of
+    ℚ^dim, or more; they span a point or a line, so the rank is needed from
+    3D on."""
+    return len(tight) >= dim and (
+        dim <= 2 or matrix_rank([vec_sub(r, tight[0]) for r in tight[1:]]) >= dim - 1
+    )
+
+
+def _checked(dim: int, den: int, rows, facets, spanned=frozenset()) -> RatPolytope:
     """The polytope with vertex rows ``rows`` (lex-sorted) and the facets
     ``facets`` built in closed form, verified in the one dot pass that also
     yields its incidence: every row satisfies every facet, each facet is
     tight on rows that affinely span a hyperplane and on no other facet's
     rows, and every row is a vertex, the facets tight at it meeting in it
-    alone.  A violation raises :class:`CheckFailed`."""
+    alone.  A tight set in ``spanned`` is known to span (:func:`_lifted`);
+    any other takes a rank test.  A violation raises :class:`CheckFailed`."""
     facets = sorted(facets)
     incidence = []
     for u, c in facets:
@@ -432,10 +502,7 @@ def _checked(dim: int, den: int, rows, facets) -> RatPolytope:
             if v == c:
                 mask |= 1 << i
                 tight.append(r)
-        # distinct rows span a point or a line: the rank is needed from 3D on
-        if len(tight) < dim or dim > 2 and matrix_rank(
-            [vec_sub(r, tight[0]) for r in tight[1:]]
-        ) < dim - 1:
+        if mask not in spanned and not _spans_hyperplane(tight, dim):
             raise CheckFailed("closed-form-facets", f"facet {u} is not spanned by vertices")
         incidence.append(mask)
     if len(set(incidence)) < len(incidence):
@@ -445,12 +512,31 @@ def _checked(dim: int, den: int, rows, facets) -> RatPolytope:
     return _canonical(dim, den, rows, facets, incidence)
 
 
+def _lifted(Q: RatPolytope, apexes: Sequence[int], top: bool) -> frozenset[int]:
+    """The tight sets of a pyramid or bipyramid over ``Q`` whose span ``Q``
+    settles, in its own dimension and once (``Q._spanning``).  Base row
+    ``i`` is its bit ``i + 1`` and the apexes sit at the bits ``apexes``.
+    An apex with a facet's tight set spans a hyperplane exactly when that
+    set spans one in ``Q``; the whole base, the top facet when ``top``, does
+    when ``Q``'s rows span its space.  Up to 2D no rank is taken anyway."""
+    if Q.dim < 2:
+        return frozenset()
+    full = (1 << len(Q.rows)) - 1
+    out = {m << 1 | a for m in Q._spanning - {full} for a in apexes}
+    if top and full in Q._spanning:
+        out.add(full << 1)
+    return frozenset(out)
+
+
 def cone_over(height, Q: RatPolytope) -> RatPolytope:
     """Pyramid ``conv({0} ∪ {height} × Q)`` in one more dimension.
 
     Built in closed form, not hulled: its facets are the top ``{height} ×
     Q`` and one through the apex per facet of ``Q`` (for a point ``Q``, the
     apex itself), checked against the vertices as in :func:`bipyramid`.
+    When ``Q`` has been triangulated, the pyramid's triangulation is the
+    apex joined to each of ``Q``'s simplices: the pulling from the apex
+    gives these same simplices.
     """
     h = _exact(height)
     if h <= 0:
@@ -462,7 +548,12 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     if k:
         sides = _apex_facets(apex, top, [(u, h.denominator * c) for u, c in Q.int_facets])
     top_facet = ((1,) + (0,) * k, top)
-    return _checked(k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet])
+    C = _checked(
+        k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet], _lifted(Q, (1,), True)
+    )
+    if "_triangulation" in vars(Q):
+        vars(C)["_triangulation"] = tuple(s << 1 | 1 for s in Q._triangulation)
+    return C
 
 
 def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
@@ -480,6 +571,8 @@ def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
         raise InvalidParameters("bipyramid height must be positive")
     if len(z) != Q.dim:
         raise DimensionMismatch("center has the wrong length")
+    if Q.dim < 1:
+        raise InvalidParameters("a bipyramid needs a base of dimension >= 1")
     (zr,), m = _clear_rows([z])
     den = math.lcm(h.denominator * Q.den, m)
     top, f = h.numerator * (den // h.denominator), den // Q.den
@@ -488,7 +581,9 @@ def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
     base_facets = [(u, f * c) for u, c in Q.int_facets]
     facets = _apex_facets((0,) * (Q.dim + 1), top, base_facets)
     facets += _apex_facets(apex, top, base_facets)
-    return _checked(Q.dim + 1, den, [(0,) * (Q.dim + 1)] + base + [apex], facets)
+    rows = [(0,) * (Q.dim + 1)] + base + [apex]
+    spanned = _lifted(Q, (1, 1 << len(rows) - 1), False)
+    return _checked(Q.dim + 1, den, rows, facets, spanned)
 
 
 # --- lattice points --------------------------------------------------------------

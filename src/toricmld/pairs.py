@@ -264,16 +264,23 @@ def quotient_pair(pair: ToricLogPair, w: IntVector) -> tuple[ToricLogPair, IntMa
     """The pair modulo the saturated span of the rays where ``w`` vanishes,
     and the lift of :func:`~toricmld.lattice.quotient_lattice` (``w·lift``
     is the functional there).  Each other ray maps to ``k·p`` with ``p``
-    primitive, and ``p`` gets the level ``k·l`` of the ray's level ``l``."""
+    primitive, and ``p`` gets the level ``k·l`` of the ray's level ``l``:
+    ψ forces it, ``ψ(p) = 1/(k·l)``, so one image per direction is kept.
+    When there are more images than the quotient's dimension, those that
+    are not extreme rays of the quotient cone, read from its cone record as
+    in :func:`validate_pair`, are dropped."""
     to_q, lift = quotient_lattice([e for e in pair.rays if dot(w, e) == 0], pair.dim)
-    rays, levels = [], []
+    levels: dict[IntVector, BoundaryCoefficient] = {}
     for e, c in zip(pair.rays, pair.coefficients):
         if dot(w, e):
             image = tuple(dot(r, e) for r in to_q)
             k = content(image)
-            rays.append(tuple(x // k for x in image))
-            levels.append(BoundaryCoefficient(k * c.level))
-    return ToricLogPair(len(lift), rays, levels), lift
+            levels.setdefault(tuple(x // k for x in image), BoundaryCoefficient(k * c.level))
+    rays = tuple(levels)
+    if len(rays) > len(lift):
+        masks = _cone_record(rays, len(lift)).masks
+        rays = tuple(p for p, m in zip(rays, masks) if sum(n & m == m for n in masks) == 1)
+    return ToricLogPair(len(lift), rays, [levels[p] for p in rays]), lift
 
 
 @dataclass(frozen=True)

@@ -561,8 +561,11 @@ def prove(
             "gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"
         )
     )
-    # shrunk − shrunk = t·(dilated − dilated): one hull for both
+    # shrunk − shrunk = t·(dilated − dilated): one hull for both, and one
+    # triangulation, taken here so that the homothets below, the core among
+    # them, carry it
     diff_dilated = difference_body(dilated)
+    diff_dilated._triangulation
     diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
     core, body, volume, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
     checks.extend(mk_checks)

@@ -129,6 +129,18 @@ def test_compute_fuzzed_documents_exit_cleanly(tmp_path_factory, doc, fmt):
     assert main(["compute", str(path), "--format", fmt]) in (0, 1, 2)
 
 
+@given(json_values | instance_documents())
+@settings(deadline=None, max_examples=200)
+def test_prove_fuzzed_documents_exit_cleanly(tmp_path_factory, doc):
+    """Any JSON document ends ``prove``, to stdout and with ``--trace``, in
+    exit code 0, 1 or 2, never a traceback."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["prove", str(path)]) in (0, 1, 2)
+    assert main(["prove", str(path), "--trace", str(base / "fuzzed.trace")]) in (0, 1, 2)
+
+
 def test_instance_document_errors_carry_field_paths(tmp_path):
     cases = [
         (dict(THIRD_DOC, dim="2"), "dim"),

@@ -7,6 +7,7 @@ draw validates.
 """
 
 import hashlib
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -108,6 +109,22 @@ def test_random_cone_sweep_in_five_and_six_dimensions():
             assert len(S.rows) == d
             vol = normalized_volume(S)
             assert normalized_volume(difference_body(S)) == comb(2 * d - 2, d - 1) * vol
+
+
+def test_random_cone_sweep_in_seven_dimensions_pinned_digest():
+    """Four seeded 7D cones get a passing trace each and reproduce pinned
+    sweep JSON and trace-v1 bytes, so that a change to the certificate's
+    volumes or facet checks cannot alter them."""
+    start = time.perf_counter()
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(7,), count=4, max_entry=2, L=3, seed=20261018)
+    )
+    assert [r.error for r in report.rows] == [""] * 4
+    text = report.to_json() + "".join(proof.serialize_trace(r.trace) for r in report.rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9b74623504dc60f8ca19511cddb407dda5a76fff1907756651106e1e93ae0242"
+    )
+    assert time.perf_counter() - start < 15
 
 
 def test_random_cone_resampling_budget(monkeypatch):

@@ -798,6 +798,73 @@ def test_closed_form_facets_are_verified():
             geo._checked(3, T.den, T.rows, bad)
 
 
+def pulling_volume(P):
+    """Oracle: the volume as one determinant per simplex of a fresh pulling
+    triangulation over the incidence of a dot pass."""
+    k, rows = P.dim, P.rows
+    full = (1 << len(rows)) - 1
+    simplices = (full,) if len(rows) == k + 1 else geo._pulling(full, dot_pass_incidence(P), k)
+    total = 0
+    for s in simplices:
+        v0, *rest = (r for i, r in enumerate(rows) if s >> i & 1)
+        total += abs(det([vec_sub(v, v0) for v in rest]))
+    return Fraction(total, P.den**k * math.factorial(k))
+
+
+def test_kept_triangulations_give_the_pulling_volume():
+    """Seeded hulls in 2D–6D of a simplex and 0–6 more points, measured
+    first, so that their translates and positive homothets carry the
+    triangulation and the pyramids over them derive it; the bipyramids
+    pull their own.  Every volume, with its determinants shared along the
+    simplices' common rows, is the oracle's."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        d = rng.randint(2, 6)
+        while True:
+            n = d + 1 + rng.randint(0, 6)
+            pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+            if matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == d:
+                break
+        P = geo.convex_hull(pts, rng.randint(1, 3))
+        assert geo.normalized_volume(P) == pulling_volume(P)
+        kept = len(P.rows) > d + 1  # a simplex needs no triangulation
+        z = tuple(Fraction(sum(c), len(P.rows)) for c in zip(*P.vertices))
+        t = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        h = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        cone = geo.cone_over(h, P)
+        for image in (geo.translate(P, z), geo.scale_about(P, t, z), cone):
+            assert ("_triangulation" in vars(image)) is kept
+            assert geo.normalized_volume(image) == pulling_volume(image)
+        assert geo.normalized_volume(cone) == h * geo.normalized_volume(P) / (d + 1)
+        body = geo.bipyramid(h, P, z)
+        assert geo.normalized_volume(body) == pulling_volume(body)
+
+
+def test_closed_form_facets_take_the_rank_test_off_the_base():
+    """A base facet whose tight set does not span a hyperplane is not taken
+    as known: the 4-cube with ``x₁ + x₂ ≤ 2``, valid but tight only on a
+    2-face of four rows, as many as its dimension, so only a rank test sees
+    it.  And an apex facet nudged off the rows or into them fails although
+    a base is passed."""
+    cube = geo.convex_hull(list(itertools.product((0, 1), repeat=4)))
+    bad = geo.RatPolytope(4, 1, cube.rows, tuple(sorted(cube.int_facets + (((1, 1, 0, 0), 2),))))
+    with pytest.raises(CheckFailed) as err:
+        geo.cone_over(1, bad)
+    assert err.value.name == "closed-form-facets"
+    assert "is not spanned by vertices" in err.value.detail
+    Q = geo.convex_hull([p for p in itertools.product((0, 2), repeat=3)] + [(1, 1, 3)])
+    C = geo.cone_over(1, Q)
+    rows, spanned = [(0,) * 4] + [(1,) + r for r in Q.rows], geo._lifted(Q, (1,), True)
+    apex_facets = [(u, c) for u, c in C.int_facets if c == 0]
+    rest = [f for f in C.int_facets if f not in apex_facets]
+    assert geo._checked(4, 1, rows, C.int_facets, spanned) == C
+    (u, c), others = apex_facets[0], apex_facets[1:]
+    for nudged in (c + 1, c - 1):
+        with pytest.raises(CheckFailed) as err:
+            geo._checked(4, 1, rows, rest + others + [(u, nudged)], spanned)
+        assert err.value.name == "closed-form-facets"
+
+
 def test_bipyramid_center_must_be_interior():
     half = Fraction(1, 2)
     assert geo.normalized_volume(geo.bipyramid(1, UNIT_SQUARE, (half, half))) == Fraction(2, 3)
@@ -808,6 +875,8 @@ def test_bipyramid_center_must_be_interior():
         geo.bipyramid(0, UNIT_SQUARE, (half, half))
     with pytest.raises(DimensionMismatch):
         geo.bipyramid(1, UNIT_SQUARE, (half,))
+    with pytest.raises(InvalidParameters):
+        geo.bipyramid(1, geo.convex_hull([()]), ())
 
 
 def test_volumes_and_pyramids_make_no_hull_calls(monkeypatch):

@@ -593,7 +593,9 @@ def test_quotient_pair_keeps_the_index_and_the_mld():
     coefficient 1 of two seeded simplicial corpora (dims 3–5 and 6D): it
     validates, its functional is ``w·lift`` over the same index ``n``, its
     mld is the row's, and ``prove(strict=True)`` passes on it in every
-    quotient dimension d' ≥ 2; at d' = 1, ``n = q``."""
+    quotient dimension d' ≥ 2; at d' = 1, ``n = q``.  On the cone over the
+    unit square with b = (1, 1/2, 1/2, 0) the image (1, 1) of the last ray
+    is not extreme in the quotient, which keeps ((0, 1), (1, 0)) alone."""
     specs = (
         FamilySpec(kind="random_cone", dims=(3, 4, 5), count=40, max_entry=3, L=3,
                    include_one=True, seed=2),
@@ -622,6 +624,17 @@ def test_quotient_pair_keeps_the_index_and_the_mld():
             by_dim[quotient.dim] = by_dim.get(quotient.dim, 0) + 1
     assert sorted(by_dim) == [1, 2, 3, 4, 5]
     assert sum(by_dim.values()) == 91 and by_dim[1] == 7
+    square = make_pair(
+        3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], [1, Fraction(1, 2), Fraction(1, 2), 0]
+    )
+    report = tp.compute_mld(square)
+    quotient, lift = tp.quotient_pair(square, report.w)
+    assert quotient.rays == ((0, 1), (1, 0))
+    assert [c.level for c in quotient.coefficients] == [2, 2]
+    assert tp.validate_pair(quotient) is quotient
+    q_report = tp.compute_mld(quotient)
+    assert (report.index, report.mld) == (q_report.index, q_report.mld) == (2, 1)
+    assert tp.mld_oracle(square) == (report.mld, report.witness) == (1, (1, 1, 2))
     assert time.perf_counter() - start < 15
 
 
