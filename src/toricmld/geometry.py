@@ -8,13 +8,17 @@ exact incremental double-description pass on homogenized points above, so
 no floating point enters at any stage.  A polytope also carries its
 vertex–facet incidence, one bitmask of vertex rows per facet: hulls above
 2D report the tight sets their double description already keeps, and
-volumes are a pulling triangulation over those bitmasks.  Pyramids and the
-bipyramid of the certificate get their facets in closed form, checked
-against their vertices, so neither is ever re-hulled.  A polytope keeps its
-triangulation once taken, and its positive homothets and the pyramids over
-it reuse it.  Polytopes of
-dimension ≥ 1 produced by :func:`convex_hull` are full-dimensional in their
-ambient space; lower-dimensional data should be re-coordinatized (e.g. with
+volumes are a pulling triangulation over those bitmasks.  Pyramids, the
+bipyramid of the certificate and the difference body of a simplex of
+dimension ≥ 3 get their facets in closed form, checked against their
+vertices, so none is ever hulled.  A polytope keeps its triangulation once
+taken, and its positive homothets and the pyramids over it reuse it.  The
+lattice-point walk projects a polytope one coordinate at a time through
+the ridges of the facets and incidence it already carries (Fourier–Motzkin
+restricted to adjacent facets), for its projection levels and its
+objective cuts alike, so no walk hulls.  Polytopes of dimension ≥ 1
+produced by :func:`convex_hull` are full-dimensional in their ambient
+space; lower-dimensional data should be re-coordinatized (e.g. with
 :class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
 """
 
@@ -42,6 +46,7 @@ from .lattice import (
     RatVector,
     _identity,
     dot,
+    int_inverse,
     matrix_rank,
     pivot_inverse,
     primitive_vector,
@@ -381,8 +386,49 @@ def normalized_volume(P: RatPolytope) -> Fraction:
 
 
 def difference_body(P: RatPolytope) -> RatPolytope:
-    """The centrally symmetric body ``P + (−P)``."""
-    return convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows], P.den)
+    """The centrally symmetric body ``P + (−P)``: in closed form for a
+    simplex of dimension ≥ 3, hulled for any other polytope and up to 2D,
+    where the hull costs less than checking the closed form.
+
+    For a ``k``-simplex with rows ``v_0 < … < v_k``, let ``ℓ_1 … ℓ_k`` be the
+    columns of ``B`` with ``(v_i − v_0)_i·B = D·I`` and ``ℓ_0 = −Σ ℓ_i``:
+    ``⟨ℓ_i, x − y⟩/D`` is the difference of the ``i``-th barycentric
+    coordinates of ``x`` and ``y``.  The body's rows are the ``v_a − v_b``,
+    ``a ≠ b``, and it has one facet per proper nonempty ``I``,
+    ``⟨sign(D)·Σ_{i∈I} ℓ_i, x⟩ ≤ |D|``, made primitive (Rogers & Shephard
+    1957).  That facet is tight on the ``v_a − v_b`` with ``a ∈ I``, ``b ∉
+    I``: the face ``F_I − F_{I^c}``, a sum of two faces with complementary
+    directions, so it spans a hyperplane.  :func:`_checked` takes those
+    sets as spanning and the body keeps them as its ``_spanning``, so the
+    pyramids over its homothets take no rank test."""
+    k, rows = P.dim, P.rows
+    if k <= 2 or len(rows) != k + 1:
+        return convex_hull([vec_sub(v, w) for v in rows for w in rows], P.den)
+    B, D = int_inverse([vec_sub(v, rows[0]) for v in rows[1:]])
+    s = 1 if D > 0 else -1
+    ells = [tuple(s * x for x in col) for col in zip(*B)]
+    ells.insert(0, tuple(-sum(c) for c in zip(*ells)))
+    n = range(k + 1)
+    diffs = sorted((vec_sub(rows[a], rows[b]), a, b) for a in n for b in n if a != b)
+    source, target = [0] * (k + 1), [0] * (k + 1)
+    for i, (_, a, b) in enumerate(diffs):
+        source[a] |= 1 << i
+        target[b] |= 1 << i
+    # per vertex set I: Σ_{i∈I} ℓ_i, the rows v_a − v_b with a ∈ I and those with b ∈ I
+    sums, out, into = [(0,) * k], [0], [0]
+    facets, spanned = [], set()
+    for I in range(1, (1 << (k + 1)) - 1):
+        i = (I & -I).bit_length() - 1
+        rest = I & (I - 1)
+        sums.append(tuple(x + y for x, y in zip(sums[rest], ells[i])))
+        out.append(out[rest] | source[i])
+        into.append(into[rest] | target[i])
+        g = math.gcd(*sums[I])
+        facets.append((tuple(x // g for x in sums[I]), abs(D) // g))
+        spanned.add(out[I] & ~into[I])
+    body = _checked(k, P.den, [r for r, _, _ in diffs], facets, frozenset(spanned))
+    vars(body)["_spanning"] = frozenset(spanned | {(1 << len(diffs)) - 1})
+    return body
 
 
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
@@ -486,11 +532,18 @@ def _spans_hyperplane(tight: Sequence[IntVector], dim: int) -> bool:
 def _checked(dim: int, den: int, rows, facets, spanned=frozenset()) -> RatPolytope:
     """The polytope with vertex rows ``rows`` (lex-sorted) and the facets
     ``facets`` built in closed form, verified in the one dot pass that also
-    yields its incidence: every row satisfies every facet, each facet is
-    tight on rows that affinely span a hyperplane and on no other facet's
-    rows, and every row is a vertex, the facets tight at it meeting in it
-    alone.  A tight set in ``spanned`` is known to span (:func:`_lifted`);
-    any other takes a rank test.  A violation raises :class:`CheckFailed`."""
+    yields its incidence.  It certifies validity (every row satisfies every
+    facet), spanning (each facet is tight on rows that affinely span a
+    hyperplane), distinctness (no two facets are tight on the same rows) and
+    vertices (the facets tight at each row meet in it alone).  A tight set
+    in ``spanned`` is known to span (:func:`_lifted`); any other takes a
+    rank test.  A violation raises :class:`CheckFailed`.
+
+    It does not certify completeness: a facet left out at a non-simple
+    vertex can leave every other fact true (drop any one facet of the
+    cuboctahedron, the unit tetrahedron's difference body).  The caller
+    owns that: a complete base for the pyramids, the enumeration of the
+    vertex splits for the difference body, the cone record for the slab."""
     facets = sorted(facets)
     incidence = []
     for u, c in facets:
@@ -589,19 +642,111 @@ def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
 # --- lattice points --------------------------------------------------------------
 
 
+def _eliminate(
+    facets: Sequence[IntFacet], masks: Sequence[int], c: int, n: int
+) -> tuple[list[IntFacet], list[int]]:
+    """The facets of a full-dimensional polytope's projection that drops
+    coordinate ``c``, with their tight sets, from its ``facets`` and their
+    tight sets ``masks`` over its ``n`` rows: Fourier–Motzkin restricted to
+    ridges.  A facet with ``u[c] = 0`` projects to a facet on the same rows.
+    Two facets with opposite signs at ``c`` give their primitive
+    combination, tight on their common rows, exactly when they meet in a
+    ridge: by the combinatorial test of double description (Fukuda &
+    Prodon 1996), when the facets tight at every common row are those two
+    alone, which one bitmask of facets per row decides with one AND per
+    common row.  No other facet of the projection arises, and none twice,
+    so the tight sets stay over the same rows."""
+    at = [0] * n
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            at[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    out, out_masks, pos, neg = [], [], [], []
+    for j, (u, b) in enumerate(facets):
+        if u[c] > 0:
+            pos.append(j)
+        elif u[c] < 0:
+            neg.append(j)
+        else:
+            out.append((u[:c] + u[c + 1 :], b))
+            out_masks.append(masks[j])
+    for p in pos:
+        up, bp = facets[p]
+        for q in neg:
+            common = masks[p] & masks[q]
+            if common.bit_count() < len(up) - 1:  # a ridge has at least dim − 1 vertices
+                continue
+            pair, meet, m = 1 << p | 1 << q, -1, common
+            while m and meet != pair:
+                low = m & -m
+                meet &= at[low.bit_length() - 1]
+                m ^= low
+            if meet != pair:
+                continue
+            uq, bq = facets[q]
+            a, e = up[c], -uq[c]
+            v = [e * x + a * y for x, y in zip(up, uq)]
+            del v[c]
+            g = math.gcd(*v)
+            out.append((tuple(x // g for x in v), (e * bp + a * bq) // g))
+            out_masks.append(common)
+    return out, out_masks
+
+
 def _projection_levels(P: RatPolytope) -> tuple[tuple[IntFacet, ...], ...]:
     """Per depth ``k < dim − 1`` (the last is ``P.int_facets``), the facets
-    of the projection of ``P``'s rows onto their first ``k + 1`` coordinates:
-    the hull of the level above cut to ``k + 1`` coordinates, and at depth 0
-    the range of the first one.  The walk skips facets with a zero entry k."""
-    levels, rows = [], P.rows
-    for k in range(P.dim - 2, 0, -1):
-        proj = convex_hull([r[: k + 1] for r in rows])
-        levels.append(proj.int_facets)
-        rows = proj.rows
+    of the projection of ``P`` onto its first ``k + 1`` coordinates: from
+    ``P``'s facets and incidence, one trailing coordinate eliminated at a
+    time (:func:`_eliminate`), and at depth 0 the range of the first
+    coordinate over the rows, so a polygon needs no incidence.  The walk
+    skips facets with a zero entry k."""
+    levels = []
+    if P.dim > 2:
+        facets, masks = P.int_facets, P._incidence
+        for c in range(P.dim - 1, 1, -1):
+            facets, masks = _eliminate(facets, masks, c, len(P.rows))
+            levels.append(tuple(facets))
     if P.dim > 1:
-        levels.append((((-1,), -min(r[0] for r in rows)), ((1,), max(r[0] for r in rows))))
+        first = [r[0] for r in P.rows]
+        levels.append((((-1,), -min(first)), ((1,), max(first))))
     return tuple(levels[::-1])
+
+
+def _objective_cuts(P: RatPolytope, w: IntVector) -> list[list[IntFacet]]:
+    """Per depth ``k`` below the last nonzero entry ``kw`` of ``w``, the
+    facets ``⟨v, (y[:k+1], t)⟩ ≤ c`` with ``v[k+1] < 0`` of the projection of
+    ``P`` under ``y ↦ (y[:k+1], ⟨w, y⟩)``: those bound ``t`` from below.
+    Replacing ``y[kw]`` by ``t = ⟨w, y⟩`` maps ``P`` one to one, so with
+    ``w[kw] = s·a``, ``a > 0``, a facet ``⟨u, y⟩ ≤ c`` of ``P`` maps to the
+    facet ``⟨a·u − s·u[kw]·w, y⟩ + s·u[kw]·t ≤ a·c`` (entry ``kw`` of the
+    first part left out), made primitive, on the same rows.  The trailing
+    coordinates and then ``y[kw−1], y[kw−2], …`` are eliminated from that
+    image (:func:`_eliminate`); a polygon needs no elimination."""
+    kw = max((i for i, x in enumerate(w) if x), default=0)
+    if not kw:
+        return []
+    a, s = abs(w[kw]), (1 if w[kw] > 0 else -1)
+    facets = []
+    for u, c in P.int_facets:
+        m = s * u[kw]
+        if m >= 0 and P.dim == 2:  # a polygon's image is its one cut: lower bounds on t
+            continue
+        v = [a * x - m * y for x, y in zip(u, w)]
+        v[kw] = m
+        g = math.gcd(*v)
+        facets.append((tuple(x // g for x in v), a * c // g) if g > 1 else (tuple(v), a * c))
+    if P.dim == 2:
+        return [facets]
+    masks, n = P._incidence, len(P.rows)
+    for i in range(P.dim - 1, kw, -1):
+        facets, masks = _eliminate(facets, masks, i, n)
+    cuts = []
+    for k in range(kw - 1, -1, -1):
+        cuts.append([(v, c) for v, c in facets if v[k + 1] < 0])
+        if k:
+            facets, masks = _eliminate(facets, masks, k, n)
+    return cuts[::-1]
 
 
 def _lll(G: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
@@ -680,7 +825,8 @@ def _reduced_frame(P: RatPolytope, scale: int) -> tuple[IntMatrix, RatPolytope] 
     (a cross-section's holds about one point at scale 1 and many at the
     threshold), so this is decided at the walked scale.  ``U·P``, rows
     ``U·row`` and facets ``(u·U⁻¹, c)``, is built only when a walk picks
-    it, and then kept in ``P``'s cache as ``_reduced``."""
+    it, and then kept in ``P``'s cache as ``_reduced``; above 2D it takes
+    ``P``'s incidence, its rows and facets renumbered, for its levels."""
     rows, den, cache = P.rows, P.den, vars(P)
 
     def span(c) -> int:
@@ -696,8 +842,16 @@ def _reduced_frame(P: RatPolytope, scale: int) -> tuple[IntMatrix, RatPolytope] 
         return None
     if R is None:
         uicols = list(zip(*Ui))
-        facets = sorted((tuple(sum(map(mul, u, c)) for c in uicols), b) for u, b in P.int_facets)
-        R = cache["_reduced"] = RatPolytope(P.dim, den, tuple(sorted(zip(*ucols))), tuple(facets))
+        facets = [(tuple(sum(map(mul, u, c)) for c in uicols), b) for u, b in P.int_facets]
+        R = RatPolytope(P.dim, den, tuple(sorted(zip(*ucols))), tuple(sorted(facets)))
+        if P.dim > 2:  # the projection levels read it, a polygon's do not
+            bit = {r: 1 << k for k, r in enumerate(R.rows)}
+            moved = [bit[r] for r in zip(*ucols)]  # row i of P is row k of R
+            tight = dict(zip(facets, P._incidence))
+            vars(R)["_incidence"] = tuple(
+                sum(b for i, b in enumerate(moved) if tight[f] >> i & 1) for f in R.int_facets
+            )
+        cache["_reduced"] = R
     return Ui, R
 
 
@@ -732,26 +886,14 @@ def _iter_points(P: RatPolytope, scale: int, strict: bool, w: IntVector | None =
     facets = P._levels + (P.int_facets,)
     levels = [[(u[:k], u[k], offset(c)) for u, c in lv if u[k]] for k, lv in enumerate(facets)]
     # Objective cuts (u[:k], u[k], c, m): ⟨u, y[:k+1]⟩ ≤ c + m·(record − 1).
-    # Below the last nonzero entry kw of w, the facets of the lifted projection
-    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from kw on, w.  At
-    # kw − 1 that projection is a linear image of the one onto y[:kw+1]: with
-    # w[kw] = s·a, a > 0, a facet ⟨u, y⟩ ≤ c maps to
-    # ⟨a·u[:kw] − s·u[kw]·w[:kw], y[:kw]⟩ + s·u[kw]·⟨w, y⟩ ≤ a·c.
+    # Below the last nonzero entry kw of w, the facets of the projection
+    # (y[:k+1], ⟨w, y⟩) that bound ⟨w, y⟩ from below; from kw on, w.
     cuts: list[list] = [[] for _ in range(d)]
     if w is not None:
-        kw = max((i for i, x in enumerate(w) if x), default=0)
-        for k in range(kw - 1):
-            lifted = convex_hull([r[: k + 1] + (dot(w, r),) for r in P.rows])
-            cuts[k] = [
-                (u[:k], u[k], offset(c), -u[-1]) for u, c in lifted.int_facets if u[-1] < 0
-            ]
-        if kw:
-            a, s = abs(w[kw]), (1 if w[kw] > 0 else -1)
-            for u, c in facets[kw]:
-                if s * u[kw] < 0:
-                    v = [a * x - s * u[kw] * y for x, y in zip(u, w[:kw])]
-                    cuts[kw - 1].append((v[:-1], v[-1], offset(a * c), -s * u[kw]))
-        for k in range(kw, d):
+        lifted = _objective_cuts(P, w)
+        for k, lv in enumerate(lifted):
+            cuts[k] = [(v[:k], v[k], offset(c), -v[k + 1]) for v, c in lv]
+        for k in range(len(lifted), d):
             cuts[k] = [(w[:k], w[k], 0, 1)]
         # the coordinates of the vertex least under w start each depth's range
         first = [(scale * x) // den for x in min(P.rows, key=lambda r: dot(w, r))]
@@ -829,8 +971,10 @@ def enumerate_points(
     lists the lattice points of the dilate ``scale·P``; callers wanting
     points of ``P ∩ (1/scale)ℤ^d`` divide the results by ``scale``.  The
     walk fixes one coordinate at a time within the exact projections of
-    ``scale·P`` onto its leading coordinates: hulls of the rows cut to those
-    coordinates, taken once per polytope, with offsets rescaled per dilate.
+    ``scale·P`` onto its leading coordinates: their facets come from ``P``'s
+    own by eliminating the trailing coordinates through ridges of its
+    carried incidence (:func:`_eliminate`), once per polytope, with offsets
+    rescaled per dilate.
     It walks ``U·P`` for a unimodular, LLL-reduced ``U`` when the vertex
     bounding box of ``scale·U·P`` over every coordinate but the last holds
     fewer lattice points than that of ``scale·P`` (a polygon whose first
@@ -863,11 +1007,13 @@ def minimize(
     to its range, and walks down from there, then up, clipped again under
     every record found below it.  At a depth ``k`` before the last nonzero
     entry ``kw`` of the objective the range of ``y[k]`` is also cut by the
-    lower bounds on ``⟨W, ·⟩`` from the hull of ``(row[:k+1], ⟨W, row⟩)``;
-    at ``kw − 1`` that hull is a linear image of the projection onto the
-    first ``kw + 1`` coordinates, so its facets come in closed form; from
-    ``kw`` on the cut is ``W`` itself.  At the last depth every point of
-    the clipped range beats the record, so only its better end is taken.
+    lower bounds on ``⟨W, ·⟩`` from the projection of ``P`` onto ``(y[:k+1],
+    ⟨W, y⟩)``: replacing ``y[kw]`` by ``⟨W, y⟩`` maps ``P``'s facets one to
+    one, and the coordinates after ``kw``, then ``y[kw−1], y[kw−2], …`` are
+    eliminated from that image as for the walk's levels
+    (:func:`_objective_cuts`); from ``kw`` on the cut is ``W`` itself.  At
+    the last depth every point of the clipped range beats the record, so
+    only its better end is taken.
     """
     if len(w) != P.dim:
         raise DimensionMismatch("objective has the wrong length")

@@ -31,7 +31,7 @@ from .errors import (
     NotStronglyConvex,
     RedundantRay,
 )
-from .geometry import convex_hull, enumerate_points, minimize
+from .geometry import RatPolytope, _checked, convex_hull, enumerate_points, minimize
 from .lattice import (
     IntMatrix,
     IntVector,
@@ -307,6 +307,38 @@ def _interior_sum(rays: Sequence[IntVector]) -> IntVector:
     return tuple(sum(col) for col in zip(*rays))
 
 
+def _slab(rays: IntMatrix, w: IntVector, normals: Sequence[IntVector]) -> RatPolytope:
+    """``conv(0, rays scaled to value level + 1)``, ``level`` the value of
+    the sum of the rays under ``w``, positive on each of them: the cone cut
+    by ``⟨w, x⟩ ≤ level + 1``, whose facet normals through 0 are
+    ``normals``.  From 3D on its facets are those and the cut, and each
+    spans a hyperplane: a cone facet with 0 and the rays on it, the cut
+    with every ray.  Up to 2D, where that costs more than a hull, and when
+    a ray is not extreme (its mask of tight normals is contained in another
+    ray's, as in :func:`validate_pair`, so the pair was not validated), it
+    is hulled."""
+    level = dot(w, _interior_sum(rays))
+    vals = [dot(w, p) for p in rays]
+    den = math.lcm(*vals)
+    points = [(0,) * len(w)] + [vec_scale((level + 1) * (den // v), p) for p, v in zip(rays, vals)]
+    if len(w) <= 2:
+        return convex_hull(points, den)
+    masks = [sum(1 << k for k, u in enumerate(normals) if not dot(u, p)) for p in rays]
+    if any(sum(n & m == m for n in masks) > 1 for m in masks):
+        return convex_hull(points, den)
+    order = sorted(range(len(points)), key=points.__getitem__)
+    bit = [0] * len(points)
+    for k, i in enumerate(order):
+        bit[i] = 1 << k
+    g = content(w)
+    facets = [(u, 0) for u in normals] + [(tuple(x // g for x in w), (level + 1) * den // g)]
+    tight = [
+        bit[0] | sum(b for b, m in zip(bit[1:], masks) if m >> k & 1) for k in range(len(normals))
+    ]
+    tight.append(sum(bit[1:]))
+    return _checked(len(w), den, [points[i] for i in order], facets, frozenset(tight))
+
+
 def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     """Minimal log discrepancy data of the pair.
 
@@ -323,31 +355,33 @@ def compute_mld(pair: ToricLogPair) -> LogCanonicalReport:
     its interior lattice points exactly the cone's interior lattice points
     of value at most ``level``, and :func:`~toricmld.geometry.minimize`
     finds the least value over them, the mld times ``n``, with the
-    lex-least minimizer.
+    lex-least minimizer.  The slab's facets come from the cone record
+    (:func:`_slab`): in the quotient, a facet through the zero face is
+    ``u·lift`` for its normal ``u``, primitive as ``u`` is, and the facets
+    of the quotient cone are exactly those.
     """
     w, n = solve_psi(pair)
     d = pair.dim
     if not any(w):
         return LogCanonicalReport(d, w, n, Fraction(0), 1, _interior_sum(pair.rays), False)
     zero_rays = [e for e in pair.rays if dot(w, e) == 0]
-    rays, wq = pair.rays, w
+    # read by the slab from 3D on, and by the witness lift in any dimension
+    normals = cone_facets(pair) if zero_rays or d > 2 else ()
+    rays, wq, facets = pair.rays, w, normals
     if zero_rays:
+        # the facets through the zero face, read in the quotient
         quotient, lift = quotient_pair(pair, w)
         rays, wq = quotient.rays, tuple(dot(w, row) for row in lift)
-    level = dot(wq, _interior_sum(rays))
-    vals = [dot(wq, p) for p in rays]
-    den = math.lcm(*vals)
-    slab = convex_hull(
-        [(0,) * len(wq)]
-        + [vec_scale((level + 1) * (den // v), p) for p, v in zip(rays, vals)],
-        den,
-    )
-    value, witness = minimize(slab, wq, strict=True)
+        facets = [
+            tuple(dot(u, row) for row in lift)
+            for u in normals
+            if not any(dot(u, e) for e in zero_rays)
+        ]
+    value, witness = minimize(_slab(rays, wq, facets), wq, strict=True)
     mld = Fraction(value, n)
     if zero_rays:
         base = tuple(dot(witness, col) for col in zip(*lift))
         shift = _interior_sum(zero_rays)
-        normals = cone_facets(pair)
         k = 0
         while True:
             witness = vec_add(base, vec_scale(k, shift))

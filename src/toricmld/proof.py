@@ -546,6 +546,10 @@ def prove(
         raise CheckFailed("threshold-integrality", f"n·mld = {threshold}")
     j = int(threshold)
     q = report.mld_denominator
+    if d > 2:
+        # the pyramids over the homothets below read the section's facet
+        # spans (a segment's need no rank): taken now, so that they carry
+        section._spanning
     dilated = scale_about(section, j, (0,) * (d - 1))
     interior = enumerate_points(dilated, strict=True)
     checks = list(verify_bullets(section, levels, n, j, q, interior))

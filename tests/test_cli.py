@@ -129,6 +129,40 @@ def test_compute_fuzzed_documents_exit_cleanly(tmp_path_factory, doc, fmt):
     assert main(["compute", str(path), "--format", fmt]) in (0, 1, 2)
 
 
+@st.composite
+def sweep_arguments(draw):
+    """``sweep`` arguments of bounded size: either family, ``--max-r`` up to
+    6, ``--dims`` lists of dimensions up to 5 with garbage tokens mixed in,
+    ``--count``, ``--max-entry`` and ``--L`` up to 3 (negative ones
+    included), any ``--seed`` or none, and ``--include-one`` or not; each
+    option may be left out."""
+    args = ["sweep", "--family", draw(st.sampled_from(["cyclic2d", "random_cone"]))]
+    small = st.integers(-1, 3).map(str)
+    token = st.integers(-2, 5).map(str) | st.text(alphabet=" ,-+x.", max_size=3)
+    options = {
+        "--max-r": st.integers(-2, 6).map(str),
+        "--dims": st.lists(token, max_size=3).map(",".join),
+        "--count": small,
+        "--max-entry": small,
+        "--L": small,
+        "--seed": st.integers(-(10**6), 10**6).map(str),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            args += [flag, draw(values)]
+    if draw(st.booleans()):
+        args.append("--include-one")
+    return args
+
+
+@given(sweep_arguments())
+@settings(deadline=None, max_examples=100)
+def test_sweep_fuzzed_arguments_exit_cleanly(args):
+    """Any bounded ``sweep`` invocation ends in exit code 0, 1 or 2, never a
+    traceback."""
+    assert main(args) in (0, 1, 2)
+
+
 @given(json_values | instance_documents())
 @settings(deadline=None, max_examples=200)
 def test_prove_fuzzed_documents_exit_cleanly(tmp_path_factory, doc):

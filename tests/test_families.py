@@ -127,6 +127,24 @@ def test_random_cone_sweep_in_seven_dimensions_pinned_digest():
     assert time.perf_counter() - start < 15
 
 
+def test_random_cone_sweep_in_nine_dimensions_pinned_digest():
+    """One seeded 9D cone (n = 128520, mld 1075/1512) gets a passing trace
+    and reproduces pinned sweep JSON and trace-v1 bytes: the scale at which
+    the walks' projection levels and the difference body's facets count."""
+    start = time.perf_counter()
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(9,), count=1, max_entry=2, L=3, seed=20261018)
+    )
+    (row,) = report.rows
+    assert row.error == "" and row.trace.all_passed
+    assert (row.report.index, row.report.mld) == (128520, F(1075, 1512))
+    text = report.to_json() + proof.serialize_trace(row.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a5727e879ee7a8a7dc38e56d18741aa35d3168e95fee4c408f14deb6ecfc6a47"
+    )
+    assert time.perf_counter() - start < 30
+
+
 def test_random_cone_resampling_budget(monkeypatch):
     import toricmld.families as fam
 

@@ -889,3 +889,157 @@ def test_volumes_and_pyramids_make_no_hull_calls(monkeypatch):
     body = geo.bipyramid(2, cube, (1, 1, 1))
     assert geo.normalized_volume(body) == 2 * geo.normalized_volume(geo.cone_over(2, cube))
     assert calls == []
+
+
+# --- ridge elimination and the closed-form difference body --------------------------
+
+
+def hull_levels(P):
+    """Oracle: the former projection levels, per depth ``k < dim − 1`` the
+    facets of the hull of the rows cut to their first ``k + 1`` coordinates,
+    and at depth 0 the range of the first one."""
+    levels, rows = [], P.rows
+    for k in range(P.dim - 2, 0, -1):
+        proj = geo.convex_hull([r[: k + 1] for r in rows])
+        levels.append(proj.int_facets)
+        rows = proj.rows
+    if P.dim > 1:
+        levels.append((((-1,), -min(r[0] for r in rows)), ((1,), max(r[0] for r in rows))))
+    return [sorted(lv) for lv in levels[::-1]]
+
+
+def hull_cuts(P, w):
+    """Oracle: the former objective cuts, per depth ``k`` below the last
+    nonzero entry of ``w`` the facets of the hull of ``(row[:k+1], ⟨w,
+    row⟩)`` that bound its last coordinate from below."""
+    kw = max((i for i, x in enumerate(w) if x), default=0)
+    cuts = []
+    for k in range(kw):
+        lifted = geo.convex_hull([r[: k + 1] + (dot(w, r),) for r in P.rows])
+        cuts.append(sorted(f for f in lifted.int_facets if f[0][-1] < 0))
+    return cuts
+
+
+def assert_eliminations_are_the_hulls(P, rng):
+    assert [sorted(lv) for lv in P._levels] == hull_levels(P)
+    d = P.dim
+    w = tuple(rng.randint(-3, 3) for _ in range(d))
+    for objective in (w, w[: d // 2] + (0,) * (d - d // 2), (1,) + (0,) * (d - 1)):
+        got = geo._objective_cuts(P, objective)
+        assert [sorted(c) for c in got] == hull_cuts(P, objective)
+
+
+def seeded_hull(rng, d, extra):
+    while True:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 1 + extra)]
+        if matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == d:
+            return geo.convex_hull(pts, rng.randint(1, 3))
+
+
+def skew(rng, d):
+    """A unimodular matrix: the identity under a few row operations."""
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        (i, j), c = rng.sample(range(d), 2), rng.choice((-2, -1, 1, 2))
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    return U
+
+
+def test_ridge_elimination_gives_the_hulled_levels_and_cuts():
+    """Seeded hulls in 3D–7D, skewed copies of them walked in their reduced
+    frames ``U·P``, homothets made before and after the levels are taken,
+    and the pyramid and bipyramid over them: the projection levels and the
+    objective cuts from ridge elimination over the carried incidence equal
+    those of the former hulls, and a frame receives ``P``'s incidence."""
+    rng = random.Random(20261021)
+    framed = 0
+    for d in (3,) * 4 + (4,) * 4 + (5,) * 3 + (6,) * 2 + (7,) * 2:
+        P = seeded_hull(rng, d, rng.randint(0, 4))
+        z = tuple(Fraction(sum(c), len(P.rows)) for c in zip(*P.vertices))
+        t = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        before = geo.scale_about(P, t, z)
+        assert_eliminations_are_the_hulls(P, rng)
+        after = geo.translate(geo.scale_about(P, t, z), z)
+        assert "_levels" in vars(after) and "_levels" not in vars(before)
+        for Q in (before, after, geo.cone_over(t, P), geo.bipyramid(t, P, z)):
+            assert_eliminations_are_the_hulls(Q, rng)
+        U = skew(rng, d)
+        S = geo.convex_hull([mat_vec(U, v) for v in P.vertices])
+        frame = next(filter(None, (geo._reduced_frame(S, s) for s in (1, 3, 9))), None)
+        if frame:
+            framed += 1
+            R = frame[1]
+            assert vars(R)["_incidence"] == dot_pass_incidence(R)
+            assert_eliminations_are_the_hulls(R, rng)
+    assert framed >= 8
+
+
+def test_polygons_walk_without_incidence():
+    """A polygon's levels are the range of its first coordinate and its
+    objective cut is its own facets mapped, so neither it nor its frame
+    computes an incidence."""
+    P = geo.convex_hull([(0, 0), (37, 5), (74, 11), (3, 1)])
+    with plane_cut(0):
+        assert geo.minimize(P, (1, 1)) == (0, (0, 0))
+        frame = geo._reduced_frame(P, 1)
+    assert frame is not None
+    for Q in (P, frame[1]):
+        assert "_incidence" not in vars(Q)
+        assert sorted(map(sorted, Q._levels)) == sorted(map(sorted, hull_levels(Q)))
+        assert [sorted(c) for c in geo._objective_cuts(Q, (2, -3))] == hull_cuts(Q, (2, -3))
+        assert "_incidence" not in vars(Q)
+
+
+def test_simplex_difference_body_is_its_hull(monkeypatch):
+    """Seeded simplices with k = 1..6: the difference body is the hull of the
+    differences field by field, with a dot pass's incidence, the spans a
+    rank test finds and the volume C(2k, k)·vol (Rogers & Shephard 1957).
+    From k = 3 on it is built in closed form, with no hull call; up to 2D,
+    and for a polytope that is not a simplex, it falls back to the hull.
+    The pyramids over the homothets of a closed-form body take no rank
+    test."""
+    rng = random.Random(20261022)
+    hull, calls = geo.convex_hull, []
+
+    def counted(*args):
+        calls.append(1)
+        return hull(*args)
+
+    for k in range(1, 7):
+        for _ in range(4):
+            S = seeded_hull(rng, k, 0)
+            monkeypatch.setattr(geo, "convex_hull", counted)
+            D = geo.difference_body(S)
+            monkeypatch.setattr(geo, "convex_hull", hull)
+            assert len(calls) == (k <= 2)
+            calls.clear()
+            H = hull([vec_sub(v, w) for v in S.rows for w in S.rows], S.den)
+            assert fields(D) == fields(H)
+            assert len(D.rows) == k * (k + 1) and len(D.int_facets) == 2 ** (k + 1) - 2
+            assert D._incidence == dot_pass_incidence(H)
+            assert D._spanning == geo.RatPolytope(*fields(H))._spanning
+            volume = math.comb(2 * k, k) * geo.normalized_volume(S)
+            assert geo.normalized_volume(D) == geo.normalized_volume(H) == volume
+    monkeypatch.setattr(geo, "convex_hull", counted)
+    cube = geo.convex_hull(list(itertools.product((0, 1), repeat=3)))
+    assert geo.difference_body(cube) == hull(list(itertools.product((-1, 0, 1), repeat=3)))
+    assert len(calls) == 2
+    monkeypatch.setattr(geo, "convex_hull", hull)
+    ranks = []
+    monkeypatch.setattr(geo, "matrix_rank", lambda M: ranks.append(1) or matrix_rank(M))
+    D = geo.difference_body(geo.convex_hull([(0, 0, 0), (3, 1, 0), (1, 2, 0), (0, 1, 2)]))
+    core = geo.translate(geo.scale_about(D, Fraction(1, 3), (0, 0, 0)), (1, 1, 1))
+    geo.cone_over(2, core), geo.bipyramid(2, core, (1, 1, 1))
+    assert ranks == []
+
+
+def test_checked_cannot_see_a_missing_facet_at_a_non_simple_vertex():
+    """The unit tetrahedron's difference body is the cuboctahedron, whose
+    vertices each lie on four facets.  With any one of its 14 facets left
+    out the rest still pass every check ``_checked`` makes: completeness is
+    its caller's to show."""
+    T = geo.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    C = geo.difference_body(T)
+    assert len(C.rows) == 12 and len(C.int_facets) == 14
+    for i in range(14):
+        geo._checked(3, C.den, C.rows, C.int_facets[:i] + C.int_facets[i + 1 :])

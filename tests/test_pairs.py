@@ -571,6 +571,83 @@ def test_terminal_quotients_of_type_one_minus_one_have_mld_one_plus_one_over_r()
     assert time.perf_counter() - start < 15
 
 
+@pytest.mark.parametrize(
+    "a, b, mld, witness",
+    [
+        (2, 3, Fraction(6, 10**9 + 7), (1, 0, 0)),
+        (-1, 2, 1 + Fraction(1, 10**9 + 7), None),
+        (-1, 123456789, 1 + Fraction(1, 10**9 + 7), None),
+        (5, -5, 1 + Fraction(1, 10**9 + 7), None),
+    ],
+)
+def test_3d_quotients_of_huge_order_are_fast(a, b, mld, witness):
+    """1/r(1, a, b) at r = 10^9 + 7: 1/r(1, 2, 3) has mld 6/r at e_1, and
+    the terminal germs with a weight pair summing to 0 mod r have mld 1 +
+    1/r (Kawamata 1996; Morrison and Stevens 1984).  The mld and a strict
+    proof take well under a second each."""
+    r = 10**9 + 7
+    start = time.perf_counter()
+    pair = _quotient_3d(r, a, b)
+    rep = tp.compute_mld(pair)
+    prove(pair, strict=True, report=rep)
+    assert time.perf_counter() - start < 1, (a, b)
+    assert (rep.index, rep.mld) == (r, mld)
+    if witness is not None:
+        assert rep.witness == witness
+
+
+def test_slab_is_the_hull_of_its_points(monkeypatch):
+    """The slab ``compute_mld`` minimises over, built from the cone record
+    from 3D on (from the facets through the zero face, mapped by the lift,
+    when a coefficient is 1), is the hull of 0 and the scaled rays field by
+    field, on seeded 2D–5D corpora with b = 1 in the grid.  An unvalidated
+    pair with a ray that is not extreme is left to the hull."""
+    from toricmld.families import FamilySpec, _instances
+
+    spec = FamilySpec(
+        kind="random_cone", dims=(2, 3, 4, 5), count=25, max_entry=4, L=3, include_one=True, seed=9
+    )
+    half = Fraction(1, 2)
+    redundant = make_pair(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], [half, half, 0, 0])
+    hulled, slabs = [], 0
+
+    def counted(*args):
+        hulled.append(len(args[0][0]))
+        return convex_hull(*args)
+
+    for _, pair in list(_instances(spec)) + [("redundant", redundant)]:
+        try:
+            w, _ = tp.solve_psi(pair)
+        except NotLogQGorenstein:
+            continue
+        if not any(w):
+            continue
+        zero = [e for e in pair.rays if dot(w, e) == 0]
+        normals = tp.cone_facets(pair)
+        rays, wq, facets = pair.rays, w, normals
+        if zero:
+            quotient, lift = tp.quotient_pair(pair, w)
+            rays, wq = quotient.rays, tuple(dot(w, row) for row in lift)
+            facets = [
+                tuple(dot(u, r) for r in lift) for u in normals if not any(dot(u, e) for e in zero)
+            ]
+        slabs += 1
+        level = dot(wq, tp._interior_sum(rays))
+        vals = [dot(wq, p) for p in rays]
+        den = lcm(*vals)
+        points = [(0,) * len(wq)] + [
+            tuple((level + 1) * (den // v) * x for x in p) for p, v in zip(rays, vals)
+        ]
+        monkeypatch.setattr(tp, "convex_hull", counted)
+        S = tp._slab(rays, wq, facets)
+        monkeypatch.setattr(tp, "convex_hull", convex_hull)
+        H = convex_hull(points, den)
+        assert (S.dim, S.den, S.rows, S.int_facets) == (H.dim, H.den, H.rows, H.int_facets)
+    assert [d for d in hulled if d > 2] == [3]  # the redundant pair alone
+    assert slabs - len(hulled) > 50
+    assert tp.compute_mld(redundant).mld == 2
+
+
 def test_isolated_3d_quotients_are_terminal_by_the_terminal_lemma():
     """Morrison and Stevens (1984): an isolated 1/r(1, a, b) has mld > 1
     exactly when 1 + a, 1 + b or a + b is 0 mod r; all 4,681 germs with

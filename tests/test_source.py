@@ -95,3 +95,38 @@ def test_the_scan_sees_quotient_lattice(tmp_path):
         "def quotient_lattice(rows, dim):\n    '''quotient_lattice'''\n"
     )
     assert names_quotient_lattice(module) == [1, 3, 4]
+
+
+def convex_hull_calls(path):
+    """The calls to ``convex_hull`` in ``path``, by name or as an attribute,
+    each as the name of the top-level definition it sits in (``None`` at
+    module level) and its line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "convex_hull":
+                    calls.append((owner, node.lineno))
+    return sorted(calls, key=lambda call: call[1])
+
+
+def test_geometry_hulls_only_the_difference_body_of_a_non_simplex():
+    """Inside ``geometry.py`` only ``difference_body`` calls ``convex_hull``,
+    once, in its fallback for a polytope that is not a simplex of dimension
+    ≥ 3: the walker's projections and cuts, the pyramids and the simplex
+    difference body come from facets already known and can never re-hull."""
+    calls = convex_hull_calls(SRC / "toricmld" / "geometry.py")
+    assert [owner for owner, _ in calls] == ["difference_body"]
+
+
+def test_the_scan_sees_convex_hull_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .geometry import convex_hull\nconvex_hull(p)\n"
+        "def f(P):\n    def g():\n        return geo.convex_hull(P.rows)\n    return g\n"
+        "class C:\n    def m(self):\n        convex_hull(self.rows)\n"
+    )
+    assert convex_hull_calls(module) == [(None, 2), ("f", 5), ("C", 9)]
