@@ -11,12 +11,11 @@ vertex–facet incidence, one bitmask of vertex rows per facet: hulls above
 volumes are a pulling triangulation over those bitmasks.  Pyramids, the
 bipyramid of the certificate and the difference body of a simplex of
 dimension ≥ 3 get their facets in closed form, checked against their
-vertices, so none is ever hulled.  A polytope keeps its triangulation once
-taken, and its positive homothets and the pyramids over it reuse it.  The
-lattice-point walk projects a polytope one coordinate at a time through
-the ridges of the facets and incidence it already carries (Fourier–Motzkin
-restricted to adjacent facets), for its projection levels and its
-objective cuts alike, so no walk hulls.  Polytopes of dimension ≥ 1
+vertices, so none is ever hulled.  The lattice-point walk projects a
+polytope one coordinate at a time through the ridges of the facets and
+incidence it already carries (Fourier–Motzkin restricted to adjacent
+facets), for its projection levels and its objective cuts alike, so no
+walk hulls.  Polytopes of dimension ≥ 1
 produced by :func:`convex_hull` are full-dimensional in their ambient
 space; lower-dimensional data should be re-coordinatized (e.g. with
 :class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
@@ -66,10 +65,9 @@ class RatPolytope:
     integer offset, encoding ``⟨u, row⟩ ≤ c``, i.e. ``⟨u, x⟩ ≤ c/den``.
     ``vertices`` is a read-only :class:`~fractions.Fraction` view of the
     rows in the same order.  ``_incidence`` holds, per facet, the bitmask
-    of the rows it is tight on (bit ``i`` for ``rows[i]``),
-    ``_triangulation`` the simplices of its pulling triangulation as
-    bitmasks of rows, and ``_spanning`` the tight sets whose span the
-    pyramids over it take as known (:func:`_lifted`).  ``_basis`` is the
+    of the rows it is tight on (bit ``i`` for ``rows[i]``), and
+    ``_spanning`` the tight sets whose span the pyramids over it take as
+    known (:func:`_lifted`).  ``_basis`` is the
     walk basis ``(U, U⁻¹)`` and, once a walk has picked it, the cache holds
     the frame ``U·P`` as ``_reduced`` (:func:`_reduced_frame`).  A
     zero-dimensional polytope is the single empty row with no facets.
@@ -90,10 +88,6 @@ class RatPolytope:
             sum(1 << i for i, r in enumerate(self.rows) if dot(u, r) == c)
             for u, c in self.int_facets
         )
-
-    @cached_property
-    def _triangulation(self) -> tuple[int, ...]:
-        return tuple(_pulling((1 << len(self.rows)) - 1, self._incidence, self.dim))
 
     @cached_property
     def _spanning(self) -> frozenset[int]:
@@ -369,16 +363,16 @@ def _det_sum(rows: Sequence[IntVector], simplices: Sequence[int]) -> int:
 def normalized_volume(P: RatPolytope) -> Fraction:
     """Volume of ``P`` normalized so a fundamental cell of ℤ^dim has volume
     1.  Zero-dimensional polytopes have volume 1 by convention.  The volume
-    is a pulling triangulation over the vertex–facet incidence, found by
-    bitmask intersections alone and kept on ``P`` (a simplex needs none):
+    is a pulling triangulation of ``P``'s own rows over its vertex–facet
+    incidence, found by bitmask intersections alone (a simplex needs none):
     only its simplices take a determinant on the integer rows
     (:func:`_det_sum`), and their sum is divided once by ``den^dim·dim!``.
     """
     k = P.dim
     if k == 0:
         return Fraction(1)
-    rows = P.rows
-    simplices = ((1 << len(rows)) - 1,) if len(rows) == k + 1 else P._triangulation
+    rows, full = P.rows, (1 << len(P.rows)) - 1
+    simplices = (full,) if len(rows) == k + 1 else _pulling(full, P._incidence, k)
     return Fraction(_det_sum(rows, simplices), P.den**k * math.factorial(k))
 
 
@@ -434,8 +428,8 @@ def difference_body(P: RatPolytope) -> RatPolytope:
 def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
     """``row ↦ a·row + b·w`` over the new denominator ``den``; with
     ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
-    triangulation, spanning tight sets, projection levels and reduced frame
-    that ``P`` has built carry over.
+    spanning tight sets, projection levels and reduced frame that ``P`` has
+    built carry over.
     The basis ``U`` is carried whenever ``P`` has taken it: it depends only
     on the vertex scatter, which a translate leaves as it is and a positive
     homothet multiplies by a square, and LLL reduction is blind to a
@@ -450,7 +444,7 @@ def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> Rat
     Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
-    for name in ("_triangulation", "_spanning", "_basis"):
+    for name in ("_spanning", "_basis"):
         if name in cache:
             vars(Q)[name] = cache[name]
     if "_reduced" in cache:
@@ -587,9 +581,6 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     Built in closed form, not hulled: its facets are the top ``{height} ×
     Q`` and one through the apex per facet of ``Q`` (for a point ``Q``, the
     apex itself), checked against the vertices as in :func:`bipyramid`.
-    When ``Q`` has been triangulated, the pyramid's triangulation is the
-    apex joined to each of ``Q``'s simplices: the pulling from the apex
-    gives these same simplices.
     """
     h = _exact(height)
     if h <= 0:
@@ -601,12 +592,9 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     if k:
         sides = _apex_facets(apex, top, [(u, h.denominator * c) for u, c in Q.int_facets])
     top_facet = ((1,) + (0,) * k, top)
-    C = _checked(
+    return _checked(
         k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet], _lifted(Q, (1,), True)
     )
-    if "_triangulation" in vars(Q):
-        vars(C)["_triangulation"] = tuple(s << 1 | 1 for s in Q._triangulation)
-    return C
 
 
 def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:

@@ -301,35 +301,39 @@ def shrink_to_unique(
 
 
 def minkowski_certificate(
-    shrunk: RatPolytope, z: Sequence[int], j: int, gamma: Fraction, diff: RatPolytope
+    shrunk: RatPolytope,
+    z: Sequence[int],
+    j: int,
+    gamma: Fraction,
+    diff: RatPolytope,
+    vol_diff: Fraction,
 ) -> tuple[RatPolytope, RatPolytope, Fraction, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
-    ``diff`` is the difference body ``shrunk − shrunk``.  The core ``K = z +
-    gamma·diff`` is centrally symmetric and inscribed in the shrunk body;
-    the certificate is the bipyramid over ``{j}×K`` with apexes at the
-    origin and at ``2·(j, z)``, and its volume is triangulated from the body
-    itself, independently of the half-cone's, the cone over ``{j}×K``.
-    Returns ``(K, certificate, its normalized volume, checks)``.  Checks:
-    vertexwise central symmetry, the center is the only interior lattice
-    point, volume at most ``2^D`` (Minkowski's theorem, ``D`` the
-    certificate dimension), the two half-cones tile the body, and the
-    pyramid over the shrunk body itself has empty interior lattice set.
+    ``diff`` is the difference body ``shrunk − shrunk``, of volume
+    ``vol_diff``.  The core ``K = z + gamma·diff`` is centrally symmetric
+    and inscribed in the shrunk body; the certificate is the bipyramid over
+    ``{j}×K`` with apexes at the origin and at ``2·(j, z)``.  Returns ``(K,
+    certificate, its normalized volume, checks)``.  Checks: vertexwise
+    central symmetry, the center is the only interior lattice point, volume
+    at most ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension)
+    and twice the half-cone's, ``j·gamma^{D-1}·vol_diff/D`` by the pyramid
+    rule, and the pyramid over the shrunk body has no interior lattice point.
     """
     if type(j) is not int or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
     if not isinstance(gamma, Fraction) or not 0 < gamma <= Fraction(1, 2):
         raise InvalidParameters("inscription factor must be a Fraction in (0, 1/2]")
+    if not isinstance(vol_diff, Fraction):
+        raise InvalidParameters(f"volume must be a Fraction, got {vol_diff!r}")
     k = shrunk.dim
     z = as_int_vector(z)
     core = translate(scale_about(diff, gamma, (0,) * k), z)
-    half = cone_over(j, core)
     center = (j,) + z
-    apex = tuple(2 * c for c in center)
     body = bipyramid(j, core, z)
     D = k + 1
     # the mirror of a row r is 2·den·center − r
-    mirror = tuple(body.den * c for c in apex)
+    mirror = tuple(2 * body.den * c for c in center)
     rset = set(body.rows)
     asym = [r for r in rset if tuple(m - x for m, x in zip(mirror, r)) not in rset]
     checks = [
@@ -342,11 +346,10 @@ def minkowski_certificate(
         )
     ]
     interior = enumerate_points(body, strict=True)
-    expected = (center,)
     checks.append(
         CheckResult(
             "certificate-unique-interior",
-            interior == expected,
+            interior == (center,),
             "interior lattice points " + _fmt_vecs(interior),
         )
     )
@@ -354,14 +357,9 @@ def minkowski_certificate(
     checks.append(
         CheckResult("certificate-volume", vol <= 2**D, f"volume {vol} vs 2^{D} = {2 ** D}")
     )
-    half_vol = normalized_volume(half)
-    checks.append(
-        CheckResult(
-            "certificate-bipyramid",
-            vol == 2 * half_vol,
-            f"body {vol} vs twice the half-cone {2 * half_vol}",
-        )
-    )
+    half = j * gamma**k * vol_diff / D  # the cone over {j}×K, not built
+    detail = f"body {vol} vs twice the half-cone {2 * half}"
+    checks.append(CheckResult("certificate-bipyramid", vol == 2 * half, detail))
     empty = not any_lattice_point(cone_over(j, shrunk), strict=True)
     checks.append(
         CheckResult(
@@ -383,13 +381,17 @@ def chain_verify(
     core: RatPolytope,
     diff_dilated: RatPolytope,
     diff_shrunk: RatPolytope,
+    shrink: Fraction,
+    vol_dilated: Fraction,
 ) -> tuple[CheckResult, ...]:
     """Exact inequality chain from the certificate volume to the index bound.
 
     ``diff_dilated`` and ``diff_shrunk`` are the difference bodies of the
-    dilated and the shrunk cross-section; each of the volumes below is
-    triangulated from its own polytope.  With ``D = core.dim + 1`` the
-    certificate dimension:
+    dilated and the shrunk cross-section.  Only the first one's volume,
+    ``vol_dilated``, is measured: the homothety law derives the others from
+    the maps ``chain-cross-section`` checks on the rows, ``diff_shrunk =
+    shrink·diff_dilated`` and ``core`` a translate of ``γ·diff_shrunk``.
+    With ``D = core.dim + 1`` the certificate dimension:
 
     1. ``2·j·vol(core)/D ≤ 2^D``            (Minkowski cap, pyramid volumes)
     2. ``vol(core) = γ^{D-1}·vol(shrunk − shrunk)``
@@ -397,22 +399,20 @@ def chain_verify(
     4. ``j ≤ D!·q^{D-1}/γ^{D-1}``
     5. ``n ≤ j·q ≤ D!·q^D/γ^{D-1}``
     """
-    if not isinstance(gamma, Fraction):
-        raise InvalidParameters(f"gamma must be a Fraction, got {gamma!r}")
+    if not all(isinstance(x, Fraction) for x in (gamma, shrink, vol_dilated)):
+        raise InvalidParameters("gamma, the shrink factor and the volume must be Fractions")
     k = core.dim
     D = k + 1
-    vol_core = normalized_volume(core)
+    vol_shrunk = shrink**k * vol_dilated
+    vol_core = gamma**k * vol_shrunk
     cap = Fraction(2 * j, D) * vol_core
     c1 = CheckResult(
         "chain-minkowski", cap <= 2**D, f"2·{j}·{vol_core}/{D} = {cap} vs {2 ** D}"
     )
-    vol_shrunk = normalized_volume(diff_shrunk)
-    c2 = CheckResult(
-        "chain-cross-section",
-        vol_core == gamma**k * vol_shrunk,
-        f"{vol_core} vs {gamma}^{k}·{vol_shrunk}",
-    )
-    vol_dilated = normalized_volume(diff_dilated)
+    mapped = _offsets(diff_dilated, diff_shrunk, shrink) == {(0,) * k}
+    mapped = mapped and len(_offsets(diff_shrunk, core, gamma)) == 1
+    detail = f"{vol_core} vs {gamma}^{k}·{vol_shrunk}"
+    c2 = CheckResult("chain-cross-section", mapped, detail + ("" if mapped else ", rows unmapped"))
     floor = Fraction(2**k, factorial(k) * q**k)
     c3 = CheckResult(
         "chain-difference", vol_dilated >= floor, f"{vol_dilated} vs floor {floor}"
@@ -426,6 +426,16 @@ def chain_verify(
         f"{n} <= {j}·{q} = {j * q} vs {ncap}",
     )
     return c1, c2, c3, c4, c5
+
+
+def _offsets(P: RatPolytope, Q: RatPolytope, a: Fraction) -> set[IntVector]:
+    """The rows of ``Q`` less ``a`` times those of ``P``, over ``P.den·Q.den·
+    a.denominator``, paired in the lex order that a positive homothety and a
+    translation keep: one vector exactly when ``Q`` is a translate of ``a·P``."""
+    if len(P.rows) != len(Q.rows) or P.dim != Q.dim:
+        return set()
+    f, g = P.den * a.denominator, Q.den * a.numerator
+    return {tuple(f * y - g * x for x, y in zip(p, r)) for p, r in zip(P.rows, Q.rows)}
 
 
 def lemma_vo_check(
@@ -565,15 +575,15 @@ def prove(
             "gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"
         )
     )
-    # shrunk − shrunk = t·(dilated − dilated): one hull for both, and one
-    # triangulation, taken here so that the homothets below, the core among
-    # them, carry it
+    # shrunk − shrunk = t·(dilated − dilated): one hull and one pulling for both
     diff_dilated = difference_body(dilated)
-    diff_dilated._triangulation
+    vol_dilated = normalized_volume(diff_dilated)
     diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
-    core, body, volume, mk_checks = minkowski_certificate(shrunk, center, j, gamma, diff_shrunk)
+    core, body, volume, mk_checks = minkowski_certificate(
+        shrunk, center, j, gamma, diff_shrunk, t ** (d - 1) * vol_dilated
+    )
     checks.extend(mk_checks)
-    checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk))
+    checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk, t, vol_dilated))
     bound = bound_check(report, gamma)
     trace = ProofTrace(
         pair=pair,

@@ -145,6 +145,26 @@ def test_random_cone_sweep_in_nine_dimensions_pinned_digest():
     assert time.perf_counter() - start < 30
 
 
+def test_random_cone_sweep_in_ten_dimensions_pinned_digest():
+    """One seeded 10D cone (n = 384, mld 481/384, so j = 481, γ =
+    320/44733) gets a passing trace and reproduces pinned sweep JSON and
+    trace-v1 bytes: the frontier where the bipyramid's pulling and the
+    volumes derived from ``diff_dilated``'s one pulling carry the proof."""
+    start = time.perf_counter()
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(10,), count=1, max_entry=2, L=3, seed=20261018)
+    )
+    (row,) = report.rows
+    assert row.error == "" and row.trace.all_passed
+    assert (row.report.index, row.report.mld) == (384, F(481, 384))
+    assert (row.trace.threshold, row.trace.gamma) == (481, F(320, 44733))
+    text = report.to_json() + proof.serialize_trace(row.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "882e5a0dc65f4fd519b2e01387e2ad12cdc970d9406059857c78999a5e2f0cb2"
+    )
+    assert time.perf_counter() - start < 60
+
+
 def test_random_cone_resampling_budget(monkeypatch):
     import toricmld.families as fam
 

@@ -811,12 +811,13 @@ def pulling_volume(P):
     return Fraction(total, P.den**k * math.factorial(k))
 
 
-def test_kept_triangulations_give_the_pulling_volume():
+def test_images_follow_the_volume_laws():
     """Seeded hulls in 2D–6D of a simplex and 0–6 more points, measured
-    first, so that their translates and positive homothets carry the
-    triangulation and the pyramids over them derive it; the bipyramids
-    pull their own.  Every volume, with its determinants shared along the
-    simplices' common rows, is the oracle's."""
+    first, and their translates, positive homothets, pyramids and
+    bipyramids: no image carries the hull's triangulation, each is pulled on
+    its own, and every volume, with its determinants shared along the
+    simplices' common rows, is the oracle's and the one the translate,
+    homothety and pyramid laws derive from the hull's."""
     rng = random.Random(20261020)
     for _ in range(200):
         d = rng.randint(2, 6)
@@ -826,18 +827,20 @@ def test_kept_triangulations_give_the_pulling_volume():
             if matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == d:
                 break
         P = geo.convex_hull(pts, rng.randint(1, 3))
-        assert geo.normalized_volume(P) == pulling_volume(P)
-        kept = len(P.rows) > d + 1  # a simplex needs no triangulation
+        vol = geo.normalized_volume(P)
+        assert vol == pulling_volume(P)
         z = tuple(Fraction(sum(c), len(P.rows)) for c in zip(*P.vertices))
         t = Fraction(rng.randint(1, 7), rng.randint(1, 4))
         h = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        cone = geo.cone_over(h, P)
-        for image in (geo.translate(P, z), geo.scale_about(P, t, z), cone):
-            assert ("_triangulation" in vars(image)) is kept
-            assert geo.normalized_volume(image) == pulling_volume(image)
-        assert geo.normalized_volume(cone) == h * geo.normalized_volume(P) / (d + 1)
-        body = geo.bipyramid(h, P, z)
-        assert geo.normalized_volume(body) == pulling_volume(body)
+        laws = (
+            (geo.translate(P, z), vol),
+            (geo.scale_about(P, t, z), t**d * vol),
+            (geo.cone_over(h, P), h * vol / (d + 1)),
+            (geo.bipyramid(h, P, z), 2 * h * vol / (d + 1)),
+        )
+        for image, derived in laws:
+            assert "_triangulation" not in vars(image)
+            assert geo.normalized_volume(image) == pulling_volume(image) == derived
 
 
 def test_closed_form_facets_take_the_rank_test_off_the_base():

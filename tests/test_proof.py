@@ -363,7 +363,7 @@ def test_shrink_rejects_bad_center_and_scale():
 
 def test_minkowski_certificate_frozen():
     S = segment(0, 2)
-    core, body, volume, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S))
+    core, body, volume, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S), F(4))
     assert core.vertices == ((F(0),), (F(2),))
     assert normalized_volume(body) == volume == 4
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
@@ -374,7 +374,7 @@ def test_minkowski_certificate_flags_non_unique_body():
     # [0, 4] still holds three interior lattice points, so both the interior
     # uniqueness and the empty-pyramid checks must fail
     S = segment(0, 4)
-    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S))
+    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S), F(8))
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
     assert not by_name["pyramid-interior-empty"]
@@ -383,15 +383,15 @@ def test_minkowski_certificate_flags_non_unique_body():
 def test_minkowski_certificate_input_validation():
     S = segment(0, 2)
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, (1,), 0, F(1, 2), difference_body(S))
+        minkowski_certificate(S, (1,), 0, F(1, 2), difference_body(S), F(4))
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, (1,), 2, F(3, 5), difference_body(S))
+        minkowski_certificate(S, (1,), 2, F(3, 5), difference_body(S), F(4))
 
 
 def test_chain_verify_frozen_quadrant_numbers():
     S = segment(0, 2)
     D = difference_body(S)
-    checks = chain_verify(1, 2, 1, F(1, 2), S, D, D)
+    checks = chain_verify(1, 2, 1, F(1, 2), S, D, D, F(1), F(4))
     assert [c.name for c in checks] == list(CHECK_NAMES[-5:])
     assert all(c.passed for c in checks)
 
@@ -399,10 +399,75 @@ def test_chain_verify_frozen_quadrant_numbers():
 def test_chain_verify_detects_inconsistencies():
     S = segment(0, 2)
     D = difference_body(S)
-    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, D, D)}
+    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, D, D, F(1), F(4))}
     assert not by_name["chain-cross-section"].passed  # gamma does not match core
-    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, D, D)}
+    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, D, D, F(1), F(4))}
     assert not by_name["chain-index"].passed
+
+
+NUDGE = 1 + F(1, 10**6)
+
+
+def edit_argument(i, edit):
+    """Wrap a function so that its positional argument ``i`` is edited."""
+    return lambda f: lambda *args: f(*args[:i], edit(args[i]), *args[i + 1 :])
+
+
+# Per volume-bearing check: the ``proof`` name patched and the wrapper of
+# the original that edits one input.  On the smooth quadrant the body fills
+# Minkowski's budget, so a 10⁻⁶ nudge crosses the bound.
+VOLUME_MUTATIONS = [
+    pytest.param(
+        "certificate-volume",
+        "normalized_volume",
+        lambda f: lambda P: f(P) * NUDGE if P.dim == 2 else f(P),
+        id="certificate-volume-measured",
+    ),
+    pytest.param(
+        "certificate-bipyramid",
+        "bipyramid",
+        lambda f: lambda h, Q, z: geometry.scale_about(f(h, Q, z), 1 / NUDGE, (h,) + tuple(z)),
+        id="certificate-bipyramid-body-shrunk",
+    ),
+    pytest.param(
+        "chain-minkowski",
+        "chain_verify",
+        edit_argument(8, lambda v: v * NUDGE),
+        id="chain-minkowski-volume",
+    ),
+    pytest.param(
+        "chain-cross-section",
+        "chain_verify",
+        edit_argument(6, lambda P: geometry.scale_about(P, NUDGE, (0,) * P.dim)),
+        id="chain-cross-section-diff-shrunk",
+    ),
+    pytest.param(
+        "chain-cross-section",
+        "chain_verify",
+        edit_argument(4, lambda P: geometry.scale_about(P, NUDGE, (0,) * P.dim)),
+        id="chain-cross-section-core",
+    ),
+    pytest.param(  # the measured volume 4, halved and nudged below the floor 2
+        "chain-difference",
+        "chain_verify",
+        edit_argument(8, lambda v: v / 2 / NUDGE),
+        id="chain-difference-volume",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, target, wrap", VOLUME_MUTATIONS)
+def test_every_volume_check_can_fail(monkeypatch, name, target, wrap):
+    """Each check that reads a volume, measured or derived, fails under an
+    edit of one of its inputs: in the trace, and as the first failure a
+    strict proof raises."""
+    assert prove(QUADRANT).all_passed
+    monkeypatch.setattr(proof, target, wrap(getattr(proof, target)))
+    trace = prove(QUADRANT, strict=False)
+    assert name in [c.name for c in trace.checks if not c.passed]
+    with pytest.raises(CheckFailed) as err:
+        prove(QUADRANT, strict=True)
+    assert err.value.name == name
 
 
 def test_pyramid_volume_rule_pinned():
@@ -464,15 +529,30 @@ EXACT_INPUTS = [
     pytest.param(lambda x: as_int_vector((x, 2)), (1.0, True, "1"), id="as_int_vector"),
     pytest.param(lambda x: pairs.bound_check(compute_mld(SMOOTH_3D), x), INEXACT, id="bound_check-gamma"),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, (1,), 2, x, difference_body(TWO)), INEXACT, id="minkowski-gamma"
+        lambda x: minkowski_certificate(TWO, (1,), 2, x, difference_body(TWO), F(4)), INEXACT, id="minkowski-gamma"
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, (1,), x, F(1, 2), difference_body(TWO)), INEXACT, id="minkowski-j"
+        lambda x: minkowski_certificate(TWO, (1,), x, F(1, 2), difference_body(TWO), F(4)), INEXACT, id="minkowski-j"
     ),
     pytest.param(
-        lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), difference_body(TWO)),
+        lambda x: minkowski_certificate(TWO, (1,), 2, F(1, 2), difference_body(TWO), x),
+        INEXACT,
+        id="minkowski-volume",
+    ),
+    pytest.param(
+        lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), difference_body(TWO), F(1), F(4)),
         INEXACT,
         id="chain_verify-gamma",
+    ),
+    pytest.param(
+        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), difference_body(TWO), x, F(4)),
+        INEXACT,
+        id="chain_verify-shrink",
+    ),
+    pytest.param(
+        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), difference_body(TWO), F(1), x),
+        INEXACT,
+        id="chain_verify-volume",
     ),
     pytest.param(
         lambda x: build_box(QUADRANT, (1, 1), x, (1, 0), kernel_sublattice((1, 1), 2)), INEXACT, id="build_box-n"

@@ -130,3 +130,32 @@ def test_the_scan_sees_convex_hull_calls(tmp_path):
         "class C:\n    def m(self):\n        convex_hull(self.rows)\n"
     )
     assert convex_hull_calls(module) == [(None, 2), ("f", 5), ("C", 9)]
+
+
+def triangulation_names(path):
+    """The lines of ``path`` that spell ``"_triangulation"`` as a string:
+    that is how an entry is written into a polytope's instance cache
+    (``vars(P)["_triangulation"] = …``, or a list of names to copy there).
+    Reading ``P._triangulation`` pulls the polytope's own rows and is not
+    flagged, so every triangulation stays its polytope's own pulling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "_triangulation"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_triangulation_is_stored_into_a_cache(path):
+    assert triangulation_names(path) == []
+
+
+def test_the_scan_sees_a_stored_triangulation(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        'vars(C)["_triangulation"] = t\nsimplices = P._triangulation\n'
+        'for name in ("_triangulation", "_basis"):\n    vars(Q)[name] = vars(P)[name]\n'
+        'def f():\n    """Reads ``_triangulation``."""\nsetattr(Q, "_triangulation", t)\n'
+    )
+    assert triangulation_names(module) == [1, 3, 7]
