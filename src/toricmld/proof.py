@@ -202,6 +202,8 @@ def verify_bullets(
       interior of ``i·box`` as its section at height ``0 < i < j``, so it
       holds a lattice point exactly when one of those dilates does, and only
       then is the least height of such a point taken, which names the first.
+      Its verdict also decides ``pyramid-interior-empty``
+      (:func:`minkowski_certificate`).
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -301,12 +303,14 @@ def shrink_to_unique(
 
 
 def minkowski_certificate(
+    dilated: RatPolytope,
     shrunk: RatPolytope,
     z: Sequence[int],
     j: int,
     gamma: Fraction,
     diff: RatPolytope,
     vol_diff: Fraction,
+    threshold_passed: bool,
 ) -> tuple[RatPolytope, RatPolytope, Fraction, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
@@ -318,7 +322,10 @@ def minkowski_certificate(
     central symmetry, the center is the only interior lattice point, volume
     at most ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension)
     and twice the half-cone's, ``j·gamma^{D-1}·vol_diff/D`` by the pyramid
-    rule, and the pyramid over the shrunk body has no interior lattice point.
+    rule, and ``pyramid-interior-empty``, read without a walk: when the
+    rows of ``shrunk`` satisfy the facets of ``dilated``, the pyramid
+    ``conv(0, {j}×shrunk)`` lies in ``conv(0, {j}×dilated)``, whose interior
+    below height ``j`` :func:`verify_bullets` found empty (``threshold_passed``).
     """
     if type(j) is not int or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
@@ -326,7 +333,9 @@ def minkowski_certificate(
         raise InvalidParameters("inscription factor must be a Fraction in (0, 1/2]")
     if not isinstance(vol_diff, Fraction):
         raise InvalidParameters(f"volume must be a Fraction, got {vol_diff!r}")
-    k = shrunk.dim
+    if not isinstance(dilated, RatPolytope) or type(threshold_passed) is not bool:
+        raise InvalidParameters("needs the dilated section and the threshold verdict, a bool")
+    k = diff.dim
     z = as_int_vector(z)
     core = translate(scale_about(diff, gamma, (0,) * k), z)
     center = (j,) + z
@@ -360,16 +369,14 @@ def minkowski_certificate(
     half = j * gamma**k * vol_diff / D  # the cone over {j}×K, not built
     detail = f"body {vol} vs twice the half-cone {2 * half}"
     checks.append(CheckResult("certificate-bipyramid", vol == 2 * half, detail))
-    empty = not any_lattice_point(cone_over(j, shrunk), strict=True)
-    checks.append(
-        CheckResult(
-            "pyramid-interior-empty",
-            empty,
-            "no interior lattice points below the threshold"
-            if empty
-            else "pyramid over the shrunk body contains an interior lattice point",
-        )
+    inside = all(
+        dilated.den * dot(u, r) <= c * shrunk.den
+        for u, c in dilated.int_facets for r in shrunk.rows
     )
+    detail = "dilation-threshold failed" if not threshold_passed else (
+        "no interior lattice points below the threshold" if inside else "shrunk body leaves dilated"
+    )
+    checks.append(CheckResult("pyramid-interior-empty", threshold_passed and inside, detail))
     return core, body, vol, tuple(checks)
 
 
@@ -556,31 +563,20 @@ def prove(
         raise CheckFailed("threshold-integrality", f"n·mld = {threshold}")
     j = int(threshold)
     q = report.mld_denominator
-    if d > 2:
-        # the pyramids over the homothets below read the section's facet
-        # spans (a segment's need no rank): taken now, so that they carry
-        section._spanning
     dilated = scale_about(section, j, (0,) * (d - 1))
     interior = enumerate_points(dilated, strict=True)
     checks = list(verify_bullets(section, levels, n, j, q, interior))
     t, shrunk, center = shrink_to_unique(dilated, q, interior)
-    checks.append(
-        CheckResult(
-            "shrink-uniqueness", True, f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
-        )
-    )
+    detail = f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
+    checks.append(CheckResult("shrink-uniqueness", True, detail))
     gamma = max_gamma(shrunk, center)
-    checks.append(
-        CheckResult(
-            "gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"
-        )
-    )
+    checks.append(CheckResult("gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"))
     # shrunk − shrunk = t·(dilated − dilated): one hull and one pulling for both
     diff_dilated = difference_body(dilated)
     vol_dilated = normalized_volume(diff_dilated)
     diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
     core, body, volume, mk_checks = minkowski_certificate(
-        shrunk, center, j, gamma, diff_shrunk, t ** (d - 1) * vol_dilated
+        dilated, shrunk, center, j, gamma, diff_shrunk, t ** (d - 1) * vol_dilated, checks[0].passed
     )
     checks.extend(mk_checks)
     checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk, t, vol_dilated))

@@ -363,7 +363,7 @@ def test_shrink_rejects_bad_center_and_scale():
 
 def test_minkowski_certificate_frozen():
     S = segment(0, 2)
-    core, body, volume, checks = minkowski_certificate(S, (1,), 2, F(1, 2), difference_body(S), F(4))
+    core, body, volume, checks = minkowski_certificate(S, S, (1,), 2, F(1, 2), difference_body(S), F(4), True)
     assert core.vertices == ((F(0),), (F(2),))
     assert normalized_volume(body) == volume == 4
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
@@ -374,7 +374,7 @@ def test_minkowski_certificate_flags_non_unique_body():
     # [0, 4] still holds three interior lattice points, so both the interior
     # uniqueness and the empty-pyramid checks must fail
     S = segment(0, 4)
-    _, _, _, checks = minkowski_certificate(S, (2,), 2, F(1, 2), difference_body(S), F(8))
+    _, _, _, checks = minkowski_certificate(S, S, (2,), 2, F(1, 2), difference_body(S), F(8), False)
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
     assert not by_name["pyramid-interior-empty"]
@@ -383,9 +383,9 @@ def test_minkowski_certificate_flags_non_unique_body():
 def test_minkowski_certificate_input_validation():
     S = segment(0, 2)
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, (1,), 0, F(1, 2), difference_body(S), F(4))
+        minkowski_certificate(S, S, (1,), 0, F(1, 2), difference_body(S), F(4), True)
     with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, (1,), 2, F(3, 5), difference_body(S), F(4))
+        minkowski_certificate(S, S, (1,), 2, F(3, 5), difference_body(S), F(4), True)
 
 
 def test_chain_verify_frozen_quadrant_numbers():
@@ -470,6 +470,114 @@ def test_every_volume_check_can_fail(monkeypatch, name, target, wrap):
     assert err.value.name == name
 
 
+# A 3D pair shrunk by t = 1/12: its shrunk difference body falls below the
+# floor, so chain-dilation caps j at 4056, below Minkowski's cap of 9984.
+THIN_SHRINK_3D = ToricLogPair(
+    3, ((2, -3, 0), (1, -2, 1), (2, 3, 1)), standard_coefficients([F(2, 3), F(2, 3), F(1, 2)])
+)
+
+# Per remaining check: the pair, every check the edit fails in trace order
+# (a strict proof raises the first), the ``proof`` name patched and the
+# wrapper of the original that edits one input.  ``shrink-uniqueness`` and
+# ``gamma-range`` have no row: ``shrink_to_unique`` and the input check of
+# ``minkowski_certificate`` raise before either can read FAIL.
+CHECK_MUTATIONS = [
+    pytest.param(
+        THIRD,
+        ("vertex-denominators",),
+        "verify_bullets",
+        edit_argument(2, lambda n: n + 1),
+        id="vertex-denominators-index",
+    ),
+    pytest.param(
+        THIRD,
+        ("vertex-orders",),
+        "verify_bullets",
+        edit_argument(1, lambda levels: tuple(m + 1 for m in levels)),
+        id="vertex-orders-levels",
+    ),
+    pytest.param(
+        THIRD,
+        ("dilation-threshold", "pyramid-interior-empty"),
+        "verify_bullets",
+        edit_argument(5, lambda interior: ()),
+        id="dilation-threshold-no-interior-point",
+    ),
+    pytest.param(
+        THIRD,
+        ("certificate-symmetry",),
+        "translate",
+        lambda f: lambda P, w: f(P, tuple(x + F(1, 10**6) for x in w)),
+        id="certificate-symmetry-core-moved",
+    ),
+    pytest.param(
+        THIRD,
+        ("certificate-unique-interior",),
+        "enumerate_points",
+        lambda f: lambda P, **kw: f(P, **kw) + (((0, 0),) if P.dim == 2 else ()),
+        id="certificate-unique-interior-extra-point",
+    ),
+    pytest.param(  # the threshold walk of dilate j + 1 finds dilate j's point
+        THIRD,
+        ("dilation-threshold", "pyramid-interior-empty"),
+        "verify_bullets",
+        edit_argument(3, lambda j: j + 1),
+        id="pyramid-interior-empty-threshold-walk",
+    ),
+    pytest.param(
+        THIRD,
+        ("pyramid-interior-empty",),
+        "minkowski_certificate",
+        edit_argument(1, lambda P: geometry.translate(P, (1,) * P.dim)),
+        id="pyramid-interior-empty-containment",
+    ),
+    pytest.param(
+        THIN_SHRINK_3D,
+        ("chain-dilation", "chain-index"),
+        "chain_verify",
+        edit_argument(1, lambda j: 5000),
+        id="chain-dilation-threshold",
+    ),
+    pytest.param(
+        THIRD,
+        ("chain-index",),
+        "chain_verify",
+        edit_argument(0, lambda n: 1000 * n),
+        id="chain-index-index",
+    ),
+]
+
+
+@pytest.mark.parametrize("pair, failing, target, wrap", CHECK_MUTATIONS)
+def test_every_check_can_fail(monkeypatch, pair, failing, target, wrap):
+    """Each check that no volume drives fails under an edit of one input:
+    in the trace exactly the checks listed do, and a strict proof raises
+    the first of them."""
+    assert prove(pair).all_passed
+    monkeypatch.setattr(proof, target, wrap(getattr(proof, target)))
+    trace = prove(pair, strict=False)
+    assert tuple(c.name for c in trace.checks if not c.passed) == failing
+    with pytest.raises(CheckFailed) as err:
+        prove(pair, strict=True)
+    assert err.value.name == failing[0]
+
+
+def test_shrink_uniqueness_raises_in_every_mode(monkeypatch):
+    """The shrink's (1/q)-walks made empty leave ``z`` missing from the
+    contraction: ``prove`` raises ``shrink-uniqueness`` even when not
+    strict, so the trace never records it failed."""
+    walk_points = proof.enumerate_points
+    monkeypatch.setattr(
+        proof,
+        "enumerate_points",
+        lambda P, **kw: () if kw.get("scale", 1) > 1 else walk_points(P, **kw),
+    )
+    for strict in (False, True):
+        with pytest.raises(CheckFailed) as err:
+            prove(THIRD, strict=strict)
+        assert err.value.name == "shrink-uniqueness"
+
+
 def test_pyramid_volume_rule_pinned():
     square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     check = lemma_vo_check(2, square)
@@ -529,15 +637,29 @@ EXACT_INPUTS = [
     pytest.param(lambda x: as_int_vector((x, 2)), (1.0, True, "1"), id="as_int_vector"),
     pytest.param(lambda x: pairs.bound_check(compute_mld(SMOOTH_3D), x), INEXACT, id="bound_check-gamma"),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, (1,), 2, x, difference_body(TWO), F(4)), INEXACT, id="minkowski-gamma"
+        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, x, difference_body(TWO), F(4), True),
+        INEXACT,
+        id="minkowski-gamma",
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, (1,), x, F(1, 2), difference_body(TWO), F(4)), INEXACT, id="minkowski-j"
+        lambda x: minkowski_certificate(TWO, TWO, (1,), x, F(1, 2), difference_body(TWO), F(4), True),
+        INEXACT,
+        id="minkowski-j",
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, (1,), 2, F(1, 2), difference_body(TWO), x),
+        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, F(1, 2), difference_body(TWO), x, True),
         INEXACT,
         id="minkowski-volume",
+    ),
+    pytest.param(
+        lambda x: minkowski_certificate(x, TWO, (1,), 2, F(1, 2), difference_body(TWO), F(4), True),
+        INEXACT,
+        id="minkowski-dilated",
+    ),
+    pytest.param(
+        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, F(1, 2), difference_body(TWO), F(4), x),
+        (1, 0.5, "True"),
+        id="minkowski-threshold",
     ),
     pytest.param(
         lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), difference_body(TWO), F(1), F(4)),
@@ -784,6 +906,32 @@ def test_prove_hull_calls_are_bounded(monkeypatch):
     )
     assert prove(pair).all_passed
     assert len(calls) <= 15
+
+
+# The pair of the hull bound above.
+PINNED_4D = ToricLogPair(
+    4,
+    ((-1, 2, -2, 0), (-2, 1, 1, 1), (1, -1, -2, 1), (-2, 1, 1, 2)),
+    standard_coefficients([F(2, 3), 0, F(1, 2), 0]),
+)
+
+
+def test_prove_walks_one_pyramid(monkeypatch):
+    """The pinned 4D pair's proof builds three checked bodies (the pyramid
+    of the threshold walk, the difference body and the bipyramid), walks
+    six times and takes four LLL bases, the invariants included: the pyramid
+    over the shrunk body is read from the threshold walk, not built."""
+    calls = {name: 0 for name in ("_checked", "_iter_points", "_lll")}
+    for name in calls:
+        original = getattr(geometry, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(geometry, name, spy)
+    assert prove(PINNED_4D).all_passed
+    assert calls == {"_checked": 3, "_iter_points": 6, "_lll": 4}
 
 
 def test_threshold_walk_of_a_wide_5d_section_is_fast():

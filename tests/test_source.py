@@ -97,10 +97,10 @@ def test_the_scan_sees_quotient_lattice(tmp_path):
     assert names_quotient_lattice(module) == [1, 3, 4]
 
 
-def convex_hull_calls(path):
-    """The calls to ``convex_hull`` in ``path``, by name or as an attribute,
-    each as the name of the top-level definition it sits in (``None`` at
-    module level) and its line."""
+def calls_to(path, callee):
+    """The calls to ``callee`` in ``path``, by name or as an attribute, each
+    as the name of the top-level definition it sits in (``None`` at module
+    level) and its line."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     calls = []
     for top in tree.body:
@@ -108,7 +108,7 @@ def convex_hull_calls(path):
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name == "convex_hull":
+                if name == callee:
                     calls.append((owner, node.lineno))
     return sorted(calls, key=lambda call: call[1])
 
@@ -118,7 +118,7 @@ def test_geometry_hulls_only_the_difference_body_of_a_non_simplex():
     once, in its fallback for a polytope that is not a simplex of dimension
     ≥ 3: the walker's projections and cuts, the pyramids and the simplex
     difference body come from facets already known and can never re-hull."""
-    calls = convex_hull_calls(SRC / "toricmld" / "geometry.py")
+    calls = calls_to(SRC / "toricmld" / "geometry.py", "convex_hull")
     assert [owner for owner, _ in calls] == ["difference_body"]
 
 
@@ -129,7 +129,25 @@ def test_the_scan_sees_convex_hull_calls(tmp_path):
         "def f(P):\n    def g():\n        return geo.convex_hull(P.rows)\n    return g\n"
         "class C:\n    def m(self):\n        convex_hull(self.rows)\n"
     )
-    assert convex_hull_calls(module) == [(None, 2), ("f", 5), ("C", 9)]
+    assert calls_to(module, "convex_hull") == [(None, 2), ("f", 5), ("C", 9)]
+
+
+def test_proof_builds_pyramids_only_to_walk_and_to_measure():
+    """Inside ``proof.py`` only ``verify_bullets`` (the threshold walk) and
+    ``lemma_vo_check`` (the pyramid volume rule) call ``cone_over``: the
+    pyramid over the shrunk body is read from the threshold walk and a
+    containment, never built."""
+    calls = calls_to(SRC / "toricmld" / "proof.py", "cone_over")
+    assert sorted({owner for owner, _ in calls}) == ["lemma_vo_check", "verify_bullets"]
+
+
+def test_the_scan_sees_cone_over_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .geometry import cone_over\ndef verify_bullets(box):\n    return cone_over(1, box)\n"
+        "def minkowski_certificate(j, shrunk):\n    return geometry.cone_over(j, shrunk)\n"
+    )
+    assert calls_to(module, "cone_over") == [("verify_bullets", 3), ("minkowski_certificate", 5)]
 
 
 def triangulation_names(path):
