@@ -128,11 +128,8 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
     A dimension that is not an ``int`` (a ``bool`` included) raises
     :class:`InvalidParameters`.
 
-    The geometry is read from the cone's cached :class:`_ConeRecord`.  Of
-    distinct primitive rays of a pointed cone, one is extreme exactly when
-    no other ray's mask of tight facet normals contains its own: the rays
-    on its minimal face generate that face (Ziegler, *Lectures on
-    Polytopes*, 1995).
+    The geometry is read from the cone's cached :class:`_ConeRecord`, and
+    extremality from its masks by :func:`_extreme`.
     """
     d = pair.dim
     if type(d) is not int:
@@ -154,11 +151,17 @@ def validate_pair(pair: ToricLogPair) -> ToricLogPair:
         raise RedundantRay("a ray is listed twice")
     if not cone.normals:
         raise NotStronglyConvex("the cone contains a line")
-    masks = cone.masks
-    for e, mask in zip(pair.rays, masks):
-        if sum((m & mask) == mask for m in masks) > 1:
+    for e, extreme in zip(pair.rays, _extreme(cone.masks)):
+        if not extreme:
             raise RedundantRay(f"ray {e} is not an extreme ray of the cone")
     return pair
+
+
+def _extreme(masks: Sequence[int]) -> list[bool]:
+    """Per distinct primitive generator of a pointed cone, by its mask of
+    tight facet normals: whether it is extreme, i.e. no other mask contains
+    its own (those on its minimal face generate that face; Ziegler 1995)."""
+    return [sum(n & m == m for n in masks) == 1 for m in masks]
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,8 @@ class _ConeRecord:
     generators span the space, its outer facet normals (through the origin)
     and, per generator, the bitmask of the normals tight on it (bit ``k``
     for ``normals[k]``).  Normals and masks are empty when the generators
-    do not span or the cone contains a line.  Of distinct primitive
-    generators of a pointed cone, one is extreme exactly when no other
-    generator's mask contains its own.  :func:`validate_pair` builds the
+    do not span or the cone contains a line; :func:`_extreme` reads
+    extremality from the masks.  :func:`validate_pair` builds the
     record after its primitivity check and reads it in this order of
     precedence: spanning, then repeated rays, then a line in the cone, then
     extremality."""
@@ -278,8 +280,8 @@ def quotient_pair(pair: ToricLogPair, w: IntVector) -> tuple[ToricLogPair, IntMa
             levels.setdefault(tuple(x // k for x in image), BoundaryCoefficient(k * c.level))
     rays = tuple(levels)
     if len(rays) > len(lift):
-        masks = _cone_record(rays, len(lift)).masks
-        rays = tuple(p for p, m in zip(rays, masks) if sum(n & m == m for n in masks) == 1)
+        extreme = _extreme(_cone_record(rays, len(lift)).masks)
+        rays = tuple(p for p, x in zip(rays, extreme) if x)
     return ToricLogPair(len(lift), rays, [levels[p] for p in rays]), lift
 
 
@@ -314,9 +316,8 @@ def _slab(rays: IntMatrix, w: IntVector, normals: Sequence[IntVector]) -> RatPol
     ``normals``.  From 3D on its facets are those and the cut, and each
     spans a hyperplane: a cone facet with 0 and the rays on it, the cut
     with every ray.  Up to 2D, where that costs more than a hull, and when
-    a ray is not extreme (its mask of tight normals is contained in another
-    ray's, as in :func:`validate_pair`, so the pair was not validated), it
-    is hulled."""
+    a ray is not extreme (:func:`_extreme`, so the pair was not validated),
+    it is hulled."""
     level = dot(w, _interior_sum(rays))
     vals = [dot(w, p) for p in rays]
     den = math.lcm(*vals)
@@ -324,7 +325,7 @@ def _slab(rays: IntMatrix, w: IntVector, normals: Sequence[IntVector]) -> RatPol
     if len(w) <= 2:
         return convex_hull(points, den)
     masks = [sum(1 << k for k, u in enumerate(normals) if not dot(u, p)) for p in rays]
-    if any(sum(n & m == m for n in masks) > 1 for m in masks):
+    if not all(_extreme(masks)):
         return convex_hull(points, den)
     order = sorted(range(len(points)), key=points.__getitem__)
     bit = [0] * len(points)

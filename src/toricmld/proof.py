@@ -202,8 +202,8 @@ def verify_bullets(
       interior of ``i·box`` as its section at height ``0 < i < j``, so it
       holds a lattice point exactly when one of those dilates does, and only
       then is the least height of such a point taken, which names the first.
-      Its verdict also decides ``pyramid-interior-empty``
-      (:func:`minkowski_certificate`).
+      Its verdict also decides ``pyramid-interior-empty``, which
+      :func:`prove` reads together with a containment of the shrunk body.
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -263,7 +263,8 @@ def shrink_to_unique(
     normal ``u``, so its gauge is at least ``den/(q·max slack)`` and the
     contraction by ``τ/2`` holds none; the first non-empty contraction, at
     a factor at most twice the answer, holds every point of least gauge.
-    Returns ``(factor, shrunk, z)``.
+    Returns ``(factor, shrunk, z)``; :func:`prove` walks ``shrunk`` to check
+    that ``z`` is its only (1/q)-point (``shrink-uniqueness``).
     """
     if type(q) is not int or q < 1:
         raise InvalidParameters("denominator scale must be a positive integer")
@@ -294,50 +295,43 @@ def shrink_to_unique(
             break
         tau = min(Fraction(1), 2 * tau)
     shrunk = scale_about(S, t, z) if t < 1 else S
-    if enumerate_points(shrunk, scale=q, strict=True) != (qz,):
-        raise CheckFailed(
-            "shrink-uniqueness",
-            f"(1/{q})-points other than {z} survive inside the contraction",
-        )
     return t, shrunk, tuple(z)
 
 
 def minkowski_certificate(
-    dilated: RatPolytope,
-    shrunk: RatPolytope,
     z: Sequence[int],
     j: int,
     gamma: Fraction,
+    shrink: Fraction,
     diff: RatPolytope,
     vol_diff: Fraction,
-    threshold_passed: bool,
 ) -> tuple[RatPolytope, RatPolytope, Fraction, tuple[CheckResult, ...]]:
     """Build the symmetric certificate body and verify its properties.
 
-    ``diff`` is the difference body ``shrunk − shrunk``, of volume
-    ``vol_diff``.  The core ``K = z + gamma·diff`` is centrally symmetric
-    and inscribed in the shrunk body; the certificate is the bipyramid over
+    ``diff`` is the difference body ``S − S`` of the dilated section, of
+    measured volume ``vol_diff``.  The shrunk body is ``z + shrink·(S −
+    z)``, so its difference body is ``shrink·diff``, and the core ``K = z +
+    gamma·shrink·diff``, one image of ``diff``, is centrally symmetric and
+    inscribed in the shrunk body; the certificate is the bipyramid over
     ``{j}×K`` with apexes at the origin and at ``2·(j, z)``.  Returns ``(K,
     certificate, its normalized volume, checks)``.  Checks: vertexwise
     central symmetry, the center is the only interior lattice point, volume
     at most ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension)
-    and twice the half-cone's, ``j·gamma^{D-1}·vol_diff/D`` by the pyramid
-    rule, and ``pyramid-interior-empty``, read without a walk: when the
-    rows of ``shrunk`` satisfy the facets of ``dilated``, the pyramid
-    ``conv(0, {j}×shrunk)`` lies in ``conv(0, {j}×dilated)``, whose interior
-    below height ``j`` :func:`verify_bullets` found empty (``threshold_passed``).
+    and twice the half-cone's, ``j·(gamma·shrink)^{D-1}·vol_diff/D`` by the
+    pyramid rule.
     """
     if type(j) is not int or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
     if not isinstance(gamma, Fraction) or not 0 < gamma <= Fraction(1, 2):
         raise InvalidParameters("inscription factor must be a Fraction in (0, 1/2]")
+    if not isinstance(shrink, Fraction) or not 0 < shrink <= 1:
+        raise InvalidParameters("shrink factor must be a Fraction in (0, 1]")
     if not isinstance(vol_diff, Fraction):
         raise InvalidParameters(f"volume must be a Fraction, got {vol_diff!r}")
-    if not isinstance(dilated, RatPolytope) or type(threshold_passed) is not bool:
-        raise InvalidParameters("needs the dilated section and the threshold verdict, a bool")
     k = diff.dim
     z = as_int_vector(z)
-    core = translate(scale_about(diff, gamma, (0,) * k), z)
+    factor = gamma * shrink
+    core = translate(scale_about(diff, factor, (0,) * k), z)
     center = (j,) + z
     body = bipyramid(j, core, z)
     D = k + 1
@@ -366,18 +360,15 @@ def minkowski_certificate(
     checks.append(
         CheckResult("certificate-volume", vol <= 2**D, f"volume {vol} vs 2^{D} = {2 ** D}")
     )
-    half = j * gamma**k * vol_diff / D  # the cone over {j}×K, not built
+    half = j * factor**k * vol_diff / D  # the cone over {j}×K, not built
     detail = f"body {vol} vs twice the half-cone {2 * half}"
     checks.append(CheckResult("certificate-bipyramid", vol == 2 * half, detail))
-    inside = all(
-        dilated.den * dot(u, r) <= c * shrunk.den
-        for u, c in dilated.int_facets for r in shrunk.rows
-    )
-    detail = "dilation-threshold failed" if not threshold_passed else (
-        "no interior lattice points below the threshold" if inside else "shrunk body leaves dilated"
-    )
-    checks.append(CheckResult("pyramid-interior-empty", threshold_passed and inside, detail))
     return core, body, vol, tuple(checks)
+
+
+def _contains_rows(P: RatPolytope, Q: RatPolytope) -> bool:
+    """Whether ``Q ⊆ P``: every integer row of ``Q`` meets every facet of ``P``."""
+    return all(P.den * dot(u, r) <= c * Q.den for u, c in P.int_facets for r in Q.rows)
 
 
 def chain_verify(
@@ -387,18 +378,17 @@ def chain_verify(
     gamma: Fraction,
     core: RatPolytope,
     diff_dilated: RatPolytope,
-    diff_shrunk: RatPolytope,
     shrink: Fraction,
     vol_dilated: Fraction,
 ) -> tuple[CheckResult, ...]:
     """Exact inequality chain from the certificate volume to the index bound.
 
-    ``diff_dilated`` and ``diff_shrunk`` are the difference bodies of the
-    dilated and the shrunk cross-section.  Only the first one's volume,
-    ``vol_dilated``, is measured: the homothety law derives the others from
-    the maps ``chain-cross-section`` checks on the rows, ``diff_shrunk =
-    shrink·diff_dilated`` and ``core`` a translate of ``γ·diff_shrunk``.
-    With ``D = core.dim + 1`` the certificate dimension:
+    ``diff_dilated`` is the difference body of the dilated cross-section,
+    of measured volume ``vol_dilated``; the shrunk body's is
+    ``shrink·diff_dilated``.  The homothety law derives that volume and the
+    core's from the one map ``chain-cross-section`` checks on the rows,
+    ``core`` a translate of ``γ·shrink·diff_dilated``.  With ``D = core.dim
+    + 1`` the certificate dimension:
 
     1. ``2·j·vol(core)/D ≤ 2^D``            (Minkowski cap, pyramid volumes)
     2. ``vol(core) = γ^{D-1}·vol(shrunk − shrunk)``
@@ -416,8 +406,7 @@ def chain_verify(
     c1 = CheckResult(
         "chain-minkowski", cap <= 2**D, f"2·{j}·{vol_core}/{D} = {cap} vs {2 ** D}"
     )
-    mapped = _offsets(diff_dilated, diff_shrunk, shrink) == {(0,) * k}
-    mapped = mapped and len(_offsets(diff_shrunk, core, gamma)) == 1
+    mapped = len(_offsets(diff_dilated, core, gamma * shrink)) == 1
     detail = f"{vol_core} vs {gamma}^{k}·{vol_shrunk}"
     c2 = CheckResult("chain-cross-section", mapped, detail + ("" if mapped else ", rows unmapped"))
     floor = Fraction(2**k, factorial(k) * q**k)
@@ -532,16 +521,19 @@ def prove(
     Builds the cross-section, enumerates the interior lattice points of its
     threshold dilate once for the structural facts and the shrink, shrinks
     to a unique (1/q)-point, assembles the symmetric certificate and the
-    inequality chain, and evaluates the final index bound.  With ``strict``
-    the first failed verification raises :class:`CheckFailed`; otherwise
-    failures are collected in the returned trace, except for the checks
-    the pipeline cannot continue past (the cross-section's consistency,
-    threshold integrality and shrink uniqueness), which raise
-    :class:`CheckFailed` either way.  Raises :class:`NotKlt`
-    (vanishing discrepancy functional or a coefficient equal to 1) or
-    :class:`DimensionTooSmall` for pairs outside the construction's scope.
-    A caller that already holds the pair's :class:`LogCanonicalReport` may
-    pass it to skip recomputing the invariants.
+    inequality chain from the one measured difference body of the dilate,
+    and evaluates the final index bound.  ``shrink-uniqueness`` (a walk of
+    the shrunk body at scale q) and ``pyramid-interior-empty`` (the
+    threshold verdict and the shrunk body's containment in the dilate) are
+    made here, where their inputs meet.  With ``strict`` the first failed
+    verification raises :class:`CheckFailed`; otherwise failures are
+    collected in the returned trace, except for the checks the pipeline
+    cannot continue past (the cross-section's consistency and threshold
+    integrality), which raise :class:`CheckFailed` either way.  Raises
+    :class:`NotKlt` (vanishing discrepancy functional or a coefficient
+    equal to 1) or :class:`DimensionTooSmall` for pairs outside the
+    construction's scope.  A caller that already holds the pair's
+    :class:`LogCanonicalReport` may pass it to skip recomputing them.
     """
     if report is None:
         report = compute_mld(pair)
@@ -567,19 +559,24 @@ def prove(
     interior = enumerate_points(dilated, strict=True)
     checks = list(verify_bullets(section, levels, n, j, q, interior))
     t, shrunk, center = shrink_to_unique(dilated, q, interior)
+    unique = enumerate_points(shrunk, scale=q, strict=True) == (tuple(q * x for x in center),)
     detail = f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
-    checks.append(CheckResult("shrink-uniqueness", True, detail))
+    detail += "" if unique else f", not the only (1/{q})-point inside"
+    checks.append(CheckResult("shrink-uniqueness", unique, detail))
     gamma = max_gamma(shrunk, center)
     checks.append(CheckResult("gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"))
-    # shrunk − shrunk = t·(dilated − dilated): one hull and one pulling for both
-    diff_dilated = difference_body(dilated)
-    vol_dilated = normalized_volume(diff_dilated)
-    diff_shrunk = scale_about(diff_dilated, t, (0,) * (d - 1))
-    core, body, volume, mk_checks = minkowski_certificate(
-        dilated, shrunk, center, j, gamma, diff_shrunk, t ** (d - 1) * vol_dilated, checks[0].passed
-    )
+    diff = difference_body(dilated)
+    vol_diff = normalized_volume(diff)
+    core, body, volume, mk_checks = minkowski_certificate(center, j, gamma, t, diff, vol_diff)
     checks.extend(mk_checks)
-    checks.extend(chain_verify(n, j, q, gamma, core, diff_dilated, diff_shrunk, t, vol_dilated))
+    # shrunk ⊆ dilated puts conv(0, {j}×shrunk) inside j·conv(0, {1}×box),
+    # whose interior below height j the threshold walk found empty
+    below, inside = checks[0].passed, _contains_rows(dilated, shrunk)
+    detail = "dilation-threshold failed" if not below else (
+        "no interior lattice points below the threshold" if inside else "shrunk body leaves dilated"
+    )
+    checks.append(CheckResult("pyramid-interior-empty", below and inside, detail))
+    checks.extend(chain_verify(n, j, q, gamma, core, diff, t, vol_diff))
     bound = bound_check(report, gamma)
     trace = ProofTrace(
         pair=pair,

@@ -8,6 +8,7 @@ coefficient grid plus coefficient 1, and 500 seeded random 3D cones — are
 session fixtures shared by the criteria that consume them.
 """
 
+import random
 import time
 from fractions import Fraction as F
 from math import factorial, gcd
@@ -16,12 +17,13 @@ import pytest
 
 from toricmld.families import (
     FamilySpec,
+    cyclic_quotient_cone,
     lemma_lv_suite,
     lemma_vo_suite,
     sweep,
 )
 from toricmld.geometry import convex_hull, normalized_volume
-from toricmld.lattice import det
+from toricmld.lattice import det, dot
 from toricmld.pairs import (
     ToricLogPair,
     bound_check,
@@ -30,6 +32,8 @@ from toricmld.pairs import (
     standard_coefficients,
 )
 from toricmld.proof import lemma_lv_check, lemma_vo_check, prove
+
+from oracles import sail_mld
 
 SEED = 20260814
 
@@ -266,3 +270,52 @@ def test_criterion_9_seeded_sweeps_are_byte_identical():
     cyclic = FamilySpec(kind="cyclic2d", max_r=12, L=2, include_one=True)
     assert sweep(cyclic).to_csv().encode() == sweep(cyclic).to_csv().encode()
     verdict(9, "repeated seeded sweeps produce identical CSV bytes", True)
+
+
+def large_cyclic_rows(seed, count):
+    """``count`` seeded 1/r(1, s) with 2 <= r < 2^70, cycling through the
+    four boundaries: none, on the first ray, on the second, on both.  A
+    coefficient is 1 or (l − 1)/l with 2 <= l < 2^70, never 1 on both rays."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        return F(1) if rng.random() < 0.25 else F((l := rng.randrange(2, 2**70)) - 1, l)
+
+    rows = []
+    while len(rows) < count:
+        r = rng.randrange(2, 2**70)
+        s = rng.randrange(1, r)
+        if gcd(r, s) != 1:
+            continue
+        kind = len(rows) % 4
+        b = [coefficient() if kind & 1 else F(0), coefficient() if kind & 2 else F(0)]
+        if b == [1, 1]:
+            b[1] = F(1, 2)
+        rows.append(cyclic_quotient_cone(r, s, b))
+    return rows
+
+
+def test_criterion_10_continued_fraction_oracle(cyclic_sweep):
+    """compute_mld against the sail of the cone read from its
+    Hirzebruch–Jung continued fraction: on every klt row of criterion 2 and
+    on 240 seeded rows with r up to 2^70, the values agree, and the witness
+    attains the value and lies in the cone's interior."""
+    report, _ = cyclic_sweep
+    t0 = time.monotonic()
+    rows = [(row.pair, row.report) for row in report.rows if row.report.klt]
+    assert len(rows) == 35 * CONES_2D
+    large = large_cyclic_rows(SEED, 240)
+    rows += [(pair, compute_mld(pair)) for pair in large]
+    for pair, rep in rows:
+        (r, minus_s), x = pair.rays[1], rep.witness
+        key = (r, -minus_s, [c.value for c in pair.coefficients])
+        assert rep.mld == sail_mld(*key), key
+        # x = a·(0, 1) + c·(r, −s) with a, c > 0
+        assert dot(rep.psi, x) == rep.mld and x[0] > 0 and r * x[1] - minus_s * x[0] > 0, key
+    elapsed = time.monotonic() - t0
+    verdict(
+        10,
+        "compute_mld agrees with the continued-fraction oracle",
+        elapsed < 20,
+        f"{len(rows) - len(large)} klt rows r <= 60 + {len(large)} rows r < 2^70, {elapsed:.1f}s",
+    )

@@ -35,6 +35,8 @@ from toricmld.geometry import convex_hull
 from toricmld.lattice import dot, int_inverse, matrix_rank, smith_normal_form
 from toricmld.proof import fmt_rat, prove
 
+from oracles import sail_mld
+
 
 def make_pair(dim, rays, values):
     return tp.ToricLogPair(dim, tuple(rays), tp.standard_coefficients(values))
@@ -441,43 +443,9 @@ def test_large_cyclic_quotients_pinned_digest():
     )
 
 
-def _sail_mld(r, s, b=(0, 0)):
-    """Oracle: the least psi over the interior vertices v_1..v_k of the sail
-    of cone((0,1),(r,-s)) (Fulton 1993, section 2.6), psi taking 1 - b[0]
-    on (0,1) and 1 - b[1] on (r,-s): ((1+s)/r, 1) for the zero boundary.
-    With v_0 = (0,1), v_1 = (1,0) and the Hirzebruch-Jung expansion
-    r/s = [b_1, ..., b_k], v_{i+1} = b_i v_i - v_{i-1} and v_{k+1} = (r,-s).
-    Every interior lattice point lies in conv(v_1..v_k) + cone, because
-    adjacent sail vertices form a lattice basis.  A run of t entries 2
-    takes t equal steps along a line, on which psi is linear, so only its
-    ends are compared and the expansion is read run by run: the oracle
-    takes O(log r) steps."""
-    runs, a, c = [], r, s
-    while c:
-        e = -(-a // c)
-        t = c // (a - c) if e == 2 else 1  # (a, c) -> (c, 2c - a) keeps a - c
-        runs.append((e, t))
-        a, c = (a - t * (a - c), c - t * (a - c)) if e == 2 else (c, e * c - a)
-    last, t = runs.pop()
-    runs.append((last, t - 1))
-    psi = (Fraction(1 - b[1] + s * (1 - b[0]), r), 1 - Fraction(b[0]))
-    prev, v = (0, 1), (1, 0)
-    best = dot(psi, v)
-    for e, t in runs:
-        if t and e == 2:
-            step = (v[0] - prev[0], v[1] - prev[1])
-            prev = (v[0] + (t - 1) * step[0], v[1] + (t - 1) * step[1])
-            v = (v[0] + t * step[0], v[1] + t * step[1])
-        elif t:
-            prev, v = v, (e * v[0] - prev[0], e * v[1] - prev[1])
-        best = min(best, dot(psi, v))
-    assert (last * v[0] - prev[0], last * v[1] - prev[1]) == (r, -s)
-    return best
-
-
 def test_mld_matches_the_sail_of_large_cyclic_quotients():
     for r, s in _seeded_cyclic(5, 10**5, 10**6, 40) + [(3, 1), (7, 3), (10**5 + 3, 2)]:
-        assert tp.compute_mld(cyclic_quotient_cone(r, s)).mld == _sail_mld(r, s), (r, s)
+        assert tp.compute_mld(cyclic_quotient_cone(r, s)).mld == sail_mld(r, s), (r, s)
 
 
 def test_skewed_cyclic_quotients_of_huge_order_are_fast():
@@ -488,7 +456,7 @@ def test_skewed_cyclic_quotients_of_huge_order_are_fast():
         start = time.perf_counter()
         mld = tp.compute_mld(cyclic_quotient_cone(r, s)).mld
         assert time.perf_counter() - start < 1, s
-        assert mld == _sail_mld(r, s), s
+        assert mld == sail_mld(r, s), s
 
 
 def test_skewed_pair_with_huge_levels_is_fast():
@@ -505,7 +473,7 @@ def test_skewed_pair_with_huge_levels_is_fast():
                 start = time.perf_counter()
                 mld = tp.compute_mld(make_pair(2, rays, values)).mld
                 assert time.perf_counter() - start < 1, (l, values)
-                assert mld == _sail_mld(r, s, values), (l, values)
+                assert mld == sail_mld(r, s, values), (l, values)
 
 
 def _age_mld(pair):

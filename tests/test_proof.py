@@ -363,35 +363,41 @@ def test_shrink_rejects_bad_center_and_scale():
 
 def test_minkowski_certificate_frozen():
     S = segment(0, 2)
-    core, body, volume, checks = minkowski_certificate(S, S, (1,), 2, F(1, 2), difference_body(S), F(4), True)
+    core, body, volume, checks = minkowski_certificate((1,), 2, F(1, 2), F(1), difference_body(S), F(4))
     assert core.vertices == ((F(0),), (F(2),))
     assert normalized_volume(body) == volume == 4
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
+    assert [c.name for c in checks] == list(CHECK_NAMES[5:9])
     assert all(c.passed for c in checks)
+    # the core is one image of the dilate's difference body: [0, 4] shrunk
+    # by 1/2 about 2 has difference body [-2, 2], whose half about 2 is [1, 3]
+    diff = difference_body(segment(0, 4))
+    core, _, volume, checks = minkowski_certificate((2,), 1, F(1, 2), F(1, 2), diff, F(8))
+    assert core.vertices == ((F(1),), (F(3),))
+    assert volume == 2 and all(c.passed for c in checks)
 
 
 def test_minkowski_certificate_flags_non_unique_body():
-    # [0, 4] still holds three interior lattice points, so both the interior
-    # uniqueness and the empty-pyramid checks must fail
+    # [0, 4] still holds three interior lattice points, so the interior
+    # uniqueness check must fail
     S = segment(0, 4)
-    _, _, _, checks = minkowski_certificate(S, S, (2,), 2, F(1, 2), difference_body(S), F(8), False)
+    _, _, _, checks = minkowski_certificate((2,), 2, F(1, 2), F(1), difference_body(S), F(8))
     by_name = {c.name: c.passed for c in checks}
     assert not by_name["certificate-unique-interior"]
-    assert not by_name["pyramid-interior-empty"]
 
 
 def test_minkowski_certificate_input_validation():
-    S = segment(0, 2)
-    with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, S, (1,), 0, F(1, 2), difference_body(S), F(4), True)
-    with pytest.raises(InvalidParameters):
-        minkowski_certificate(S, S, (1,), 2, F(3, 5), difference_body(S), F(4), True)
+    D = difference_body(segment(0, 2))
+    # j below 1, gamma past 1/2, a shrink factor of 0 or past 1
+    for j, gamma, shrink in ((0, F(1, 2), F(1)), (2, F(3, 5), F(1)), (2, F(1, 2), F(0)), (2, F(1, 2), F(3, 2))):
+        with pytest.raises(InvalidParameters):
+            minkowski_certificate((1,), j, gamma, shrink, D, F(4))
 
 
 def test_chain_verify_frozen_quadrant_numbers():
     S = segment(0, 2)
     D = difference_body(S)
-    checks = chain_verify(1, 2, 1, F(1, 2), S, D, D, F(1), F(4))
+    checks = chain_verify(1, 2, 1, F(1, 2), S, D, F(1), F(4))
     assert [c.name for c in checks] == list(CHECK_NAMES[-5:])
     assert all(c.passed for c in checks)
 
@@ -399,9 +405,11 @@ def test_chain_verify_frozen_quadrant_numbers():
 def test_chain_verify_detects_inconsistencies():
     S = segment(0, 2)
     D = difference_body(S)
-    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, D, D, F(1), F(4))}
+    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 3), S, D, F(1), F(4))}
     assert not by_name["chain-cross-section"].passed  # gamma does not match core
-    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, D, D, F(1), F(4))}
+    by_name = {c.name: c for c in chain_verify(1, 2, 1, F(1, 2), S, D, F(1, 2), F(4))}
+    assert not by_name["chain-cross-section"].passed  # nor does the shrink factor
+    by_name = {c.name: c for c in chain_verify(1000, 2, 1, F(1, 2), S, D, F(1), F(4))}
     assert not by_name["chain-index"].passed
 
 
@@ -432,14 +440,14 @@ VOLUME_MUTATIONS = [
     pytest.param(
         "chain-minkowski",
         "chain_verify",
-        edit_argument(8, lambda v: v * NUDGE),
+        edit_argument(7, lambda v: v * NUDGE),
         id="chain-minkowski-volume",
     ),
     pytest.param(
         "chain-cross-section",
         "chain_verify",
-        edit_argument(6, lambda P: geometry.scale_about(P, NUDGE, (0,) * P.dim)),
-        id="chain-cross-section-diff-shrunk",
+        edit_argument(5, lambda P: geometry.scale_about(P, NUDGE, (0,) * P.dim)),
+        id="chain-cross-section-diff-dilated",
     ),
     pytest.param(
         "chain-cross-section",
@@ -450,7 +458,7 @@ VOLUME_MUTATIONS = [
     pytest.param(  # the measured volume 4, halved and nudged below the floor 2
         "chain-difference",
         "chain_verify",
-        edit_argument(8, lambda v: v / 2 / NUDGE),
+        edit_argument(7, lambda v: v / 2 / NUDGE),
         id="chain-difference-volume",
     ),
 ]
@@ -478,9 +486,8 @@ THIN_SHRINK_3D = ToricLogPair(
 
 # Per remaining check: the pair, every check the edit fails in trace order
 # (a strict proof raises the first), the ``proof`` name patched and the
-# wrapper of the original that edits one input.  ``shrink-uniqueness`` and
-# ``gamma-range`` have no row: ``shrink_to_unique`` and the input check of
-# ``minkowski_certificate`` raise before either can read FAIL.
+# wrapper of the original that edits one input.  ``gamma-range`` has no row:
+# the input check of ``minkowski_certificate`` raises before it can read FAIL.
 CHECK_MUTATIONS = [
     pytest.param(
         THIRD,
@@ -502,6 +509,13 @@ CHECK_MUTATIONS = [
         "verify_bullets",
         edit_argument(5, lambda interior: ()),
         id="dilation-threshold-no-interior-point",
+    ),
+    pytest.param(  # the shrink's (1/q)-walks find nothing, z included
+        THIRD,
+        ("shrink-uniqueness",),
+        "enumerate_points",
+        lambda f: lambda P, **kw: () if kw.get("scale", 1) > 1 else f(P, **kw),
+        id="shrink-uniqueness-no-q-points",
     ),
     pytest.param(
         THIRD,
@@ -527,7 +541,7 @@ CHECK_MUTATIONS = [
     pytest.param(
         THIRD,
         ("pyramid-interior-empty",),
-        "minkowski_certificate",
+        "_contains_rows",
         edit_argument(1, lambda P: geometry.translate(P, (1,) * P.dim)),
         id="pyramid-interior-empty-containment",
     ),
@@ -560,22 +574,6 @@ def test_every_check_can_fail(monkeypatch, pair, failing, target, wrap):
     with pytest.raises(CheckFailed) as err:
         prove(pair, strict=True)
     assert err.value.name == failing[0]
-
-
-def test_shrink_uniqueness_raises_in_every_mode(monkeypatch):
-    """The shrink's (1/q)-walks made empty leave ``z`` missing from the
-    contraction: ``prove`` raises ``shrink-uniqueness`` even when not
-    strict, so the trace never records it failed."""
-    walk_points = proof.enumerate_points
-    monkeypatch.setattr(
-        proof,
-        "enumerate_points",
-        lambda P, **kw: () if kw.get("scale", 1) > 1 else walk_points(P, **kw),
-    )
-    for strict in (False, True):
-        with pytest.raises(CheckFailed) as err:
-            prove(THIRD, strict=strict)
-        assert err.value.name == "shrink-uniqueness"
 
 
 def test_pyramid_volume_rule_pinned():
@@ -637,44 +635,29 @@ EXACT_INPUTS = [
     pytest.param(lambda x: as_int_vector((x, 2)), (1.0, True, "1"), id="as_int_vector"),
     pytest.param(lambda x: pairs.bound_check(compute_mld(SMOOTH_3D), x), INEXACT, id="bound_check-gamma"),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, x, difference_body(TWO), F(4), True),
-        INEXACT,
-        id="minkowski-gamma",
+        lambda x: minkowski_certificate((1,), 2, x, F(1), difference_body(TWO), F(4)), INEXACT, id="minkowski-gamma"
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, TWO, (1,), x, F(1, 2), difference_body(TWO), F(4), True),
-        INEXACT,
-        id="minkowski-j",
+        lambda x: minkowski_certificate((1,), x, F(1, 2), F(1), difference_body(TWO), F(4)), INEXACT, id="minkowski-j"
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, F(1, 2), difference_body(TWO), x, True),
+        lambda x: minkowski_certificate((1,), 2, F(1, 2), x, difference_body(TWO), F(4)),
+        INEXACT,
+        id="minkowski-shrink",
+    ),
+    pytest.param(
+        lambda x: minkowski_certificate((1,), 2, F(1, 2), F(1), difference_body(TWO), x),
         INEXACT,
         id="minkowski-volume",
     ),
     pytest.param(
-        lambda x: minkowski_certificate(x, TWO, (1,), 2, F(1, 2), difference_body(TWO), F(4), True),
-        INEXACT,
-        id="minkowski-dilated",
+        lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), F(1), F(4)), INEXACT, id="chain_verify-gamma"
     ),
     pytest.param(
-        lambda x: minkowski_certificate(TWO, TWO, (1,), 2, F(1, 2), difference_body(TWO), F(4), x),
-        (1, 0.5, "True"),
-        id="minkowski-threshold",
+        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), x, F(4)), INEXACT, id="chain_verify-shrink"
     ),
     pytest.param(
-        lambda x: chain_verify(1, 2, 1, x, TWO, difference_body(TWO), difference_body(TWO), F(1), F(4)),
-        INEXACT,
-        id="chain_verify-gamma",
-    ),
-    pytest.param(
-        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), difference_body(TWO), x, F(4)),
-        INEXACT,
-        id="chain_verify-shrink",
-    ),
-    pytest.param(
-        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), difference_body(TWO), F(1), x),
-        INEXACT,
-        id="chain_verify-volume",
+        lambda x: chain_verify(1, 2, 1, F(1, 2), TWO, difference_body(TWO), F(1), x), INEXACT, id="chain_verify-volume"
     ),
     pytest.param(
         lambda x: build_box(QUADRANT, (1, 1), x, (1, 0), kernel_sublattice((1, 1), 2)), INEXACT, id="build_box-n"
@@ -919,9 +902,11 @@ PINNED_4D = ToricLogPair(
 def test_prove_walks_one_pyramid(monkeypatch):
     """The pinned 4D pair's proof builds three checked bodies (the pyramid
     of the threshold walk, the difference body and the bipyramid), walks
-    six times and takes four LLL bases, the invariants included: the pyramid
-    over the shrunk body is read from the threshold walk, not built."""
-    calls = {name: 0 for name in ("_checked", "_iter_points", "_lll")}
+    six times, takes four LLL bases and makes seven affine images, the
+    invariants included: the pyramid over the shrunk body is read from the
+    threshold walk, not built, and the core is one image of the difference
+    body (a homothety of it on the way would make eight)."""
+    calls = {name: 0 for name in ("_checked", "_iter_points", "_lll", "_affine_image")}
     for name in calls:
         original = getattr(geometry, name)
 
@@ -931,7 +916,7 @@ def test_prove_walks_one_pyramid(monkeypatch):
 
         monkeypatch.setattr(geometry, name, spy)
     assert prove(PINNED_4D).all_passed
-    assert calls == {"_checked": 3, "_iter_points": 6, "_lll": 4}
+    assert calls == {"_checked": 3, "_iter_points": 6, "_lll": 4, "_affine_image": 7}
 
 
 def test_threshold_walk_of_a_wide_5d_section_is_fast():

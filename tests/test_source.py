@@ -177,3 +177,35 @@ def test_the_scan_sees_a_stored_triangulation(tmp_path):
         'def f():\n    """Reads ``_triangulation``."""\nsetattr(Q, "_triangulation", t)\n'
     )
     assert triangulation_names(module) == [1, 3, 7]
+
+
+def constant_verdicts(path):
+    """The lines of ``path`` that build a ``CheckResult`` whose ``passed``
+    (the second argument, or the keyword) is a literal constant: a check
+    that cannot fail is no check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "CheckResult":
+            continue
+        passed = [k.value for k in node.keywords if k.arg == "passed"] + node.args[1:2]
+        if any(isinstance(p, ast.Constant) for p in passed):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_check_passes_a_constant(path):
+    assert constant_verdicts(path) == []
+
+
+def test_the_scan_sees_a_constant_verdict(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        'CheckResult("a", True, "detail")\nCheckResult("b", ok)\n'
+        'proof.CheckResult(name="c", passed=False)\nCheckResult("d", passed=x and y)\n'
+        'Other("e", True)\n'
+    )
+    assert constant_verdicts(module) == [1, 3]
