@@ -22,7 +22,7 @@ from toricmld.families import (
     lemma_vo_suite,
     sweep,
 )
-from toricmld.geometry import convex_hull, normalized_volume
+from toricmld.geometry import convex_hull
 from toricmld.lattice import det, dot
 from toricmld.pairs import (
     ToricLogPair,
@@ -33,7 +33,7 @@ from toricmld.pairs import (
 )
 from toricmld.proof import lemma_lv_check, lemma_vo_check, prove
 
-from oracles import sail_mld
+from oracles import measured_body, measured_trace, sail_mld, sylvester_germ
 
 SEED = 20260814
 
@@ -248,10 +248,13 @@ def test_criterion_8_minkowski_preconditions(cyclic_sweep, random3d_sweep):
         volume = names.index("certificate-volume")
         assert sym < volume and unique < volume
         assert trace.checks[sym].passed and trace.checks[unique].passed
+        # the body hulled from the trace's rows holds its centre alone
+        _, interior = measured_body(trace)
+        assert interior == ((trace.threshold,) + trace.center,)
     quadrant = prove(
         ToricLogPair(2, ((1, 0), (0, 1)), standard_coefficients([0, 0]))
     )
-    assert normalized_volume(quadrant.certificate) == 4 == 2**2
+    assert measured_trace(quadrant)["certificate-volume"] == 4 == 2**2
     verdict(
         8,
         "symmetry and uniqueness verified by enumeration before the bound",
@@ -318,4 +321,44 @@ def test_criterion_10_continued_fraction_oracle(cyclic_sweep):
         "compute_mld agrees with the continued-fraction oracle",
         elapsed < 20,
         f"{len(rows) - len(large)} klt rows r <= 60 + {len(large)} rows r < 2^70, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_11_derived_numbers_match_the_measured_oracle(random3d_sweep):
+    """Every number and verdict that ``prove`` derives for the certificate
+    agrees with the measured route of ``oracles.measured_trace``: the
+    body's volume, the difference body's volume (the chain-difference
+    detail), the core's (the chain-minkowski detail), γ, and the symmetry,
+    interior, volume and bipyramid verdicts.  On criterion 3's 500 3D rows,
+    the 4D–7D rows of seed 20261018 and the Sylvester germs d = 2..8."""
+    t0 = time.monotonic()
+    traces = [row.trace for row in random3d_sweep.rows]
+    for dims, count in (((4, 5), 30), ((6,), 20), ((7,), 10)):
+        spec = FamilySpec(
+            kind="random_cone", dims=dims, count=count, max_entry=2, L=3, seed=20261018
+        )
+        traces += [row.trace for row in sweep(spec).rows]
+    traces += [prove(sylvester_germ(d)[0]) for d in range(2, 9)]
+    for trace in traces:
+        m = measured_trace(trace)
+        checks = {c.name: c for c in trace.checks}
+        D = trace.pair.dim
+        centre = (trace.threshold,) + trace.center
+        assert trace.certificate_volume == m["certificate-volume"]
+        assert trace.gamma == m["gamma"]
+        assert F(checks["chain-difference"].detail.split(" vs ")[0]) == m["difference-volume"]
+        # "2·j·vol(core)/D = cap vs 2^D"
+        vol_core = checks["chain-minkowski"].detail.split("·", 2)[2].split(f"/{D} = ")[0]
+        assert F(vol_core) == m["core-volume"]
+        assert checks["certificate-symmetry"].passed == m["symmetric"]
+        assert checks["certificate-unique-interior"].passed == (m["interior"] == (centre,))
+        assert checks["certificate-volume"].passed == (m["certificate-volume"] <= 2**D)
+        assert checks["certificate-bipyramid"].passed == m["bipyramid"]
+        assert trace.all_passed
+    elapsed = time.monotonic() - t0
+    verdict(
+        11,
+        "derived certificate numbers agree with the measured oracle",
+        elapsed < 60,
+        f"{len(traces)} traces, {elapsed:.1f}s",
     )

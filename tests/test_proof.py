@@ -42,6 +42,8 @@ from toricmld.proof import (
     verify_bullets,
 )
 
+from oracles import measured_trace, sylvester_germ
+
 THIRD = ToricLogPair(2, ((0, 1), (3, -1)), standard_coefficients([0, 0]))
 QUADRANT = ToricLogPair(2, ((1, 0), (0, 1)), standard_coefficients([0, 0]))
 HALF = ToricLogPair(2, ((1, 0), (0, 1)), standard_coefficients([F(1, 2), 0]))
@@ -89,7 +91,7 @@ def test_third_quotient_certificate():
     assert section_length(trace) == F(1, 3)
     assert trace.shrink_factor == 1
     assert trace.gamma == F(1, 2)
-    assert normalized_volume(trace.certificate) == F(4, 3)
+    assert measured_trace(trace)["certificate-volume"] == trace.certificate_volume == F(4, 3)
     assert trace.bound.limit == 18 and trace.bound.passed
     assert tuple(c.name for c in trace.checks) == CHECK_NAMES
     assert trace.all_passed
@@ -100,7 +102,7 @@ def test_smooth_quadrant_is_minkowski_equality_case():
     assert trace.threshold == 2
     assert trace.gamma == F(1, 2)
     # the certificate fills the Minkowski budget exactly
-    assert normalized_volume(trace.certificate) == 4 == 2**QUADRANT.dim
+    assert measured_trace(trace)["certificate-volume"] == trace.certificate_volume == 4 == 2**QUADRANT.dim
     assert trace.all_passed
 
 
@@ -120,7 +122,7 @@ def test_du_val_surface_point():
     assert trace.report.index == 1 and trace.report.mld == 1
     assert trace.threshold == 1
     assert trace.gamma == F(1, 2)
-    assert normalized_volume(trace.certificate) == 2
+    assert measured_trace(trace)["certificate-volume"] == trace.certificate_volume == 2
     assert trace.all_passed
 
 
@@ -304,17 +306,6 @@ def test_verify_bullets_searches_the_dilates_in_one_walk():
     assert time.perf_counter() - start < 2
     assert all(c.passed for c in checks)
     assert checks[0].detail == "first interior lattice point at dilate 445"
-
-
-def sylvester_germ(d):
-    """The smooth germ on e_1 … e_d with levels s_1, …, s_(d−1), s_d − 1,
-    where s = 2, 3, 7, 43, … (s_(k+1) = s_k² − s_k + 1), and ``s_d``."""
-    s = [2]
-    while len(s) < d:
-        s.append(s[-1] ** 2 - s[-1] + 1)
-    levels = s[:-1] + [s[-1] - 1]
-    rays = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    return ToricLogPair(d, rays, standard_coefficients([F(l - 1, l) for l in levels])), s[-1]
 
 
 def test_verify_bullets_names_the_first_dilate_past_a_wrong_threshold():
@@ -722,7 +713,7 @@ def test_certificate_invariants_on_cyclic_quotients(pair):
     assert 0 < trace.gamma <= F(1, 2)
     assert 0 < trace.shrink_factor <= 1
     assert report.index <= trace.threshold * report.mld_denominator
-    assert normalized_volume(trace.certificate) <= 2**pair.dim
+    assert measured_trace(trace)["certificate-volume"] == trace.certificate_volume <= 2**pair.dim
     # the dilated section must contain the shrunk body, built as prove builds them
     t = trace.shrink_factor
     dilated = geometry.scale_about(trace.section, trace.threshold, (0,) * (pair.dim - 1))
