@@ -8,16 +8,16 @@ exact incremental double-description pass on homogenized points above, so
 no floating point enters at any stage.  A polytope also carries its
 vertex–facet incidence, one bitmask of vertex rows per facet: hulls above
 2D report the tight sets their double description already keeps, and
-volumes are a pulling triangulation over those bitmasks.  Pyramids, the
-bipyramid of the certificate and the difference body of a simplex of
-dimension ≥ 3 get their facets in closed form, checked against their
-vertices, so none is ever hulled.  The lattice-point walk projects a
-polytope one coordinate at a time through the ridges of the facets and
-incidence it already carries (Fourier–Motzkin restricted to adjacent
-facets), for its projection levels and its objective cuts alike, so no
-walk hulls.  Polytopes of dimension ≥ 1
-produced by :func:`convex_hull` are full-dimensional in their ambient
-space; lower-dimensional data should be re-coordinatized (e.g. with
+volumes are a pulling triangulation over those bitmasks.  Pyramids get
+their facets in closed form, checked against their vertices, so none is
+ever hulled.  A body that is only ever read by its vertices is a
+:class:`VertexRows`, with no facets at all.  The lattice-point walk
+projects a polytope one coordinate at a time through the ridges of the
+facets and incidence it already carries (Fourier–Motzkin restricted to
+adjacent facets), for its projection levels and its objective cuts alike,
+so no walk hulls.  Polytopes of dimension ≥ 1 produced by
+:func:`convex_hull` are full-dimensional in their ambient space;
+lower-dimensional data should be re-coordinatized (e.g. with
 :class:`~toricmld.lattice.SublatticeBasis`) before building hulls.
 """
 
@@ -45,7 +45,6 @@ from .lattice import (
     RatVector,
     _identity,
     dot,
-    int_inverse,
     matrix_rank,
     pivot_inverse,
     primitive_vector,
@@ -56,31 +55,49 @@ IntFacet = tuple[IntVector, int]
 
 
 @dataclass(frozen=True)
-class RatPolytope:
-    """A bounded rational polytope in canonical fraction-free form.
+class VertexRows:
+    """A bounded rational polytope known by its vertices alone.
 
     ``den`` is the least common denominator of the vertex coordinates and
-    ``rows`` the lex-sorted integer rows ``den·vertex``; ``int_facets`` are
-    sorted pairs ``(u, c)`` of a primitive integer outer normal and an
-    integer offset, encoding ``⟨u, row⟩ ≤ c``, i.e. ``⟨u, x⟩ ≤ c/den``.
-    ``vertices`` is a read-only :class:`~fractions.Fraction` view of the
-    rows in the same order.  ``_incidence`` holds, per facet, the bitmask
-    of the rows it is tight on (bit ``i`` for ``rows[i]``), and
-    ``_spanning`` the tight sets whose span the pyramids over it take as
-    known (:func:`_lifted`).  ``_basis`` is the
-    walk basis ``(U, U⁻¹)`` and, once a walk has picked it, the cache holds
-    the frame ``U·P`` as ``_reduced`` (:func:`_reduced_frame`).  A
-    zero-dimensional polytope is the single empty row with no facets.
-    """
+    ``rows`` the lex-sorted integer rows ``den·vertex``; ``vertices`` is a
+    read-only :class:`~fractions.Fraction` view of the rows in the same
+    order.  It has no facets, so a walk or a containment test cannot take
+    it.  Translates and positive homothets of it are of this type too."""
 
     dim: int
     den: int
     rows: tuple[IntVector, ...]
-    int_facets: tuple[IntFacet, ...]
 
     @cached_property
     def vertices(self) -> tuple[RatVector, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.rows)
+
+
+def vertex_rows(dim: int, den: int, rows) -> VertexRows:
+    """The polytope whose vertices are the integer ``rows`` over ``den``,
+    sorted and reduced as :func:`_canonical` reduces them; every row must
+    be a vertex."""
+    _, den, rows = _divided(den, sorted(rows))
+    return VertexRows(dim, den, rows)
+
+
+@dataclass(frozen=True)
+class RatPolytope(VertexRows):
+    """A bounded rational polytope in canonical fraction-free form: its
+    :class:`VertexRows` and its facets.
+
+    ``int_facets`` are sorted pairs ``(u, c)`` of a primitive integer outer
+    normal and an integer offset, encoding ``⟨u, row⟩ ≤ c``, i.e. ``⟨u, x⟩
+    ≤ c/den``.  ``_incidence`` holds, per facet, the bitmask of the rows it
+    is tight on (bit ``i`` for ``rows[i]``), and ``_spanning`` the tight
+    sets whose span the pyramids over it take as known (:func:`_lifted`).
+    ``_basis`` is the walk basis ``(U, U⁻¹)`` and, once a walk has picked
+    it, the cache holds the frame ``U·P`` as ``_reduced``
+    (:func:`_reduced_frame`).  A zero-dimensional polytope is the single
+    empty row with no facets.
+    """
+
+    int_facets: tuple[IntFacet, ...]
 
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
@@ -142,16 +159,22 @@ def _clear_rows(points) -> tuple[list[IntVector], int]:
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in fracs], den
 
 
+def _divided(den: int, rows) -> tuple[int, int, tuple[IntVector, ...]]:
+    """``(g, den/g, rows/g)``, ``g`` the common factor of ``den`` and the rows."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        return g, den // g, tuple(tuple(x // g for x in r) for r in rows)
+    return g, den, tuple(rows)
+
+
 def _canonical(dim: int, den: int, rows, facets, incidence=None) -> RatPolytope:
     """``(rows, facets)`` over ``den`` with the common factor of ``den`` and
     the rows divided out (it divides each offset: facets are tight); a known
     ``incidence`` is kept, as dividing changes no tight set."""
-    g = math.gcd(den, *chain.from_iterable(rows))
+    g, den, rows = _divided(den, rows)
     if g > 1:
-        den //= g
-        rows = tuple(tuple(x // g for x in r) for r in rows)
         facets = tuple((u, c // g) for u, c in facets)
-    P = RatPolytope(dim, den, tuple(rows), tuple(facets))
+    P = RatPolytope(dim, den, rows, tuple(facets))
     if incidence is not None:
         vars(P)["_incidence"] = tuple(incidence)
     return P
@@ -380,80 +403,44 @@ def normalized_volume(P: RatPolytope) -> Fraction:
 
 
 def difference_body(P: RatPolytope) -> RatPolytope:
-    """The centrally symmetric body ``P + (−P)``: in closed form for a
-    simplex of dimension ≥ 3, hulled for any other polytope and up to 2D,
-    where the hull costs less than checking the closed form.
-
-    For a ``k``-simplex with rows ``v_0 < … < v_k``, let ``ℓ_1 … ℓ_k`` be the
-    columns of ``B`` with ``(v_i − v_0)_i·B = D·I`` and ``ℓ_0 = −Σ ℓ_i``:
-    ``⟨ℓ_i, x − y⟩/D`` is the difference of the ``i``-th barycentric
-    coordinates of ``x`` and ``y``.  The body's rows are the ``v_a − v_b``,
-    ``a ≠ b``, and it has one facet per proper nonempty ``I``,
-    ``⟨sign(D)·Σ_{i∈I} ℓ_i, x⟩ ≤ |D|``, made primitive (Rogers & Shephard
-    1957).  That facet is tight on the ``v_a − v_b`` with ``a ∈ I``, ``b ∉
-    I``: the face ``F_I − F_{I^c}``, a sum of two faces with complementary
-    directions, so it spans a hyperplane.  :func:`_checked` takes those
-    sets as spanning and the body keeps them as its ``_spanning``, so the
-    pyramids over its homothets take no rank test."""
-    k, rows = P.dim, P.rows
-    if k <= 2 or len(rows) != k + 1:
-        return convex_hull([vec_sub(v, w) for v in rows for w in rows], P.den)
-    B, D = int_inverse([vec_sub(v, rows[0]) for v in rows[1:]])
-    s = 1 if D > 0 else -1
-    ells = [tuple(s * x for x in col) for col in zip(*B)]
-    ells.insert(0, tuple(-sum(c) for c in zip(*ells)))
-    n = range(k + 1)
-    diffs = sorted((vec_sub(rows[a], rows[b]), a, b) for a in n for b in n if a != b)
-    source, target = [0] * (k + 1), [0] * (k + 1)
-    for i, (_, a, b) in enumerate(diffs):
-        source[a] |= 1 << i
-        target[b] |= 1 << i
-    # per vertex set I: Σ_{i∈I} ℓ_i, the rows v_a − v_b with a ∈ I and those with b ∈ I
-    sums, out, into = [(0,) * k], [0], [0]
-    facets, spanned = [], set()
-    for I in range(1, (1 << (k + 1)) - 1):
-        i = (I & -I).bit_length() - 1
-        rest = I & (I - 1)
-        sums.append(tuple(x + y for x, y in zip(sums[rest], ells[i])))
-        out.append(out[rest] | source[i])
-        into.append(into[rest] | target[i])
-        g = math.gcd(*sums[I])
-        facets.append((tuple(x // g for x in sums[I]), abs(D) // g))
-        spanned.add(out[I] & ~into[I])
-    body = _checked(k, P.den, [r for r, _, _ in diffs], facets, frozenset(spanned))
-    vars(body)["_spanning"] = frozenset(spanned | {(1 << len(diffs)) - 1})
-    return body
+    """The centrally symmetric body ``P + (−P)``, the hull of the pairwise
+    differences of ``P``'s rows.  For a ``k``-simplex its vertices are the
+    ``v_a − v_b``, ``a ≠ b``, and its volume is ``C(2k, k)·vol(P)``, the
+    equality case of Rogers & Shephard (1957); for any other polytope that
+    volume is only an upper bound."""
+    return convex_hull([vec_sub(v, w) for v in P.rows for w in P.rows], P.den)
 
 
-def _affine_image(P: RatPolytope, a: int, b: int, w: IntVector, den: int) -> RatPolytope:
-    """``row ↦ a·row + b·w`` over the new denominator ``den``; with
-    ``a > 0`` the vertex and facet orders are unchanged, so the incidence,
-    spanning tight sets, projection levels and reduced frame that ``P`` has
-    built carry over.
-    The basis ``U`` is carried whenever ``P`` has taken it: it depends only
-    on the vertex scatter, which a translate leaves as it is and a positive
-    homothet multiplies by a square, and LLL reduction is blind to a
-    positive factor of the Gram matrix.  Whether to walk in ``U·P`` is
-    decided per walk, at the walked scale (:func:`_reduced_frame`)."""
+def _affine_image(P: VertexRows, a: int, b: int, w: IntVector, den: int) -> VertexRows:
+    """``row ↦ a·row + b·w`` over the new denominator ``den``, of the type
+    of ``P``; with ``a > 0`` the vertex and facet orders are unchanged, so
+    the incidence, projection levels and reduced frame that ``P`` has built
+    carry over.  The basis ``U`` is carried whenever ``P`` has taken it: it
+    depends only on the vertex scatter, which a translate leaves as it is
+    and a positive homothet multiplies by a square, and LLL reduction is
+    blind to a positive factor of the Gram matrix.  Whether to walk in
+    ``U·P`` is decided per walk, at the walked scale
+    (:func:`_reduced_frame`)."""
 
     def image(facets, g=1):
         return tuple((u, (a * c + b * sum(map(mul, u, w))) // g) for u, c in facets)
 
     rows = tuple(tuple(a * x + b * y for x, y in zip(r, w)) for r in P.rows)
+    if not isinstance(P, RatPolytope):
+        return VertexRows(P.dim, *_divided(den, rows)[1:])
     cache = vars(P)
     Q = _canonical(P.dim, den, rows, image(P.int_facets), cache.get("_incidence"))
     if "_levels" in cache:  # divided by the content den/Q.den like the facets
         vars(Q)["_levels"] = tuple(image(lv, den // Q.den) for lv in cache["_levels"])
-    for name in ("_spanning", "_basis"):
-        if name in cache:
-            vars(Q)[name] = cache[name]
+    if "_basis" in cache:
+        vars(Q)["_basis"] = cache["_basis"]
     if "_reduced" in cache:
         Uw = tuple(dot(r, w) for r in cache["_basis"][0])
         vars(Q)["_reduced"] = _affine_image(cache["_reduced"], a, b, Uw, den)
     return Q
 
 
-def translate(P: RatPolytope, w: Sequence) -> RatPolytope:
+def translate(P: VertexRows, w: Sequence) -> VertexRows:
     if len(w) != P.dim:
         raise DimensionMismatch("translation vector has the wrong length")
     (wr,), m = _clear_rows([w])
@@ -461,7 +448,7 @@ def translate(P: RatPolytope, w: Sequence) -> RatPolytope:
     return _affine_image(P, den // P.den, den // m, wr, den)
 
 
-def scale_about(P: RatPolytope, t, z: Sequence) -> RatPolytope:
+def scale_about(P: VertexRows, t, z: Sequence) -> VertexRows:
     """Dilation ``x ↦ z + t(x − z)`` with a positive rational factor."""
     t = _exact(t)
     if t <= 0:
@@ -499,21 +486,6 @@ def max_gamma(S: RatPolytope, z: Sequence) -> Fraction:
     return Fraction(*best)
 
 
-def _apex_facets(apex: IntVector, top: int, facets) -> list[IntFacet]:
-    """The facets through ``apex`` of its pyramid over ``{top} × Q``, all in
-    row units: one per facet ``(u, c)`` of ``Q``, the hyperplane through the
-    apex and ``{top} × {⟨u, ·⟩ = c}``, oriented so that ``Q`` lies below."""
-    a0, a = apex[0], apex[1:]
-    s = 1 if top > a0 else -1
-    out = []
-    for u, c in facets:
-        w = (s * (sum(map(mul, u, a)) - c),) + tuple(s * (top - a0) * x for x in u)
-        g = math.gcd(*w)
-        w = tuple(x // g for x in w)
-        out.append((w, sum(map(mul, w, apex))))
-    return out
-
-
 def _spans_hyperplane(tight: Sequence[IntVector], dim: int) -> bool:
     """Whether the distinct rows ``tight`` affinely span a hyperplane of
     ℚ^dim, or more; they span a point or a line, so the rank is needed from
@@ -536,8 +508,8 @@ def _checked(dim: int, den: int, rows, facets, spanned=frozenset()) -> RatPolyto
     It does not certify completeness: a facet left out at a non-simple
     vertex can leave every other fact true (drop any one facet of the
     cuboctahedron, the unit tetrahedron's difference body).  The caller
-    owns that: a complete base for the pyramids, the enumeration of the
-    vertex splits for the difference body, the cone record for the slab."""
+    owns that: a complete base for the pyramids, the cone record for the
+    slab."""
     facets = sorted(facets)
     incidence = []
     for u, c in facets:
@@ -559,18 +531,18 @@ def _checked(dim: int, den: int, rows, facets, spanned=frozenset()) -> RatPolyto
     return _canonical(dim, den, rows, facets, incidence)
 
 
-def _lifted(Q: RatPolytope, apexes: Sequence[int], top: bool) -> frozenset[int]:
-    """The tight sets of a pyramid or bipyramid over ``Q`` whose span ``Q``
-    settles, in its own dimension and once (``Q._spanning``).  Base row
-    ``i`` is its bit ``i + 1`` and the apexes sit at the bits ``apexes``.
-    An apex with a facet's tight set spans a hyperplane exactly when that
-    set spans one in ``Q``; the whole base, the top facet when ``top``, does
-    when ``Q``'s rows span its space.  Up to 2D no rank is taken anyway."""
+def _lifted(Q: RatPolytope) -> frozenset[int]:
+    """The tight sets of the pyramid over ``Q`` whose span ``Q`` settles, in
+    its own dimension and once (``Q._spanning``).  Base row ``i`` is its bit
+    ``i + 1`` and the apex bit 0.  The apex with a facet's tight set spans a
+    hyperplane exactly when that set spans one in ``Q``; the whole base, the
+    top facet, does when ``Q``'s rows span its space.  Up to 2D no rank is
+    taken anyway."""
     if Q.dim < 2:
         return frozenset()
     full = (1 << len(Q.rows)) - 1
-    out = {m << 1 | a for m in Q._spanning - {full} for a in apexes}
-    if top and full in Q._spanning:
+    out = {m << 1 | 1 for m in Q._spanning - {full}}
+    if full in Q._spanning:
         out.add(full << 1)
     return frozenset(out)
 
@@ -580,7 +552,8 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
 
     Built in closed form, not hulled: its facets are the top ``{height} ×
     Q`` and one through the apex per facet of ``Q`` (for a point ``Q``, the
-    apex itself), checked against the vertices as in :func:`bipyramid`.
+    apex itself), verified against the vertices in one dot pass
+    (:func:`_checked`).
     """
     h = _exact(height)
     if h <= 0:
@@ -590,41 +563,17 @@ def cone_over(height, Q: RatPolytope) -> RatPolytope:
     base = [(top,) + tuple(h.denominator * x for x in r) for r in Q.rows]
     sides = [((-1,), 0)]
     if k:
-        sides = _apex_facets(apex, top, [(u, h.denominator * c) for u, c in Q.int_facets])
+        # per facet (u, c) of Q, the hyperplane through the apex and
+        # {top} × {⟨u, ·⟩ = c}, in row units, with Q below it
+        sides = []
+        for u, c in Q.int_facets:
+            w = (-h.denominator * c,) + tuple(top * x for x in u)
+            g = math.gcd(*w)
+            sides.append((tuple(x // g for x in w), 0))
     top_facet = ((1,) + (0,) * k, top)
     return _checked(
-        k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet], _lifted(Q, (1,), True)
+        k + 1, h.denominator * Q.den, [apex] + base, sides + [top_facet], _lifted(Q)
     )
-
-
-def bipyramid(height, Q: RatPolytope, z: Sequence) -> RatPolytope:
-    """The bipyramid ``conv({0, 2·(height, z)} ∪ {height} × Q)`` over a
-    polytope ``Q`` of dimension ≥ 1 with ``z`` interior to it.
-
-    Built in closed form, not hulled: two facets per facet of ``Q``, one
-    through each apex.  The facets are verified against the vertices in one
-    dot pass (every vertex satisfies every facet, each facet is tight on an
-    affinely spanning set that no other facet shares, every vertex is one),
-    so a ``z`` that is not interior to ``Q`` raises :class:`CheckFailed`.
-    """
-    h = _exact(height)
-    if h <= 0:
-        raise InvalidParameters("bipyramid height must be positive")
-    if len(z) != Q.dim:
-        raise DimensionMismatch("center has the wrong length")
-    if Q.dim < 1:
-        raise InvalidParameters("a bipyramid needs a base of dimension >= 1")
-    (zr,), m = _clear_rows([z])
-    den = math.lcm(h.denominator * Q.den, m)
-    top, f = h.numerator * (den // h.denominator), den // Q.den
-    apex = (2 * top,) + tuple(2 * (den // m) * x for x in zr)
-    base = [(top,) + tuple(f * x for x in r) for r in Q.rows]
-    base_facets = [(u, f * c) for u, c in Q.int_facets]
-    facets = _apex_facets((0,) * (Q.dim + 1), top, base_facets)
-    facets += _apex_facets(apex, top, base_facets)
-    rows = [(0,) * (Q.dim + 1)] + base + [apex]
-    spanned = _lifted(Q, (1, 1 << len(rows) - 1), False)
-    return _checked(Q.dim + 1, den, rows, facets, spanned)
 
 
 # --- lattice points --------------------------------------------------------------

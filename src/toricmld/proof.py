@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -39,8 +39,8 @@ from .errors import (
 )
 from .geometry import (
     RatPolytope,
+    VertexRows,
     any_lattice_point,
-    bipyramid,
     cone_over,
     convex_hull,
     difference_body,
@@ -50,6 +50,7 @@ from .geometry import (
     normalized_volume,
     scale_about,
     translate,
+    vertex_rows,
 )
 from .lattice import (
     IntVector,
@@ -108,8 +109,8 @@ class ProofTrace:
     of the cone at functional value ``1/index`` (one vertex per ray, in ray
     order in ``ray_vertices``), whose ``threshold``-fold dilate is shrunk
     by ``shrink_factor`` around ``center``, and ``certificate`` the
-    symmetric body in ℤ×kernel whose normalized volume
-    ``certificate_volume`` drives the bound.
+    symmetric body in ℤ×kernel, kept as its vertex rows, whose normalized
+    volume ``certificate_volume`` (derived, not measured) drives the bound.
     """
 
     pair: ToricLogPair
@@ -123,7 +124,7 @@ class ProofTrace:
     center: IntVector
     shrink_factor: Fraction
     gamma: Fraction
-    certificate: RatPolytope
+    certificate: VertexRows
     certificate_volume: Fraction
     checks: tuple[CheckResult, ...]
     bound: BoundVerdict
@@ -202,8 +203,9 @@ def verify_bullets(
       interior of ``i·box`` as its section at height ``0 < i < j``, so it
       holds a lattice point exactly when one of those dilates does, and only
       then is the least height of such a point taken, which names the first.
-      Its verdict also decides ``pyramid-interior-empty``, which
-      :func:`prove` reads together with a containment of the shrunk body.
+      Its verdict also decides ``pyramid-interior-empty`` and
+      ``certificate-unique-interior``, which :func:`prove` reads together
+      with a containment each.
     * ``vertex-orders``: each vertex first becomes integral at the dilate
       given by its generator's level ``n·⟨psi, ray⟩`` — i.e. the lcm of its
       coordinate denominators equals that level.
@@ -303,22 +305,24 @@ def minkowski_certificate(
     j: int,
     gamma: Fraction,
     shrink: Fraction,
-    diff: RatPolytope,
+    diff: VertexRows,
     vol_diff: Fraction,
-) -> tuple[RatPolytope, RatPolytope, Fraction, tuple[CheckResult, ...]]:
-    """Build the symmetric certificate body and verify its properties.
+) -> tuple[VertexRows, VertexRows, Fraction, tuple[CheckResult, ...]]:
+    """Build the symmetric certificate body from its rows and verify what
+    they and the volume of ``diff`` give.
 
     ``diff`` is the difference body ``S − S`` of the dilated section, of
-    measured volume ``vol_diff``.  The shrunk body is ``z + shrink·(S −
-    z)``, so its difference body is ``shrink·diff``, and the core ``K = z +
+    volume ``vol_diff``.  The shrunk body is ``z + shrink·(S − z)``, so its
+    difference body is ``shrink·diff``, and the core ``K = z +
     gamma·shrink·diff``, one image of ``diff``, is centrally symmetric and
     inscribed in the shrunk body; the certificate is the bipyramid over
-    ``{j}×K`` with apexes at the origin and at ``2·(j, z)``.  Returns ``(K,
-    certificate, its normalized volume, checks)``.  Checks: vertexwise
-    central symmetry, the center is the only interior lattice point, volume
-    at most ``2^D`` (Minkowski's theorem, ``D`` the certificate dimension)
-    and twice the half-cone's, ``j·(gamma·shrink)^{D-1}·vol_diff/D`` by the
-    pyramid rule.
+    ``{j}×K`` with apexes at the origin and at ``2·(j, z)``, built as its
+    rows alone.  Its normalized volume is twice the half-cone's,
+    ``j·(gamma·shrink)^{D-1}·vol_diff/D`` by the pyramid rule (``D`` the
+    certificate dimension), derived and not measured.  Returns ``(K,
+    certificate, volume, checks)``.  Checks: vertexwise central symmetry,
+    volume at most ``2^D`` (Minkowski's theorem), and the body's rows are
+    exactly 0, ``2·(j, z)`` and ``{j}×K``.
     """
     if type(j) is not int or j < 1:
         raise InvalidParameters("dilation threshold must be a positive integer")
@@ -333,40 +337,35 @@ def minkowski_certificate(
     factor = gamma * shrink
     core = translate(scale_about(diff, factor, (0,) * k), z)
     center = (j,) + z
-    body = bipyramid(j, core, z)
     D = k + 1
+    c = core.den
+    apex = tuple(2 * c * x for x in center)
+    body = vertex_rows(D, c, [(0,) * D, apex] + [(j * c,) + r for r in core.rows])
     # the mirror of a row r is 2·den·center − r
-    mirror = tuple(2 * body.den * c for c in center)
+    mirror = tuple(2 * body.den * x for x in center)
     rset = set(body.rows)
     asym = [r for r in rset if tuple(m - x for m, x in zip(mirror, r)) not in rset]
-    checks = [
-        CheckResult(
-            "certificate-symmetry",
-            not asym,
-            f"vertex {_fmt_vec(Fraction(x, body.den) for x in asym[0])} has no mirror"
-            if asym
-            else f"center {_fmt_vec(center)}",
-        )
-    ]
-    interior = enumerate_points(body, strict=True)
-    checks.append(
-        CheckResult(
-            "certificate-unique-interior",
-            interior == (center,),
-            "interior lattice points " + _fmt_vecs(interior),
-        )
-    )
-    vol = normalized_volume(body)
-    checks.append(
-        CheckResult("certificate-volume", vol <= 2**D, f"volume {vol} vs 2^{D} = {2 ** D}")
+    symmetry = CheckResult(
+        "certificate-symmetry",
+        not asym,
+        f"vertex {_fmt_vec(Fraction(x, body.den) for x in asym[0])} has no mirror"
+        if asym
+        else f"center {_fmt_vec(center)}",
     )
     half = j * factor**k * vol_diff / D  # the cone over {j}×K, not built
-    detail = f"body {vol} vs twice the half-cone {2 * half}"
-    checks.append(CheckResult("certificate-bipyramid", vol == 2 * half, detail))
-    return core, body, vol, tuple(checks)
+    vol = 2 * half
+    volume = CheckResult("certificate-volume", vol <= 2**D, f"volume {vol} vs 2^{D} = {2 ** D}")
+    # over body.den·c: the rows of the body against 0, 2·(j, z) and {j}×K
+    b = body.den
+    want = {(0,) * D, tuple(2 * b * c * x for x in center)}
+    want |= {(j * b * c,) + tuple(b * x for x in r) for r in core.rows}
+    mapped = len(body.rows) == len(want) and {tuple(c * x for x in r) for r in body.rows} == want
+    detail = f"body {vol} vs twice the half-cone {2 * half}" + ("" if mapped else ", rows unmapped")
+    rows_map = CheckResult("certificate-bipyramid", mapped, detail)
+    return core, body, vol, (symmetry, volume, rows_map)
 
 
-def _contains_rows(P: RatPolytope, Q: RatPolytope) -> bool:
+def _contains_rows(P: RatPolytope, Q: VertexRows) -> bool:
     """Whether ``Q ⊆ P``: every integer row of ``Q`` meets every facet of ``P``."""
     return all(P.den * dot(u, r) <= c * Q.den for u, c in P.int_facets for r in Q.rows)
 
@@ -376,19 +375,20 @@ def chain_verify(
     j: int,
     q: int,
     gamma: Fraction,
-    core: RatPolytope,
-    diff_dilated: RatPolytope,
+    core: VertexRows,
+    diff_dilated: VertexRows,
     shrink: Fraction,
     vol_dilated: Fraction,
 ) -> tuple[CheckResult, ...]:
     """Exact inequality chain from the certificate volume to the index bound.
 
     ``diff_dilated`` is the difference body of the dilated cross-section,
-    of measured volume ``vol_dilated``; the shrunk body's is
-    ``shrink·diff_dilated``.  The homothety law derives that volume and the
-    core's from the one map ``chain-cross-section`` checks on the rows,
-    ``core`` a translate of ``γ·shrink·diff_dilated``.  With ``D = core.dim
-    + 1`` the certificate dimension:
+    of volume ``vol_dilated``; the shrunk body's is ``shrink·diff_dilated``.
+    The homothety law derives that volume and the core's from the one map
+    ``chain-cross-section`` checks on the rows, ``core`` a translate of
+    ``γ·shrink·diff_dilated``.  Only rows are read, so either body may be
+    a :class:`VertexRows`.  With ``D = core.dim + 1`` the certificate
+    dimension:
 
     1. ``2·j·vol(core)/D ≤ 2^D``            (Minkowski cap, pyramid volumes)
     2. ``vol(core) = γ^{D-1}·vol(shrunk − shrunk)``
@@ -424,7 +424,7 @@ def chain_verify(
     return c1, c2, c3, c4, c5
 
 
-def _offsets(P: RatPolytope, Q: RatPolytope, a: Fraction) -> set[IntVector]:
+def _offsets(P: VertexRows, Q: VertexRows, a: Fraction) -> set[IntVector]:
     """The rows of ``Q`` less ``a`` times those of ``P``, over ``P.den·Q.den·
     a.denominator``, paired in the lex order that a positive homothety and a
     translation keep: one vector exactly when ``Q`` is a translate of ``a·P``."""
@@ -521,18 +521,25 @@ def prove(
     Builds the cross-section, enumerates the interior lattice points of its
     threshold dilate once for the structural facts and the shrink, shrinks
     to a unique (1/q)-point, assembles the symmetric certificate and the
-    inequality chain from the one measured difference body of the dilate,
-    and evaluates the final index bound.  ``shrink-uniqueness`` (a walk of
-    the shrunk body at scale q) and ``pyramid-interior-empty`` (the
-    threshold verdict and the shrunk body's containment in the dilate) are
-    made here, where their inputs meet.  With ``strict`` the first failed
-    verification raises :class:`CheckFailed`; otherwise failures are
-    collected in the returned trace, except for the checks the pipeline
-    cannot continue past (the cross-section's consistency and threshold
-    integrality), which raise :class:`CheckFailed` either way.  Raises
-    :class:`NotKlt` (vanishing discrepancy functional or a coefficient
-    equal to 1) or :class:`DimensionTooSmall` for pairs outside the
-    construction's scope.  A caller that already holds the pair's
+    inequality chain from the difference body of the dilate, and evaluates
+    the final index bound.  It measures one volume: the dilate's, a simplex
+    whenever the cone is simplicial, whose difference body then has the
+    ``v_a − v_b`` as its vertices, kept as rows, and ``C(2k, k)`` times its
+    volume (Rogers & Shephard 1957); any other section keeps its hulled
+    difference body and that body's measured volume.  The certificate's
+    volume follows by the pyramid rule.  ``shrink-uniqueness`` (a walk of
+    the shrunk body at scale q), ``certificate-unique-interior`` (the
+    threshold, uniqueness and symmetry verdicts and the core's containment
+    in the shrunk body) and ``pyramid-interior-empty`` (the threshold
+    verdict and the shrunk body's containment in the dilate) are made here,
+    where their inputs meet; the last two walk no body.  With ``strict``
+    the first failed verification raises :class:`CheckFailed`; otherwise
+    failures are collected in the returned trace, except for the checks the
+    pipeline cannot continue past (the cross-section's consistency and
+    threshold integrality), which raise :class:`CheckFailed` either way.
+    Raises :class:`NotKlt` (vanishing discrepancy functional or a
+    coefficient equal to 1) or :class:`DimensionTooSmall` for pairs outside
+    the construction's scope.  A caller that already holds the pair's
     :class:`LogCanonicalReport` may pass it to skip recomputing them.
     """
     if report is None:
@@ -555,27 +562,47 @@ def prove(
         raise CheckFailed("threshold-integrality", f"n·mld = {threshold}")
     j = int(threshold)
     q = report.mld_denominator
-    dilated = scale_about(section, j, (0,) * (d - 1))
+    k = d - 1
+    dilated = scale_about(section, j, (0,) * k)
     interior = enumerate_points(dilated, strict=True)
     checks = list(verify_bullets(section, levels, n, j, q, interior))
     t, shrunk, center = shrink_to_unique(dilated, q, interior)
     unique = enumerate_points(shrunk, scale=q, strict=True) == (tuple(q * x for x in center),)
     detail = f"factor {fmt_rat(t)} about {_fmt_vec(center)}"
     detail += "" if unique else f", not the only (1/{q})-point inside"
-    checks.append(CheckResult("shrink-uniqueness", unique, detail))
+    uniqueness = CheckResult("shrink-uniqueness", unique, detail)
+    checks.append(uniqueness)
     gamma = max_gamma(shrunk, center)
     checks.append(CheckResult("gamma-range", 0 < gamma <= Fraction(1, 2), f"gamma = {gamma}"))
-    diff = difference_body(dilated)
-    vol_diff = normalized_volume(diff)
-    core, body, volume, mk_checks = minkowski_certificate(center, j, gamma, t, diff, vol_diff)
+    if len(dilated.rows) == d:
+        rows = dilated.rows
+        diff = vertex_rows(k, dilated.den, [vec_sub(a, b) for a in rows for b in rows if a != b])
+        vol_diff = comb(2 * k, k) * normalized_volume(dilated)
+    else:
+        diff = difference_body(dilated)
+        vol_diff = normalized_volume(diff)
+    core, body, volume, (symmetry, *mk_checks) = minkowski_certificate(
+        center, j, gamma, t, diff, vol_diff
+    )
+    # The body's interior lattice points: below height j its slice is
+    # (h/j)·K ⊆ h·box, whose interior the threshold walk found empty; at j
+    # the interior of K ⊆ shrunk holds no (1/q)-point but z; above j the
+    # mirror images of those below.
+    below = checks[0]
+    failed = [c.name for c in (below, uniqueness, symmetry) if not c.passed]
+    inside = _contains_rows(shrunk, core)
+    detail = f"{failed[0]} failed" if failed else (
+        "interior lattice points " + _fmt_vec((j,) + center) if inside else "core leaves shrunk"
+    )
+    checks += [symmetry, CheckResult("certificate-unique-interior", not failed and inside, detail)]
     checks.extend(mk_checks)
     # shrunk ⊆ dilated puts conv(0, {j}×shrunk) inside j·conv(0, {1}×box),
     # whose interior below height j the threshold walk found empty
-    below, inside = checks[0].passed, _contains_rows(dilated, shrunk)
-    detail = "dilation-threshold failed" if not below else (
+    inside = _contains_rows(dilated, shrunk)
+    detail = "dilation-threshold failed" if not below.passed else (
         "no interior lattice points below the threshold" if inside else "shrunk body leaves dilated"
     )
-    checks.append(CheckResult("pyramid-interior-empty", below and inside, detail))
+    checks.append(CheckResult("pyramid-interior-empty", below.passed and inside, detail))
     checks.extend(chain_verify(n, j, q, gamma, core, diff, t, vol_diff))
     bound = bound_check(report, gamma)
     trace = ProofTrace(

@@ -148,8 +148,10 @@ def test_random_cone_sweep_in_nine_dimensions_pinned_digest():
 def test_random_cone_sweep_in_ten_dimensions_pinned_digest():
     """One seeded 10D cone (n = 384, mld 481/384, so j = 481, γ =
     320/44733) gets a passing trace and reproduces pinned sweep JSON and
-    trace-v1 bytes: the frontier where the bipyramid's pulling and the
-    volumes derived from ``diff_dilated``'s one pulling carry the proof."""
+    trace-v1 bytes, pinned when the proof pulled the bipyramid and the
+    difference body (C(18, 9) = 48,620 and 35,750 simplices) and walked the
+    certificate.  Now it measures the dilated section alone, one
+    determinant, and derives the rest."""
     start = time.perf_counter()
     report = sweep(
         FamilySpec(kind="random_cone", dims=(10,), count=1, max_entry=2, L=3, seed=20261018)
@@ -163,6 +165,25 @@ def test_random_cone_sweep_in_ten_dimensions_pinned_digest():
         "882e5a0dc65f4fd519b2e01387e2ad12cdc970d9406059857c78999a5e2f0cb2"
     )
     assert time.perf_counter() - start < 60
+
+
+def test_random_cone_sweep_in_eleven_dimensions_pinned_digest():
+    """One seeded 11D cone (n = 66042, j = 70535, γ = 1389/70535) gets a
+    passing trace and reproduces pinned sweep JSON and trace-v1 bytes,
+    pinned when the proof pulled the bipyramid and the difference body
+    (68 s then)."""
+    start = time.perf_counter()
+    report = sweep(
+        FamilySpec(kind="random_cone", dims=(11,), count=1, max_entry=2, L=3, seed=20261018)
+    )
+    (row,) = report.rows
+    assert row.error == "" and row.trace.all_passed
+    assert (row.report.index, row.trace.threshold, row.trace.gamma) == (66042, 70535, F(1389, 70535))
+    text = report.to_json() + proof.serialize_trace(row.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a32f849cee2687f531523d076851c5873d7429139763d07f6d60f3f12a074540"
+    )
+    assert time.perf_counter() - start < 10
 
 
 def test_random_cone_resampling_budget(monkeypatch):

@@ -770,22 +770,6 @@ def test_cone_over_equals_its_hull(data):
     assert vars(C)["_incidence"] == dot_pass_incidence(C)
 
 
-@given(rational_polytopes(dims=(1, 2, 3)), st.data())
-@settings(deadline=None, max_examples=60)
-def test_bipyramid_equals_its_hull(Q, data):
-    """The closed-form bipyramid over ``{h} × Q`` with apexes 0 and ``2(h, z)``,
-    ``z`` the vertex centroid of ``Q``, is the hull of its points."""
-    k = Q.dim
-    z = tuple(sum(c) / len(Q.vertices) for c in zip(*Q.vertices))
-    h = data.draw(st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=2))
-    B = geo.bipyramid(h, Q, z)
-    apex = (2 * h,) + tuple(2 * x for x in z)
-    H = geo.convex_hull([(Fraction(0),) * (k + 1), apex] + [(h,) + v for v in Q.vertices])
-    assert fields(B) == fields(H)
-    assert vars(B)["_incidence"] == dot_pass_incidence(B)
-    assert geo.normalized_volume(B) == 2 * geo.normalized_volume(geo.cone_over(h, Q))
-
-
 def test_closed_form_facets_are_verified():
     """Each mutation of a correct facet list raises the typed error: a dropped
     facet, an offset moved off or into the vertices, a repeated facet."""
@@ -813,8 +797,8 @@ def pulling_volume(P):
 
 def test_images_follow_the_volume_laws():
     """Seeded hulls in 2D–6D of a simplex and 0–6 more points, measured
-    first, and their translates, positive homothets, pyramids and
-    bipyramids: no image carries the hull's triangulation, each is pulled on
+    first, and their translates, positive homothets and pyramids: no image
+    carries the hull's triangulation, each is pulled on
     its own, and every volume, with its determinants shared along the
     simplices' common rows, is the oracle's and the one the translate,
     homothety and pyramid laws derive from the hull's."""
@@ -836,7 +820,6 @@ def test_images_follow_the_volume_laws():
             (geo.translate(P, z), vol),
             (geo.scale_about(P, t, z), t**d * vol),
             (geo.cone_over(h, P), h * vol / (d + 1)),
-            (geo.bipyramid(h, P, z), 2 * h * vol / (d + 1)),
         )
         for image, derived in laws:
             assert "_triangulation" not in vars(image)
@@ -857,7 +840,7 @@ def test_closed_form_facets_take_the_rank_test_off_the_base():
     assert "is not spanned by vertices" in err.value.detail
     Q = geo.convex_hull([p for p in itertools.product((0, 2), repeat=3)] + [(1, 1, 3)])
     C = geo.cone_over(1, Q)
-    rows, spanned = [(0,) * 4] + [(1,) + r for r in Q.rows], geo._lifted(Q, (1,), True)
+    rows, spanned = [(0,) * 4] + [(1,) + r for r in Q.rows], geo._lifted(Q)
     apex_facets = [(u, c) for u, c in C.int_facets if c == 0]
     rest = [f for f in C.int_facets if f not in apex_facets]
     assert geo._checked(4, 1, rows, C.int_facets, spanned) == C
@@ -868,20 +851,6 @@ def test_closed_form_facets_take_the_rank_test_off_the_base():
         assert err.value.name == "closed-form-facets"
 
 
-def test_bipyramid_center_must_be_interior():
-    half = Fraction(1, 2)
-    assert geo.normalized_volume(geo.bipyramid(1, UNIT_SQUARE, (half, half))) == Fraction(2, 3)
-    for z in ((half, 0), (0, 0), (2, half)):
-        with pytest.raises(CheckFailed):
-            geo.bipyramid(1, UNIT_SQUARE, z)
-    with pytest.raises(InvalidParameters):
-        geo.bipyramid(0, UNIT_SQUARE, (half, half))
-    with pytest.raises(DimensionMismatch):
-        geo.bipyramid(1, UNIT_SQUARE, (half,))
-    with pytest.raises(InvalidParameters):
-        geo.bipyramid(1, geo.convex_hull([()]), ())
-
-
 def test_volumes_and_pyramids_make_no_hull_calls(monkeypatch):
     cube = geo.convex_hull([p for p in itertools.product((0, 2), repeat=3)] + [(1, 1, 3)])
     hull, calls = geo.convex_hull, []
@@ -889,12 +858,10 @@ def test_volumes_and_pyramids_make_no_hull_calls(monkeypatch):
     assert geo.normalized_volume(cube) == Fraction(28, 3)
     pyramid = geo.cone_over(Fraction(3, 2), cube)
     assert geo.normalized_volume(pyramid) == Fraction(3, 8) * geo.normalized_volume(cube)
-    body = geo.bipyramid(2, cube, (1, 1, 1))
-    assert geo.normalized_volume(body) == 2 * geo.normalized_volume(geo.cone_over(2, cube))
     assert calls == []
 
 
-# --- ridge elimination and the closed-form difference body --------------------------
+# --- ridge elimination and rows-only bodies -----------------------------------------
 
 
 def hull_levels(P):
@@ -951,7 +918,7 @@ def skew(rng, d):
 def test_ridge_elimination_gives_the_hulled_levels_and_cuts():
     """Seeded hulls in 3D–7D, skewed copies of them walked in their reduced
     frames ``U·P``, homothets made before and after the levels are taken,
-    and the pyramid and bipyramid over them: the projection levels and the
+    and the pyramid over them: the projection levels and the
     objective cuts from ridge elimination over the carried incidence equal
     those of the former hulls, and a frame receives ``P``'s incidence."""
     rng = random.Random(20261021)
@@ -964,7 +931,7 @@ def test_ridge_elimination_gives_the_hulled_levels_and_cuts():
         assert_eliminations_are_the_hulls(P, rng)
         after = geo.translate(geo.scale_about(P, t, z), z)
         assert "_levels" in vars(after) and "_levels" not in vars(before)
-        for Q in (before, after, geo.cone_over(t, P), geo.bipyramid(t, P, z)):
+        for Q in (before, after, geo.cone_over(t, P)):
             assert_eliminations_are_the_hulls(Q, rng)
         U = skew(rng, d)
         S = geo.convex_hull([mat_vec(U, v) for v in P.vertices])
@@ -993,47 +960,30 @@ def test_polygons_walk_without_incidence():
         assert "_incidence" not in vars(Q)
 
 
-def test_simplex_difference_body_is_its_hull(monkeypatch):
-    """Seeded simplices with k = 1..6: the difference body is the hull of the
-    differences field by field, with a dot pass's incidence, the spans a
-    rank test finds and the volume C(2k, k)·vol (Rogers & Shephard 1957).
-    From k = 3 on it is built in closed form, with no hull call; up to 2D,
-    and for a polytope that is not a simplex, it falls back to the hull.
-    The pyramids over the homothets of a closed-form body take no rank
-    test."""
+def test_vertex_rows_of_a_simplex_difference_body_are_its_hull_rows():
+    """Seeded simplices with k = 1..6: the ``v_a − v_b`` as a ``VertexRows``
+    have the dimension, denominator, rows and vertices of the hulled
+    difference body, and so do its translates and positive homothets, which
+    stay rows-only.  With no facets it cannot be walked, pulled or asked
+    what it contains."""
     rng = random.Random(20261022)
-    hull, calls = geo.convex_hull, []
-
-    def counted(*args):
-        calls.append(1)
-        return hull(*args)
-
     for k in range(1, 7):
         for _ in range(4):
             S = seeded_hull(rng, k, 0)
-            monkeypatch.setattr(geo, "convex_hull", counted)
-            D = geo.difference_body(S)
-            monkeypatch.setattr(geo, "convex_hull", hull)
-            assert len(calls) == (k <= 2)
-            calls.clear()
-            H = hull([vec_sub(v, w) for v in S.rows for w in S.rows], S.den)
-            assert fields(D) == fields(H)
-            assert len(D.rows) == k * (k + 1) and len(D.int_facets) == 2 ** (k + 1) - 2
-            assert D._incidence == dot_pass_incidence(H)
-            assert D._spanning == geo.RatPolytope(*fields(H))._spanning
-            volume = math.comb(2 * k, k) * geo.normalized_volume(S)
-            assert geo.normalized_volume(D) == geo.normalized_volume(H) == volume
-    monkeypatch.setattr(geo, "convex_hull", counted)
-    cube = geo.convex_hull(list(itertools.product((0, 1), repeat=3)))
-    assert geo.difference_body(cube) == hull(list(itertools.product((-1, 0, 1), repeat=3)))
-    assert len(calls) == 2
-    monkeypatch.setattr(geo, "convex_hull", hull)
-    ranks = []
-    monkeypatch.setattr(geo, "matrix_rank", lambda M: ranks.append(1) or matrix_rank(M))
-    D = geo.difference_body(geo.convex_hull([(0, 0, 0), (3, 1, 0), (1, 2, 0), (0, 1, 2)]))
-    core = geo.translate(geo.scale_about(D, Fraction(1, 3), (0, 0, 0)), (1, 1, 1))
-    geo.cone_over(2, core), geo.bipyramid(2, core, (1, 1, 1))
-    assert ranks == []
+            R = geo.vertex_rows(k, S.den, [vec_sub(v, w) for v in S.rows for w in S.rows if v != w])
+            H = geo.difference_body(S)
+            assert (R.dim, R.den, R.rows, R.vertices) == (H.dim, H.den, H.rows, H.vertices)
+            z = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k))
+            t = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+            for image, hulled in (
+                (geo.translate(R, z), geo.translate(H, z)),
+                (geo.scale_about(R, t, z), geo.scale_about(H, t, z)),
+            ):
+                assert type(image) is geo.VertexRows
+                assert (image.den, image.rows) == (hulled.den, hulled.rows)
+    for call in (geo.enumerate_points, geo.normalized_volume, lambda P: P.contains((0,) * P.dim)):
+        with pytest.raises(AttributeError):
+            call(R)
 
 
 def test_checked_cannot_see_a_missing_facet_at_a_non_simple_vertex():

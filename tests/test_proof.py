@@ -353,13 +353,18 @@ def test_shrink_rejects_bad_center_and_scale():
 
 
 def test_minkowski_certificate_frozen():
+    """The certificate is its rows: its volume is derived (the hull of the
+    rows measures the same), and it has no facets to walk or to test."""
     S = segment(0, 2)
     core, body, volume, checks = minkowski_certificate((1,), 2, F(1, 2), F(1), difference_body(S), F(4))
     assert core.vertices == ((F(0),), (F(2),))
-    assert normalized_volume(body) == volume == 4
+    assert normalized_volume(convex_hull(body.rows, body.den)) == volume == 4
     assert body.vertices == ((F(0), F(0)), (F(2), F(0)), (F(2), F(2)), (F(4), F(2)))
-    assert [c.name for c in checks] == list(CHECK_NAMES[5:9])
+    assert [c.name for c in checks] == ["certificate-symmetry", "certificate-volume", "certificate-bipyramid"]
     assert all(c.passed for c in checks)
+    assert isinstance(body, geometry.VertexRows) and not hasattr(body, "int_facets")
+    with pytest.raises(AttributeError):
+        geometry.enumerate_points(body, strict=True)
     # the core is one image of the dilate's difference body: [0, 4] shrunk
     # by 1/2 about 2 has difference body [-2, 2], whose half about 2 is [1, 3]
     diff = difference_body(segment(0, 4))
@@ -369,12 +374,17 @@ def test_minkowski_certificate_frozen():
 
 
 def test_minkowski_certificate_flags_non_unique_body():
-    # [0, 4] still holds three interior lattice points, so the interior
-    # uniqueness check must fail
+    """[0, 4] still holds three interior lattice points.  Unshrunk, its core
+    is [0, 4] and the certificate's interior holds more than its centre
+    (walked on the hull of its rows); the containment that ``prove`` reads
+    ``certificate-unique-interior`` from fails, as the core leaves the body
+    shrunk to a unique point."""
     S = segment(0, 4)
-    _, _, _, checks = minkowski_certificate((2,), 2, F(1, 2), F(1), difference_body(S), F(8))
-    by_name = {c.name: c.passed for c in checks}
-    assert not by_name["certificate-unique-interior"]
+    core, body, _, _ = minkowski_certificate((2,), 2, F(1, 2), F(1), difference_body(S), F(8))
+    assert len(walk(convex_hull(body.rows, body.den))) > 1
+    _, shrunk, z = shrink_to_unique(S, 1, walk(S))
+    assert not proof._contains_rows(shrunk, core)
+    assert proof._contains_rows(S, core)
 
 
 def test_minkowski_certificate_input_validation():
@@ -412,20 +422,27 @@ def edit_argument(i, edit):
     return lambda f: lambda *args: f(*args[:i], edit(args[i]), *args[i + 1 :])
 
 
+def shrunk_about_centre(body):
+    """The certificate rows scaled by 1/NUDGE about the centre (j, z), half
+    its lex-last row 2·(j, z): still symmetric, no longer over {j}×K."""
+    centre = tuple(F(x, 2 * body.den) for x in body.rows[-1])
+    return geometry.scale_about(body, 1 / NUDGE, centre)
+
+
 # Per volume-bearing check: the ``proof`` name patched and the wrapper of
 # the original that edits one input.  On the smooth quadrant the body fills
 # Minkowski's budget, so a 10⁻⁶ nudge crosses the bound.
 VOLUME_MUTATIONS = [
-    pytest.param(
+    pytest.param(  # the one measured volume, the dilated section's
         "certificate-volume",
         "normalized_volume",
-        lambda f: lambda P: f(P) * NUDGE if P.dim == 2 else f(P),
+        lambda f: lambda P: f(P) * NUDGE,
         id="certificate-volume-measured",
     ),
-    pytest.param(
+    pytest.param(  # the body's rows, shrunk about its centre, half its last row
         "certificate-bipyramid",
-        "bipyramid",
-        lambda f: lambda h, Q, z: geometry.scale_about(f(h, Q, z), 1 / NUDGE, (h,) + tuple(z)),
+        "vertex_rows",
+        lambda f: lambda dim, den, rows: shrunk_about_centre(f(dim, den, rows)) if dim == 2 else f(dim, den, rows),
         id="certificate-bipyramid-body-shrunk",
     ),
     pytest.param(
@@ -479,6 +496,11 @@ THIN_SHRINK_3D = ToricLogPair(
 # (a strict proof raises the first), the ``proof`` name patched and the
 # wrapper of the original that edits one input.  ``gamma-range`` has no row:
 # the input check of ``minkowski_certificate`` raises before it can read FAIL.
+# ``certificate-unique-interior`` is read from the threshold, uniqueness and
+# symmetry verdicts, so an edit that fails one of them fails it too.  Two
+# containments go through ``_contains_rows``: of the core, kept as rows
+# (a ``VertexRows``), in the shrunk body, and of the shrunk body, a
+# ``RatPolytope``, in the dilated section; each row edits only its own.
 CHECK_MUTATIONS = [
     pytest.param(
         THIRD,
@@ -496,35 +518,37 @@ CHECK_MUTATIONS = [
     ),
     pytest.param(
         THIRD,
-        ("dilation-threshold", "pyramid-interior-empty"),
+        ("dilation-threshold", "certificate-unique-interior", "pyramid-interior-empty"),
         "verify_bullets",
         edit_argument(5, lambda interior: ()),
         id="dilation-threshold-no-interior-point",
     ),
     pytest.param(  # the shrink's (1/q)-walks find nothing, z included
         THIRD,
-        ("shrink-uniqueness",),
+        ("shrink-uniqueness", "certificate-unique-interior"),
         "enumerate_points",
         lambda f: lambda P, **kw: () if kw.get("scale", 1) > 1 else f(P, **kw),
         id="shrink-uniqueness-no-q-points",
     ),
     pytest.param(
         THIRD,
-        ("certificate-symmetry",),
+        ("certificate-symmetry", "certificate-unique-interior"),
         "translate",
         lambda f: lambda P, w: f(P, tuple(x + F(1, 10**6) for x in w)),
         id="certificate-symmetry-core-moved",
     ),
-    pytest.param(
+    pytest.param(  # the core gains a point one past its last row, outside shrunk
         THIRD,
         ("certificate-unique-interior",),
-        "enumerate_points",
-        lambda f: lambda P, **kw: f(P, **kw) + (((0, 0),) if P.dim == 2 else ()),
+        "_contains_rows",
+        edit_argument(1, lambda K: K if isinstance(K, geometry.RatPolytope) else geometry.vertex_rows(
+            K.dim, K.den, K.rows + (tuple(x + K.den for x in K.rows[-1]),)
+        )),
         id="certificate-unique-interior-extra-point",
     ),
     pytest.param(  # the threshold walk of dilate j + 1 finds dilate j's point
         THIRD,
-        ("dilation-threshold", "pyramid-interior-empty"),
+        ("dilation-threshold", "certificate-unique-interior", "pyramid-interior-empty"),
         "verify_bullets",
         edit_argument(3, lambda j: j + 1),
         id="pyramid-interior-empty-threshold-walk",
@@ -533,7 +557,7 @@ CHECK_MUTATIONS = [
         THIRD,
         ("pyramid-interior-empty",),
         "_contains_rows",
-        edit_argument(1, lambda P: geometry.translate(P, (1,) * P.dim)),
+        edit_argument(1, lambda P: geometry.translate(P, (1,) * P.dim) if isinstance(P, geometry.RatPolytope) else P),
         id="pyramid-interior-empty-containment",
     ),
     pytest.param(
@@ -617,8 +641,6 @@ EXACT_INPUTS = [
     pytest.param(lambda x: geometry.scale_about(UNIT_SQUARE, x, (0, 0)), INEXACT, id="scale_about-factor"),
     pytest.param(lambda x: geometry.scale_about(UNIT_SQUARE, 2, (x, 0)), INEXACT, id="scale_about-centre"),
     pytest.param(lambda x: geometry.cone_over(x, UNIT_SQUARE), INEXACT, id="cone_over"),
-    pytest.param(lambda x: geometry.bipyramid(x, UNIT_SQUARE, (F(1, 2),) * 2), INEXACT, id="bipyramid-height"),
-    pytest.param(lambda x: geometry.bipyramid(1, UNIT_SQUARE, (x, F(1, 2))), INEXACT, id="bipyramid-centre"),
     pytest.param(lambda x: geometry.max_gamma(UNIT_SQUARE, (x, F(1, 2))), INEXACT, id="max_gamma"),
     pytest.param(lambda x: UNIT_SQUARE.contains((x, 0)), INEXACT, id="contains"),
     pytest.param(lambda x: geometry.minimize(UNIT_SQUARE, (x, 1)), INEXACT, id="minimize"),
@@ -811,6 +833,8 @@ SYLVESTER_PINS = [
     (6, "835193b7c7ff88446a8f7ad96572914a1178246d8c79da8953f85cf313759359", 5),
     (7, "6860acfbab030064e44cb459de2b59ebf188544f86d967c446f65cb02ff4930f", 5),
     (8, "d5a8fecc2700ecd36144d155c42db17a38432a8e442b425676389ed18da2e815", 20),
+    (9, "715c3ab3dba9a4067e3c9ff3163f192ca9bdd810eca43c60c3be0c602cb60e60", 10),
+    (10, "e4f09117185c35e446bc59307c30087f582bdc99137df0adc32efb7c75028d3c", 10),
 ]
 
 
@@ -828,6 +852,36 @@ def test_sylvester_germs_are_proved_and_pinned(d, digest, seconds):
     assert (report.index, report.mld, report.mld_denominator) == (s_d - 1, 1, 1)
     assert trace.all_passed
     assert hashlib.sha256(serialize_trace(trace).encode()).hexdigest() == digest
+
+
+# Cones whose sections are not simplices: the unit square, the hexagon and
+# the 4D octahedron, each with its rays in this order.
+NON_SIMPLEX_CONES = [
+    ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)),
+    ((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)),
+    ((1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)),
+]
+
+
+def test_non_simplex_sections_keep_the_measured_difference_body(monkeypatch):
+    """Each cone with b = 0 on every ray, then with b = 1/2: every trace
+    passes, and the six texts reproduce the digest of the implementation
+    that measured every volume.  For a section that is not a simplex the
+    Rogers–Shephard volume is only a bound, so each proof hulls the
+    difference body and measures it, and measures no other volume."""
+    measured, hulled = [], []
+    volume, difference = proof.normalized_volume, proof.difference_body
+    monkeypatch.setattr(proof, "normalized_volume", lambda P: measured.append(P.dim) or volume(P))
+    monkeypatch.setattr(proof, "difference_body", lambda P: hulled.append(P.dim) or difference(P))
+    text = ""
+    for rays in NON_SIMPLEX_CONES:
+        for b in (0, F(1, 2)):
+            trace = prove(ToricLogPair(len(rays[0]), rays, standard_coefficients([b] * len(rays))))
+            assert trace.all_passed
+            text += serialize_trace(trace)
+    digest = "af07b672cebb7bf6ee0431b61a303a348d76e4e563b78a42f596c0827d4d80aa"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert measured == hulled == [2, 2, 2, 2, 3, 3]
 
 
 def test_prove_builds_the_kernel_once(monkeypatch):
@@ -867,9 +921,9 @@ def test_prove_walks_the_threshold_dilate_once(monkeypatch, dim):
 
 def test_prove_hull_calls_are_bounded(monkeypatch):
     """The proof of a pinned 4D pair takes at most 15 convex hulls, all for
-    the cone, its slab, the cross-section, the difference body and walk
-    projections: pyramids, the bipyramid and volumes take none (re-hulling
-    them took 47)."""
+    the cone, its slab and the cross-section: pyramids, walk projections
+    and volumes take none, and the difference body and the certificate of
+    its simplex section are their rows (re-hulling them took 47)."""
     hull, calls = geometry.convex_hull, []
     for module in (geometry, pairs, proof):
         monkeypatch.setattr(module, "convex_hull", lambda *args: calls.append(1) or hull(*args))
@@ -891,23 +945,24 @@ PINNED_4D = ToricLogPair(
 
 
 def test_prove_walks_one_pyramid(monkeypatch):
-    """The pinned 4D pair's proof builds three checked bodies (the pyramid
-    of the threshold walk, the difference body and the bipyramid), walks
-    six times, takes four LLL bases and makes seven affine images, the
-    invariants included: the pyramid over the shrunk body is read from the
-    threshold walk, not built, and the core is one image of the difference
-    body (a homothety of it on the way would make eight)."""
-    calls = {name: 0 for name in ("_checked", "_iter_points", "_lll", "_affine_image")}
-    for name in calls:
-        original = getattr(geometry, name)
+    """The pinned 4D pair's proof builds one checked body (the pyramid of the
+    threshold walk), walks five times, takes three LLL bases, makes seven
+    affine images, the invariants included, and measures one volume, the
+    dilated section's: the pyramid over the shrunk body is read from the
+    threshold walk, the difference body and the certificate are their rows,
+    with volumes derived, and the certificate's interior is read from
+    verdicts and a containment, not walked."""
+    calls = {name: 0 for name in ("_checked", "_iter_points", "_lll", "_affine_image", "normalized_volume")}
+    for module, name in [(geometry, name) for name in list(calls)[:4]] + [(proof, "normalized_volume")]:
+        original = getattr(module, name)
 
         def spy(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(geometry, name, spy)
+        monkeypatch.setattr(module, name, spy)
     assert prove(PINNED_4D).all_passed
-    assert calls == {"_checked": 3, "_iter_points": 6, "_lll": 4, "_affine_image": 7}
+    assert calls == {"_checked": 1, "_iter_points": 5, "_lll": 3, "_affine_image": 7, "normalized_volume": 1}
 
 
 def test_threshold_walk_of_a_wide_5d_section_is_fast():

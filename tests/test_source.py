@@ -115,9 +115,10 @@ def calls_to(path, callee):
 
 def test_geometry_hulls_only_the_difference_body_of_a_non_simplex():
     """Inside ``geometry.py`` only ``difference_body`` calls ``convex_hull``,
-    once, in its fallback for a polytope that is not a simplex of dimension
-    ≥ 3: the walker's projections and cuts, the pyramids and the simplex
-    difference body come from facets already known and can never re-hull."""
+    once: the walker's projections and cuts and the pyramids come from
+    facets already known and can never re-hull.  ``prove`` calls
+    ``difference_body`` only for a section that is not a simplex; a simplex
+    section's difference body is its rows."""
     calls = calls_to(SRC / "toricmld" / "geometry.py", "convex_hull")
     assert [owner for owner, _ in calls] == ["difference_body"]
 
@@ -148,6 +149,39 @@ def test_the_scan_sees_cone_over_calls(tmp_path):
         "def minkowski_certificate(j, shrunk):\n    return geometry.cone_over(j, shrunk)\n"
     )
     assert calls_to(module, "cone_over") == [("verify_bullets", 3), ("minkowski_certificate", 5)]
+
+
+def test_no_bipyramid_is_built():
+    """``geometry.py`` defines no ``bipyramid`` and no module calls one: the
+    certificate is its rows, and its volume is derived."""
+    tree = ast.parse((SRC / "toricmld" / "geometry.py").read_text(encoding="utf-8"))
+    assert "bipyramid" not in {getattr(top, "name", None) for top in tree.body}
+    assert [call for path in MODULES for call in calls_to(path, "bipyramid")] == []
+
+
+def test_proof_measures_and_walks_only_in_prove_and_its_search():
+    """Inside ``proof.py`` only ``prove`` and the lemma checks measure a
+    volume, and only ``prove`` and ``shrink_to_unique`` walk a body: the
+    certificate's volume and interior are derived in
+    ``minkowski_certificate``, never measured or walked."""
+    proof_py = SRC / "toricmld" / "proof.py"
+    measured = {owner for owner, _ in calls_to(proof_py, "normalized_volume")}
+    assert measured == {"prove", "lemma_vo_check", "lemma_lv_check"}
+    walked = {owner for owner, _ in calls_to(proof_py, "enumerate_points")}
+    assert walked == {"prove", "shrink_to_unique"}
+
+
+def test_the_scan_sees_calls_by_owner(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def bipyramid(h, Q, z):\n    return Q\n"
+        "def minkowski_certificate(body):\n    geometry.enumerate_points(body, strict=True)\n"
+        "    return normalized_volume(bipyramid(1, body, z))\n"
+        "def prove(pair):\n    return enumerate_points(pair)\n"
+    )
+    assert calls_to(module, "normalized_volume") == [("minkowski_certificate", 5)]
+    assert calls_to(module, "enumerate_points") == [("minkowski_certificate", 4), ("prove", 7)]
+    assert calls_to(module, "bipyramid") == [("minkowski_certificate", 5)]
 
 
 def triangulation_names(path):
